@@ -8,13 +8,14 @@ from .modpoly import (DivisorData, MFPoly, E4, E6, DELTA, G4, G6, bernoulli,
                       decompose, delta_std, dim_modular, divisor_polynomial,
                       eisenstein, identify, j_series, theta_derivation,
                       theta_h, theta_power, to_qseries)
-from .wronskian import (ModularBasis, VanishingReport, echelonize, normalize,
-                        quotient_form, vanishing_check, wronskian,
-                        wronskian_derived)
-from .symmpow import (RatPoly, SymWronskianReport, ThetaOperator, apply,
-                      d_operator, kz_coeff, r12_vanishing_roots, r_recursion,
-                      sym_basis, sym_quotient_closed_form,
-                      sym_wronskian_check)
+from .wronskian import (ModularBasis, VanishingReport, echelonize,
+                        identify_quotient, normalize, quotient_form,
+                        vanishing_check, wronskian, wronskian_derived,
+                        wronskians)
+from .symmpow import (RatPoly, SymWronskianMismatch, SymWronskianReport,
+                      ThetaOperator, apply, d_operator, kz_coeff,
+                      r12_vanishing_roots, r_recursion, sym_basis,
+                      sym_quotient_closed_form, sym_wronskian_check)
 from .ssing import (CongruenceReport, FpPoly, SupersingularReport,
                     congruence_constant_check, epsilon_factors, fp_gcd,
                     hasse_oracle, legendre_symbol, linear_quadratic_split,
@@ -34,11 +35,12 @@ __all__ = [
     "decompose", "delta_std", "dim_modular", "divisor_polynomial",
     "eisenstein", "identify", "j_series", "theta_derivation", "theta_h",
     "theta_power", "to_qseries",
-    "ModularBasis", "VanishingReport", "echelonize", "normalize",
-    "quotient_form", "vanishing_check", "wronskian", "wronskian_derived",
-    "RatPoly", "SymWronskianReport", "ThetaOperator", "apply", "d_operator",
-    "kz_coeff", "r12_vanishing_roots", "r_recursion", "sym_basis",
-    "sym_quotient_closed_form", "sym_wronskian_check",
+    "ModularBasis", "VanishingReport", "echelonize", "identify_quotient",
+    "normalize", "quotient_form", "vanishing_check", "wronskian",
+    "wronskian_derived", "wronskians",
+    "RatPoly", "SymWronskianMismatch", "SymWronskianReport", "ThetaOperator",
+    "apply", "d_operator", "kz_coeff", "r12_vanishing_roots", "r_recursion",
+    "sym_basis", "sym_quotient_closed_form", "sym_wronskian_check",
     "CongruenceReport", "FpPoly", "SupersingularReport",
     "congruence_constant_check", "epsilon_factors", "fp_gcd", "hasse_oracle",
     "legendre_symbol", "linear_quadratic_split", "reduce_mod_p",

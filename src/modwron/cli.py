@@ -20,11 +20,11 @@ from .modpoly import identify, divisor_polynomial, to_qseries, G4
 from .partitions import verify_recurrences
 from .qseries import QSeries
 from .ssing import congruence_constant_check, supersingular_report
-from .symmpow import (apply, d_operator, kz_coeff, r12_vanishing_roots,
-                      r_recursion, sym_basis, sym_quotient_closed_form,
-                      sym_wronskian_check)
-from .wronskian import echelonize, normalize, quotient_form, wronskian, \
-    wronskian_derived
+from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
+                      r12_vanishing_roots, r_recursion, sym_basis,
+                      sym_quotient_closed_form, sym_wronskian_check)
+from .wronskian import identify_quotient, wronskian, wronskian_derived, \
+    wronskians
 
 DEFAULT_PREC = 100
 PREC_ENV_VAR = "MODWRON_PREC"
@@ -47,9 +47,16 @@ def default_precision():
     if raw is None:
         return Fraction(DEFAULT_PREC)
     try:
-        return Fraction(raw)
+        prec = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise ValueError("invalid %s value %r" % (PREC_ENV_VAR, raw))
+    return _positive_prec(prec, PREC_ENV_VAR)
+
+
+def _positive_prec(prec, source):
+    if prec <= 0:
+        raise ValueError("%s must be positive, got %s" % (source, prec))
+    return prec
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,9 @@ class VerificationReport:
 
     status is "pass", "fail", or "insufficient-precision"; precision is
     the exponent bound actually compared through; first_fail is the
-    exponent of the first mismatch when status is "fail".
+    exponent of the first mismatch when status is "fail"; detail names the
+    failed sub-check in the human line only, so the JSON of a run does not
+    depend on it.
     """
 
     identity: str
@@ -66,6 +75,7 @@ class VerificationReport:
     precision: object
     first_fail: object
     elapsed: float
+    detail: str = ""
 
     def to_json(self):
         return {
@@ -76,9 +86,9 @@ class VerificationReport:
         }
 
     def line(self):
-        extra = ""
+        extra = "  " + self.detail if self.detail else ""
         if self.first_fail is not None:
-            extra = "  first mismatch at q^(%s)" % (self.first_fail,)
+            extra += "  first mismatch at q^(%s)" % (self.first_fail,)
         return "%-22s %-24s prec %-10s %7.2fs%s" % (
             self.identity, self.status, self.precision, self.elapsed, extra)
 
@@ -224,26 +234,29 @@ def symcheck_report(pair, m, prec):
     Routes compared: the determinant quotient W'/W identified in weight
     2m+2, the constant-coefficient recursion with the pair's Q = lambda G4
     (sign (-1)^(m+1)), and -- for the Weber pair -- the hypergeometric
-    closed form.
+    closed form.  W and W' come from one elimination, and the same W feeds
+    the factorization check.
     """
     t0 = perf_counter()
     name1, name2 = PAIR_NAMES[pair]
     f = named_series(name1, prec)
     g = named_series(name2, prec)
     ident = "sym_%s_m%d" % (pair, m)
+    w, wd = wronskians(sym_basis(f, g, m))
     try:
-        sym_wronskian_check(f, g, m)
-    except ValueError as e:
-        return VerificationReport(ident, "fail", prec, None,
-                                  perf_counter() - t0)
-    route1 = quotient_form(sym_basis(f, g, m), 2 * m + 2)
+        sym_wronskian_check(f, g, m, ws=w)
+    except SymWronskianMismatch as e:
+        return VerificationReport(ident, "fail", prec, e.exponent,
+                                  perf_counter() - t0, e.check)
+    routes = [("determinant", identify_quotient(w, wd, 2 * m + 2))]
     rlast = r_recursion(PAIR_LAMBDA[pair] * G4, m)[-1]
-    route2 = rlast if m % 2 else -rlast
-    ok = route1 == route2
+    routes.append(("recursion", rlast if m % 2 else -rlast))
     if pair == "weber":
-        ok = ok and route1 == sym_quotient_closed_form(m)
-    status = "pass" if ok else "fail"
-    return VerificationReport(ident, status, prec, None, perf_counter() - t0)
+        routes.append(("closed form", sym_quotient_closed_form(m)))
+    odd = [name for name, form in routes[1:] if form != routes[0][1]]
+    detail = "determinant disagrees with %s" % " and ".join(odd) if odd else ""
+    return VerificationReport(ident, "fail" if odd else "pass", prec, None,
+                              perf_counter() - t0, detail)
 
 
 # ---- formatting helpers ---------------------------------------------------------
@@ -328,15 +341,15 @@ def run_all(prec, primes):
         t0 = perf_counter()
         f = named_series(PAIR_NAMES[pair][0], eta_prec)
         g = named_series(PAIR_NAMES[pair][1], eta_prec)
+        status, fail_at, detail = "pass", None, ""
         try:
             for m in range(1, 7):
                 sym_wronskian_check(f, g, m)
-            status = "pass"
-        except ValueError:
-            status = "fail"
+        except SymWronskianMismatch as e:
+            status, fail_at, detail = "fail", e.exponent, e.check
         reports.append(VerificationReport(
-            "eta_power_%s" % pair, status, eta_prec, None,
-            perf_counter() - t0))
+            "eta_power_%s" % pair, status, eta_prec, fail_at,
+            perf_counter() - t0, detail))
     t0 = perf_counter()
     rec = verify_recurrences(50)
     reports.append(VerificationReport(
@@ -630,7 +643,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        prec = args.prec if args.prec is not None else default_precision()
+        prec = (_positive_prec(args.prec, "--prec") if args.prec is not None
+                else default_precision())
         return _COMMANDS[args.command](args, prec)
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -293,10 +293,13 @@ def epsilon_factors(p):
 
 def ss_tilde(p):
     """S_p with the forced factors x^eps_omega (x-1728)^eps_i divided out."""
-    s = ss_poly_deligne(p)
-    eps_omega, eps_i = epsilon_factors(p)
-    forced = (FpPoly(p, (0, 1)) ** eps_omega
-              * FpPoly(p, (-1728, 1)) ** eps_i)
+    return _strip_forced(ss_poly_deligne(p))
+
+
+def _strip_forced(s):
+    eps_omega, eps_i = epsilon_factors(s.p)
+    forced = (FpPoly(s.p, (0, 1)) ** eps_omega
+              * FpPoly(s.p, (-1728, 1)) ** eps_i)
     return s.exact_div(forced)
 
 
@@ -405,8 +408,7 @@ def supersingular_report(p):
     sw = ss_poly_wronskian(p)
     roots = sorted(sd.roots())
     oracle = sorted(hasse_oracle(p))
-    tilde = ss_tilde(p)
-    _, quads = linear_quadratic_split(tilde)
+    _, quads = linear_quadratic_split(_strip_forced(sd))
     return SupersingularReport(
         p=p, polynomial=sd, fp_roots=tuple(roots),
         quadratic_factors=tuple(quads), routes_agree=sd == sw,

@@ -200,17 +200,32 @@ class SymWronskianReport:
     precision: object
 
 
-def sym_wronskian_check(f, g, m):
+class SymWronskianMismatch(ValueError):
+    """A sym_wronskian_check identity failed.
+
+    check    -- "factorization" or "eta power"
+    exponent -- the exponent of the first mismatching coefficient
+    """
+
+    def __init__(self, check, exponent):
+        super().__init__("%s identity fails first at exponent %s"
+                         % (check, exponent))
+        self.check = check
+        self.exponent = exponent
+
+
+def sym_wronskian_check(f, g, m, ws=None):
     """Verify W(f^i g^(m-i)) = (prod k!) * W(g, f)^(m(m+1)/2) exactly.
 
     When the normalized pair Wronskian is the 4th power of the eta unit,
     additionally verifies that the normalized symmetric-power Wronskian is
-    eta^(2m(m+1)).  Any coefficient mismatch raises with the exponent of
-    the first discrepancy.
+    eta^(2m(m+1)).  ws is W(sym_basis(f, g, m)) when the caller already
+    has it.  Any coefficient mismatch raises a SymWronskianMismatch naming
+    the failed identity and the exponent of the first discrepancy.
     """
-    basis = sym_basis(f, g, m)
+    if ws is None:
+        ws = wronskian(sym_basis(f, g, m))
     wu = wronskian([g, f])
-    ws = wronskian(basis)
     constant = 1
     for k in range(2, m + 1):
         constant *= factorial(k)
@@ -218,9 +233,7 @@ def sym_wronskian_check(f, g, m):
     expected = constant * wu ** power
     diff = ws - expected
     if not diff.is_zero():
-        raise ValueError(
-            "symmetric-power Wronskian mismatch first at exponent %s"
-            % diff.valuation())
+        raise SymWronskianMismatch("factorization", diff.valuation())
     eta_power = None
     bound = ws.prec if ws.prec is not None else Fraction(DEFAULT_PREC)
     eta4 = eta(1, bound) ** 4
@@ -231,9 +244,7 @@ def sym_wronskian_check(f, g, m):
         target = eta(1, bound) ** eta_power
         ediff = normalize(ws) - target
         if not ediff.is_zero():
-            raise ValueError(
-                "eta-power identity fails first at exponent %s"
-                % ediff.valuation())
+            raise SymWronskianMismatch("eta power", ediff.valuation())
     return SymWronskianReport(m=m, constant=constant, power=power,
                               eta_power=eta_power, precision=ws.prec)
 

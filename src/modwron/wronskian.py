@@ -8,14 +8,22 @@ exponent, monic normalization, identification of the quotient W'/W as a
 holomorphic form of prescribed weight, and a certificate that W'/W
 vanishes based on leading-exponent data alone.
 
-Determinants of up to four series expand by cofactors directly over exact
-series arithmetic.  Larger families run a fraction-free (Bareiss)
-elimination on integer coefficient vectors: each column's leading exponent
-and denominator are pulled out first, all entries are placed on one common
-exponent lattice, and every division is an exact integer division because
-the intermediate entries are again minors of the integer matrix.  Pivots
-are chosen with minimal q-valuation, so each division costs as little of
-the known coefficient window as possible.
+Every determinant comes from one fraction-free (Bareiss) elimination on
+integer coefficient vectors.  Each column's leading exponent h_i and
+denominator are pulled out first, so the vectors only need the lattice Lv =
+lcm of the step denominators; the finer L that also clears the offset
+denominators only scales the derivative factors L*h_i + n*L/Lv.  Every
+division is an exact integer division because the intermediate entries are
+again minors of the integer matrix, and pivots are chosen with minimal
+q-valuation, so each division costs as little of the known coefficient
+window as possible.
+
+W and W' share the derivative orders 1..k-1: the elimination runs on the
+stack of orders 1..k-1, 0 and k with pivots from orders 1..k-1 only, and
+after k-1 steps the two remaining entries are W and W' up to sign.  A
+reported precision never exceeds the sum of the offsets plus the smallest
+prec_i - h_i, which bounds the effect of any change of an input beyond its
+precision.
 """
 
 from dataclasses import dataclass
@@ -98,47 +106,27 @@ def _series_list(family):
 
 # ---- determinants --------------------------------------------------------
 
-def wronskian(family, engine=None):
+def wronskian(family):
     """det[D^j f_i] for j = 0..k-1, columns in the given order, D = q d/dq."""
-    return _det(_series_list(family), engine)
+    return _bareiss(_series_list(family), (0,))[0]
 
 
-def wronskian_derived(family, engine=None):
-    """Wronskian of the termwise derivatives (D f_1, ..., D f_k)."""
-    return _det([f.derive() for f in _series_list(family)], engine)
+def wronskian_derived(family):
+    """Wronskian of the termwise derivatives (D f_1, ..., D f_k), which is
+    det[D^j f_i] for j = 1..k."""
+    fs = _series_list(family)
+    return _bareiss(fs, (len(fs),))[0]
 
 
-def _det(fs, engine):
-    if engine is None:
-        engine = "cofactor" if len(fs) <= 4 else "bareiss"
-    if engine == "cofactor":
-        rows = [list(fs)]
-        for _ in range(len(fs) - 1):
-            rows.append([f.derive() for f in rows[-1]])
-        return _det_cofactor(rows)
-    if engine == "bareiss":
-        return _det_bareiss(fs)
-    raise ValueError("engine must be 'cofactor' or 'bareiss'")
-
-
-def _det_cofactor(m):
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    total = None
-    for c, entry in enumerate(m[0]):
-        minor = [[row[cc] for cc in range(k) if cc != c] for row in m[1:]]
-        term = entry * _det_cofactor(minor)
-        if c % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+def wronskians(family):
+    """(W, W') of a family, both from one elimination."""
+    fs = _series_list(family)
+    w, wd = _bareiss(fs, (0, len(fs)))
+    return w, wd
 
 
 def _vec_val(v, w):
     """Index of the first nonzero slot within the window, or None."""
-    if v is None:
-        return None
     for i in range(min(len(v), w)):
         if v[i]:
             return i
@@ -188,65 +176,70 @@ def _vec_divexact(u, v, w):
     return out
 
 
-def _det_bareiss(fs):
+def _bareiss(fs, ends):
+    """The minors det[D^j f_i] over the orders j in {1..k-1, e}, one for
+    each end order e in ends (0 gives W, k gives W').
+
+    Rows 1..k-1 of the derivative stack come first, then one row per end
+    order.  After k-1 pivots drawn from rows 1..k-1 only, the last column
+    of each end row holds its minor up to sign.
+    """
     k = len(fs)
     zeros = [f for f in fs if f.is_zero()]
     if zeros:
         if any(f.prec is None for f in zeros):
-            return QSeries.zero()
-        total = Fraction(0)
-        for f in fs:
-            total += f.offset if f.nums else f.prec
-        return QSeries.zero(total)
-    L = 1
-    for f in fs:
-        L = lcm(L, f.step_den, f.offset.denominator)
+            return [QSeries.zero()] * len(ends)
+        total = sum((f.offset if f.nums else f.prec for f in fs), Fraction(0))
+        return [QSeries.zero(total)] * len(ends)
+    # slot vectors live on Lv; L also clears the offset denominators, so
+    # the derivative factor of slot n in column i is L*h_i + n*L/Lv
+    Lv = lcm(*(f.step_den for f in fs))
+    L = lcm(Lv, *(f.offset.denominator for f in fs))
     _check_cap(L)
-    base = Fraction(0)
-    window = None
-    spans = 0
-    for f in fs:
-        base += f.offset
-        spans += (len(f.nums) - 1) * (L // f.step_den)
-        if f.prec is not None:
-            w = _ceil((f.prec - f.offset) * L)
-            window = w if window is None else min(window, w)
-    exact = window is None
+    base = sum((f.offset for f in fs), Fraction(0))
+    # every input term beyond its prec moves the minors only from
+    # base + bound on, whatever lattice it sits on
+    bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
+                        for f in fs))
+    exact = bound is None
     if exact:
-        window = spans + 1
-    if window <= 0:
-        return QSeries.zero(base + Fraction(window, L))
+        window = sum((len(f.nums) - 1) * (Lv // f.step_den) for f in fs) + 1
+    else:
+        window = _ceil(bound * Lv)
 
-    # scaled integer derivative stacks, one column per series: the (j, i)
-    # entry is den_i * L^(k-1) times the j-th derivative of f_i / q^(h_i)
-    M = [[None] * k for _ in range(k)]
+    orders = list(range(1, k)) + list(ends)
+    M = [[None] * k for _ in orders]
     denprod = 1
-    lk = L ** (k - 1)
     for i, f in enumerate(fs):
-        stride = L // f.step_den
-        vec = f.nums if stride == 1 else _upsample(f.nums, stride)
-        vec = vec[:window]
-        denprod *= f.den * lk
+        stride = Lv // f.step_den
+        run = f.nums if stride == 1 else _upsample(f.nums, stride)
+        run = [_big(v) for v in run[:window]]
+        denprod *= f.den
         hl = int(f.offset * L)
-        run = [_big(v) for v in vec]
-        facs = None
-        scale = lk
-        M[0][i] = [x * scale for x in run] if scale != 1 else list(run)
-        for j in range(1, k):
-            if facs is None:
-                facs = [_big(hl + n) for n in range(len(vec))]
-            run = [x * y for x, y in zip(run, facs)]
-            scale //= L
-            M[j][i] = [x * scale for x in run] if scale != 1 else list(run)
+        facs = [_big(hl + n * (L // Lv)) for n in range(len(run))]
+        for j in range(max(orders) + 1):
+            if j:
+                run = [x * y for x, y in zip(run, facs)]
+            if j in orders:
+                M[orders.index(j)][i] = run
+
+    def result(nums, e, w_end):
+        # row j carries a factor L^j, so the minor over orders 1..k-1 and e
+        # carries L^(k(k-1)/2 + e)
+        den = denprod * L ** (k * (k - 1) // 2 + e)
+        # exact inputs give polynomial minors of degree below window, known
+        # in full while no pivot valuation has been spent
+        known = exact and wcur == window
+        prec = None if known else base + _min_prec(bound, Fraction(w_end, Lv))
+        return QSeries(base, [int(x) for x in nums], Lv, den, prec)
 
     sign = 1
     prev = None
     prev_val = 0
     wcur = window
-    det_vec = M[0][0]
-    for t in range(k):
+    for t in range(k - 1):
         best, br, bc = None, t, t
-        for r in range(t, k):
+        for r in range(t, k - 1):
             for c in range(t, k):
                 v = _vec_val(M[r][c], wcur)
                 if v is not None and (best is None or v < best):
@@ -254,12 +247,11 @@ def _det_bareiss(fs):
             if best == 0:
                 break
         if best is None:
-            # the remaining block vanishes on the window, hence so does the
-            # determinant (up to the valuation already sunk into the pivots)
-            w0 = wcur - (k - 1 - t) * prev_val
-            if exact and w0 >= window:
-                return QSeries.zero()
-            return QSeries.zero(base + Fraction(max(w0, 0), L))
+            # the remaining pivot rows vanish on the window; by Sylvester's
+            # identity each minor times prev^(k-1-t) is a determinant with
+            # k-1-t such rows, which bounds its valuation
+            w0 = max((k - 1 - t) * (wcur - prev_val), 0)
+            return [result([], e, w0) for e in ends]
         if br != t:
             M[br], M[t] = M[t], M[br]
             sign = -sign
@@ -267,11 +259,8 @@ def _det_bareiss(fs):
             for row in M:
                 row[bc], row[t] = row[t], row[bc]
             sign = -sign
-        if t == k - 1:
-            det_vec = M[t][t]
-            break
         piv = M[t][t]
-        for r in range(t + 1, k):
+        for r in range(t + 1, len(orders)):
             mrt = M[r][t]
             for c in range(t + 1, k):
                 num = _vec_sub(_vec_mul(M[r][c], piv, wcur),
@@ -282,11 +271,13 @@ def _det_bareiss(fs):
         prev = piv
         prev_val = best
 
-    nums = [int(x) for x in det_vec]
-    if sign < 0:
-        nums = [-x for x in nums]
-    prec = None if exact and wcur == window else base + Fraction(wcur, L)
-    return QSeries(base, nums, L, denprod, prec)
+    out = []
+    for r, e in enumerate(ends, start=k - 1):
+        # row e sits below rows 1..k-1; moving row 0 to the top takes k-1 swaps
+        s = -sign if e == 0 and k % 2 == 0 else sign
+        nums = M[r][k - 1]
+        out.append(result([-x for x in nums] if s < 0 else nums, e, wcur))
+    return out
 
 
 # ---- normalization and the quotient form --------------------------------
@@ -307,12 +298,14 @@ def quotient_form(family, expect_weight):
     zero form is returned; a vanishing W raises instead, since the
     quotient is then undefined.
     """
-    fs = _series_list(family)
-    w = wronskian(fs)
+    return identify_quotient(*wronskians(family), expect_weight)
+
+
+def identify_quotient(w, wd, expect_weight):
+    """quotient_form for a W and W' already in hand."""
     if w.is_zero():
         raise ValueError(
             "Wronskian vanishes to working precision; the quotient is undefined")
-    wd = wronskian_derived(fs)
     if wd.is_zero():
         return MFPoly.zero(expect_weight)
     return identify(wd / w, expect_weight)

@@ -65,7 +65,8 @@ def test_a05_three_routes_agree_for_all_m():
     f = named_series("weber8_1", F(60))
     g = named_series("weber8_2", F(60))
     q = F(-40) * G4
-    for m in range(1, 13):
+    # m = 1..14 covers m = (p-3)/2 for every default prime up to 31
+    for m in range(1, 15):
         determinant = quotient_form(sym_basis(f, g, m), 2 * m + 2)
         last = r_recursion(q, m)[-1]
         recursion = last if m % 2 else -last

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from modwron import cli
 from modwron.cli import (IDENTITIES, _assess, default_precision,
                          format_ratpoly_x, main, symcheck_report, verify)
 from modwron.qseries import QSeries
+from modwron.symmpow import SymWronskianMismatch
 
 
 # ---- identity registry -----------------------------------------------------------
@@ -73,6 +75,46 @@ def test_symcheck_small(pair):
     assert rep.status == "pass"
 
 
+def test_symcheck_names_factorization_mismatch(monkeypatch):
+    real = cli.wronskians
+
+    def skewed(family):
+        w, wd = real(family)
+        return w + QSeries.monomial(1, w.valuation() + 3), wd
+
+    monkeypatch.setattr(cli, "wronskians", skewed)
+    rep = symcheck_report("weber", 2, F(20))
+    assert rep.status == "fail"
+    assert rep.first_fail == F(7, 2)    # W(Sym^2) starts at q^(1/2)
+    assert "factorization" in rep.line()
+    assert rep.to_json() == {"identity": "sym_weber_m2", "status": "fail",
+                             "precision": "20", "first_fail": "7/2"}
+
+
+def test_symcheck_names_eta_power_mismatch(monkeypatch):
+    def broken(f, g, m, ws=None):
+        raise SymWronskianMismatch("eta power", F(7))
+
+    monkeypatch.setattr(cli, "sym_wronskian_check", broken)
+    rep = symcheck_report("rr", 1, F(20))
+    assert rep.status == "fail" and rep.first_fail == 7
+    assert "eta power" in rep.line()
+    assert "eta power" not in json.dumps(rep.to_json())
+
+
+def test_symcheck_names_disagreeing_route(monkeypatch):
+    monkeypatch.setitem(cli.PAIR_LAMBDA, "weber", F(-15))
+    rep = symcheck_report("weber", 2, F(20))
+    assert rep.status == "fail" and rep.first_fail is None
+    assert "determinant disagrees with recursion" in rep.line()
+    assert "closed form" not in rep.line()
+
+
+def test_passing_report_line_has_no_detail():
+    rep = symcheck_report("weber", 1, F(20))
+    assert rep.detail == "" and "disagrees" not in rep.line()
+
+
 # ---- main() end-to-end ----------------------------------------------------------------
 
 def run_cli(capsys, *argv):
@@ -130,6 +172,27 @@ def test_wronskian_cli_bad_spec(capsys):
     code, _, err = run_cli(capsys, "wronskian", "--basis", "sym:weber")
     assert code == 2
     assert "malformed basis spec" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("symcheck", "--m", "0"),
+    ("symcheck", "--m", "-2", "--prec", "10"),
+    ("run-all", "--prec", "0"),
+    ("series", "ch1", "--prec=-1/2"),
+    ("verify", "chprod", "--prec", "0"),
+])
+def test_bad_m_or_prec_is_a_configuration_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nonpositive_prec_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("MODWRON_PREC", "0")
+    code, out, err = run_cli(capsys, "symcheck", "--m", "1")
+    assert code == 2 and out == ""
+    assert err == "error: MODWRON_PREC must be positive, got 0\n"
 
 
 def test_symcheck_cli(capsys):

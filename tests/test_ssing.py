@@ -168,6 +168,21 @@ def test_tilde_splits_into_linears_and_quadratics(p):
     assert rebuilt == ss_tilde(p)
 
 
+def test_report_builds_deligne_once(monkeypatch):
+    from modwron import ssing
+    calls = []
+    real = ssing.ss_poly_deligne
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(ssing, "ss_poly_deligne", counted)
+    rep = supersingular_report(37)
+    assert calls == [37]
+    assert list(rep.quadratic_factors) == [FpPoly(37, (31, 31, 1))]
+
+
 def test_split_rejects_irreducible_cubic():
     # x^3 + x + 1 has no roots mod 5 and no quadratic factor
     with pytest.raises(ValueError, match="leftover"):

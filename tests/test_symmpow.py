@@ -8,9 +8,10 @@ import pytest
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, E6, G4, MFPoly, theta_derivation
 from modwron.qseries import QSeries
-from modwron.symmpow import (RatPoly, apply, d_operator, kz_coeff,
-                             r12_vanishing_roots, r_recursion, sym_basis,
-                             sym_quotient_closed_form, sym_wronskian_check)
+from modwron.symmpow import (RatPoly, SymWronskianMismatch, apply,
+                             d_operator, kz_coeff, r12_vanishing_roots,
+                             r_recursion, sym_basis, sym_quotient_closed_form,
+                             sym_wronskian_check)
 from modwron.wronskian import normalize, quotient_form, wronskian
 
 N = F(20)
@@ -107,6 +108,18 @@ def test_sym_wronskian_m1_matches_pair(a1_pair):
     f1, f2 = a1_pair
     rep = sym_wronskian_check(f1, f2, 1)
     assert rep.constant == 1 and rep.power == 1 and rep.eta_power == 4
+
+
+def test_sym_wronskian_check_reuses_given_wronskian(weber_pair):
+    f, g = weber_pair
+    ws = wronskian(sym_basis(f, g, 3))
+    assert sym_wronskian_check(f, g, 3, ws=ws) == sym_wronskian_check(f, g, 3)
+    bad = ws + QSeries.monomial(2, ws.valuation() + 1)
+    with pytest.raises(SymWronskianMismatch) as info:
+        sym_wronskian_check(f, g, 3, ws=bad)
+    assert info.value.check == "factorization"
+    assert info.value.exponent == ws.valuation() + 1
+    assert isinstance(info.value, ValueError)
 
 
 # ---- r_recursion -------------------------------------------------------------

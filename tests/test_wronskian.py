@@ -5,15 +5,46 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, MFPoly
-from modwron.qseries import QSeries
-from modwron.wronskian import (ModularBasis, _det_bareiss, echelonize,
+from modwron.qseries import QSeries, first_mismatch
+from modwron.wronskian import (ModularBasis, echelonize, identify_quotient,
                                normalize, quotient_form, vanishing_check,
-                               wronskian, wronskian_derived)
+                               wronskian, wronskian_derived, wronskians)
 
 N = F(20)
+
+
+# ---- the cofactor oracle -------------------------------------------------
+
+def cofactor_wronskian(fs):
+    """det[D^j f_i] by cofactor expansion over exact series arithmetic."""
+    rows = [list(fs)]
+    for _ in range(len(fs) - 1):
+        rows.append([f.derive() for f in rows[-1]])
+    return _cofactor(rows)
+
+
+def _cofactor(m):
+    k = len(m)
+    if k == 1:
+        return m[0][0]
+    total = None
+    for c, entry in enumerate(m[0]):
+        minor = [[row[cc] for cc in range(k) if cc != c] for row in m[1:]]
+        term = entry * _cofactor(minor)
+        if c % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def oracle_pair(fs):
+    """(W, W') of a family by the cofactor oracle."""
+    return (cofactor_wronskian(fs),
+            cofactor_wronskian([f.derive() for f in fs]))
 
 
 def agree(a, b):
@@ -92,7 +123,7 @@ def test_monomial_family_gives_exact_vandermonde():
     fs = [QSeries.monomial(1, i) for i in range(5)]
     expected = QSeries.monomial(288, 10)    # 1! 2! 3! 4! = 288, ord 0+1+2+3+4
     assert wronskian(fs) == expected
-    assert wronskian(fs, engine="cofactor") == expected
+    assert cofactor_wronskian(fs) == expected
 
 
 def test_engines_agree_on_random_exact_families():
@@ -106,13 +137,111 @@ def test_engines_agree_on_random_exact_families():
             fs.append(QSeries(off, nums, 1, rng.randint(1, 4)))
         if trial == 5:
             fs[4] = 2 * fs[0] - 3 * fs[2]   # dependent family: determinant 0
-        assert agree(_det_bareiss(fs), wronskian(fs, engine="cofactor"))
+        w, wd = oracle_pair(fs)
+        assert agree(wronskian(fs), w)
+        assert agree(wronskian_derived(fs), wd)
 
 
 def test_engines_agree_on_fractional_lattice(ch_pair):
     ch1, ch2 = ch_pair
     fs = sym_family(ch1, ch2, 4)
-    assert agree(wronskian(fs), wronskian(fs, engine="cofactor"))
+    assert agree(wronskian(fs), cofactor_wronskian(fs))
+
+
+# ---- W and W' from one elimination ----------------------------------------
+
+def assert_joint_matches(fs):
+    w, wd = wronskians(fs)
+    assert w == wronskian(fs) and wd == wronskian_derived(fs)
+    ow, owd = oracle_pair(fs)
+    assert agree(w, ow) and agree(wd, owd)
+    return w, wd
+
+
+def test_joint_single_series(ch_pair):
+    ch1, _ = ch_pair
+    assert wronskians([ch1]) == (ch1, ch1.derive())
+
+
+def test_joint_dependent_family(ch_pair):
+    ch1, ch2 = ch_pair
+    w, wd = assert_joint_matches([ch1, ch2, 3 * ch1 - F(1, 2) * ch2])
+    assert w.is_zero() and wd.is_zero()
+    assert w.prec is not None and wd.prec is not None
+
+
+def test_joint_family_with_constant_member(weber_pair):
+    w1, w2 = weber_pair
+    w, wd = assert_joint_matches([QSeries.one(), w1, w2])
+    assert not w.is_zero() and wd.is_zero()
+
+
+def test_joint_exact_monomial_families():
+    fs = [QSeries.monomial(1, i) for i in range(5)]
+    w, wd = assert_joint_matches(fs)
+    assert w == QSeries.monomial(288, 10)
+    assert wd.is_zero() and wd.prec is None
+    fs = [QSeries.monomial(1, F(i, 2)) for i in range(1, 5)]
+    w, wd = assert_joint_matches(fs)
+    assert w.prec is None and wd.prec is None
+    assert (w, wd) == oracle_pair(fs)
+
+
+def test_joint_ch_sym5_fine_offset_lattice():
+    ch1, ch2 = named_series("ch1", F(8)), named_series("ch2", F(8))
+    fs = sym_family(ch1, ch2, 5)
+    assert {f.offset.denominator for f in fs} >= {60}
+    assert {f.step_den for f in fs} == {1}
+    w, wd = assert_joint_matches(fs)
+    assert w.valuation() == sum(f.valuation() for f in fs)
+
+
+def test_identify_quotient_matches_quotient_form(weber_pair):
+    fs = sym_family(*weber_pair, 2)
+    assert identify_quotient(*wronskians(fs), 6) == quotient_form(fs, 6)
+
+
+# ---- precision soundness ---------------------------------------------------
+
+@st.composite
+def family_and_completion(draw):
+    """A truncated family with fractional offsets and steps, and an exact
+    completion of each member: its known terms, a term right at its
+    precision, and terms further out, on or off its lattice."""
+    family, completion = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        off = F(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3, 4])))
+        nums = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+        nums[0] = draw(st.sampled_from([1, -1, 2, 3]))
+        step = draw(st.sampled_from([1, 2, 3]))
+        prec = off + F(draw(st.integers(1, 12)),
+                       draw(st.sampled_from([1, 2, 3, 6])))
+        f = QSeries(off, nums, step, draw(st.integers(1, 3)), prec)
+        g = QSeries(f.offset, f.nums, f.step_den, f.den)
+        g = g + QSeries.monomial(draw(st.sampled_from([1, -2, 3])), prec)
+        for j, d, c in draw(st.lists(st.tuples(
+                st.integers(1, 6), st.sampled_from([1, 2, 3, 6]),
+                st.integers(-3, 3)), max_size=2)):
+            g = g + QSeries.monomial(c, prec + F(j, d))
+        family.append(f)
+        completion.append(g)
+    return family, completion
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_and_completion())
+def test_precision_soundness(fc):
+    """No completion of the inputs beyond their precision changes a
+    coefficient of W or W' below the precision reported for it."""
+    family, completion = fc
+    w, wd = wronskians(family)
+    assert w == wronskian(family) and wd == wronskian_derived(family)
+    truth = oracle_pair(completion)
+    assert first_mismatch(w, truth[0]) is None
+    assert first_mismatch(wd, truth[1]) is None
+    refined = wronskians(completion)
+    assert first_mismatch(refined[0], truth[0]) is None
+    assert first_mismatch(refined[1], truth[1]) is None
 
 
 @pytest.mark.parametrize("name,m", [("weber", 6), ("rr", 3)])
@@ -147,11 +276,6 @@ def test_truncated_beyond_valuation_is_zero(rr12):
 def test_empty_family_rejected():
     with pytest.raises(ValueError, match="empty family"):
         wronskian([])
-
-
-def test_engine_name_validated(ch_pair):
-    with pytest.raises(ValueError, match="engine"):
-        wronskian([ch_pair[0]], engine="gauss")
 
 
 # ---- quotient forms ------------------------------------------------------
