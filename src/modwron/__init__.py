@@ -2,6 +2,7 @@
 differential operators, and supersingular polynomials."""
 
 from .qseries import QSeries, first_mismatch, DEFAULT_PREC, LATTICE_CAP
+from .poly import Poly
 from .etaprod import (ProductSpec, ThetaSpec, eta, named_series,
                       product_series, theta_sum)
 from .modpoly import (DivisorData, MFPoly, E4, E6, DELTA, G4, G6, bernoulli,
@@ -12,15 +13,14 @@ from .wronskian import (ModularBasis, VanishingReport, echelonize,
                         identify_quotient, normalize, quotient_form,
                         vanishing_check, wronskian, wronskian_derived,
                         wronskians)
-from .symmpow import (RatPoly, SymWronskianMismatch, SymWronskianReport,
+from .symmpow import (SymWronskianMismatch, SymWronskianReport,
                       ThetaOperator, apply, d_operator, kz_coeff,
                       r12_vanishing_roots, r_recursion, sym_basis,
                       sym_quotient_closed_form, sym_wronskian_check)
-from .ssing import (CongruenceReport, FpPoly, SupersingularReport,
-                    congruence_constant_check, epsilon_factors, fp_gcd,
-                    hasse_oracle, legendre_symbol, linear_quadratic_split,
-                    reduce_mod_p, ss_poly_deligne, ss_poly_wronskian,
-                    ss_tilde, supersingular_report)
+from .ssing import (CongruenceReport, SupersingularReport,
+                    congruence_constant_check, epsilon_factors, hasse_oracle,
+                    legendre_symbol, linear_quadratic_split, ss_poly_deligne,
+                    ss_poly_wronskian, ss_tilde, supersingular_report)
 from .partitions import (ColorSpec, RecurrenceReport, colored_count,
                          pab_count, partition_function, verify_recurrences)
 from .cli import VerificationReport, run_all, verify
@@ -28,7 +28,7 @@ from .cli import VerificationReport, run_all, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "QSeries", "first_mismatch", "DEFAULT_PREC", "LATTICE_CAP",
+    "QSeries", "first_mismatch", "DEFAULT_PREC", "LATTICE_CAP", "Poly",
     "ProductSpec", "ThetaSpec", "eta", "named_series", "product_series",
     "theta_sum",
     "DivisorData", "MFPoly", "E4", "E6", "DELTA", "G4", "G6", "bernoulli",
@@ -38,14 +38,13 @@ __all__ = [
     "ModularBasis", "VanishingReport", "echelonize", "identify_quotient",
     "normalize", "quotient_form", "vanishing_check", "wronskian",
     "wronskian_derived", "wronskians",
-    "RatPoly", "SymWronskianMismatch", "SymWronskianReport", "ThetaOperator",
+    "SymWronskianMismatch", "SymWronskianReport", "ThetaOperator",
     "apply", "d_operator", "kz_coeff", "r12_vanishing_roots", "r_recursion",
     "sym_basis", "sym_quotient_closed_form", "sym_wronskian_check",
-    "CongruenceReport", "FpPoly", "SupersingularReport",
-    "congruence_constant_check", "epsilon_factors", "fp_gcd", "hasse_oracle",
-    "legendre_symbol", "linear_quadratic_split", "reduce_mod_p",
-    "ss_poly_deligne", "ss_poly_wronskian", "ss_tilde",
-    "supersingular_report",
+    "CongruenceReport", "SupersingularReport",
+    "congruence_constant_check", "epsilon_factors", "hasse_oracle",
+    "legendre_symbol", "linear_quadratic_split", "ss_poly_deligne",
+    "ss_poly_wronskian", "ss_tilde", "supersingular_report",
     "ColorSpec", "RecurrenceReport", "colored_count", "pab_count",
     "partition_function", "verify_recurrences",
     "VerificationReport", "run_all", "verify",

@@ -18,7 +18,7 @@ from time import perf_counter
 from .etaprod import ProductSpec, eta, named_series, product_series, NAMES
 from .modpoly import identify, divisor_polynomial, to_qseries, G4
 from .partitions import verify_recurrences
-from .qseries import QSeries
+from .qseries import DEFAULT_PREC, QSeries
 from .ssing import congruence_constant_check, supersingular_report
 from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
                       r12_vanishing_roots, r_recursion, sym_basis,
@@ -26,7 +26,6 @@ from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
 from .wronskian import identify_quotient, wronskian, wronskian_derived, \
     wronskians
 
-DEFAULT_PREC = 100
 PREC_ENV_VAR = "MODWRON_PREC"
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -261,60 +260,22 @@ def symcheck_report(pair, m, prec):
 
 # ---- formatting helpers ---------------------------------------------------------
 
-def format_mfpoly(p):
-    if p.is_zero():
-        return "0 (weight %d)" % p.weight
-    parts = []
-    for (a, b) in sorted(p.terms, reverse=True):
-        c = p.terms[(a, b)]
-        gens = []
-        if a:
-            gens.append("E4" if a == 1 else "E4^%d" % a)
-        if b:
-            gens.append("E6" if b == 1 else "E6^%d" % b)
-        body = "*".join(gens)
-        if not body:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append("-" + body)
-        else:
-            cs = str(c) if c.denominator == 1 else "(%s)" % c
-            parts.append(cs + "*" + body)
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def format_ratpoly_x(coeffs):
-    """Ascending rational coefficients -> human polynomial in x."""
-    if not any(coeffs):
-        return "0"
-    out = ""
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = Fraction(coeffs[i])
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            x = "x" if i == 1 else "x^%d" % i
-            cs = "" if mag == 1 else (
-                str(mag) if mag.denominator == 1 else "(%s)" % mag) + "*"
-            body = cs + x
-        if not out:
-            out = ("-" if sign == "-" else "") + body
-        else:
-            out += " %s %s" % (sign, body)
-    return out
-
-
 def _emit(args, payload, human):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
+
+
+def _emit_reports(args, reports, *footer):
+    _emit(args, [r.to_json() for r in reports],
+          "\n".join([r.line() for r in reports] + list(footer)))
+    return 0 if all(r.status == "pass" for r in reports) else 1
+
+
+def _terms(form):
+    """JSON terms of an MFPoly: "a,b" -> the coefficient of E4^a E6^b."""
+    return {"%d,%d" % k: str(v) for k, v in form.terms.items()}
 
 
 # ---- run-all ---------------------------------------------------------------------
@@ -386,6 +347,14 @@ def _parse_basis(spec, prec):
     return [named_series(name.strip(), prec) for name in spec.split(",")]
 
 
+def _fraction(raw):
+    """argparse type for a rational argument: a bad one is a usage error."""
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid fraction %r" % raw)
+
+
 def _parse_primes(raw):
     try:
         primes = tuple(int(x) for x in raw.split(",") if x.strip())
@@ -404,7 +373,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p, prec_help="absolute exponent bound"):
-        p.add_argument("--prec", type=Fraction, default=None, help=prec_help)
+        p.add_argument("--prec", type=_fraction, default=None, help=prec_help)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
@@ -435,7 +404,7 @@ def build_parser():
     p = sub.add_parser("kz", help="coefficient of x^(2l) in the "
                                   "(1 - 3 E4 x^4 + 2 E6 x^6)^alpha expansion")
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, required=True)
+    p.add_argument("--alpha", type=_fraction, required=True)
     p.add_argument("--variant", choices=("closed", "recursion"),
                    default="closed")
     add_common(p)
@@ -479,14 +448,7 @@ def _cmd_series(args, prec):
 
 def _cmd_verify(args, prec):
     names = args.identities or sorted(IDENTITIES)
-    reports = [verify(name, prec) for name in names]
-    if args.json:
-        print(json.dumps([r.to_json() for r in reports], indent=2,
-                         sort_keys=True))
-    else:
-        for r in reports:
-            print(r.line())
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    return _emit_reports(args, [verify(name, prec) for name in names])
 
 
 def _cmd_wronskian(args, prec):
@@ -496,13 +458,9 @@ def _cmd_wronskian(args, prec):
     human = ["W%s = %s" % ("'" if args.derived else "", w)]
     if args.identify is not None:
         form = identify(w, args.identify)
-        payload["identified"] = {
-            "weight": args.identify,
-            "terms": {"%d,%d" % k: str(v)
-                      for k, v in sorted(form.terms.items())},
-        }
-        human.append("weight-%d form: %s" % (args.identify,
-                                             format_mfpoly(form)))
+        payload["identified"] = {"weight": args.identify,
+                                 "terms": _terms(form)}
+        human.append("weight-%d form: %s" % (args.identify, form))
     _emit(args, payload, "\n".join(human))
     return 0
 
@@ -521,11 +479,11 @@ def _cmd_kz(args, prec):
         "alpha": str(args.alpha),
         "variant": args.variant,
         "weight": form.weight,
-        "terms": {"%d,%d" % k: str(v) for k, v in sorted(form.terms.items())},
+        "terms": _terms(form),
         "series": series.to_json(),
     }
     human = "G_{%d,%s} = %s\n        = %s" % (
-        args.l, args.alpha, format_mfpoly(form), series)
+        args.l, args.alpha, form, series)
     _emit(args, payload, human)
     return 0
 
@@ -587,26 +545,29 @@ def _cmd_partitions(args, prec):
 
 def _read_series_stdin():
     try:
-        return QSeries.from_json(json.load(sys.stdin))
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+        d = json.load(sys.stdin)
+        if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
+            raise ValueError("expected an object with a \"coeffs\" list")
+        return QSeries.from_json(d)
+    except ZeroDivisionError:
+        raise ValueError("could not parse a JSON q-series from stdin: a "
+                         "fraction has denominator 0")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError("could not parse a JSON q-series from stdin: %s" % e)
 
 
 def _cmd_divpoly(args, prec):
     form = identify(_read_series_stdin(), args.weight)
-    coeffs = divisor_polynomial(form)
+    poly = divisor_polynomial(form)
     _emit(args, {"weight": args.weight,
-                 "divisor_polynomial": [str(c) for c in coeffs]},
-          "F(f, x) = %s" % format_ratpoly_x(coeffs))
+                 "divisor_polynomial": [str(c) for c in poly.coeffs]},
+          "F(f, x) = %s" % poly)
     return 0
 
 
 def _cmd_identify(args, prec):
     form = identify(_read_series_stdin(), args.weight)
-    _emit(args, {"weight": args.weight,
-                 "terms": {"%d,%d" % k: str(v)
-                           for k, v in sorted(form.terms.items())}},
-          format_mfpoly(form))
+    _emit(args, {"weight": args.weight, "terms": _terms(form)}, str(form))
     return 0
 
 
@@ -614,15 +575,8 @@ def _cmd_run_all(args, prec):
     primes = (_parse_primes(args.primes) if args.primes is not None
               else DEFAULT_PRIMES)
     reports = run_all(prec, primes)
-    if args.json:
-        print(json.dumps([r.to_json() for r in reports], indent=2,
-                         sort_keys=True))
-    else:
-        for r in reports:
-            print(r.line())
-        npass = sum(r.status == "pass" for r in reports)
-        print("%d/%d pass" % (npass, len(reports)))
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    npass = sum(r.status == "pass" for r in reports)
+    return _emit_reports(args, reports, "%d/%d pass" % (npass, len(reports)))
 
 
 _COMMANDS = {

@@ -9,7 +9,7 @@ eighth powers of the two half-integral Weber functions.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .qseries import QSeries
+from .qseries import QSeries, _ceil
 
 ONE_24TH = Fraction(1, 24)
 
@@ -43,8 +43,7 @@ class ThetaSpec:
 
 def _int_window(N, h):
     """Number of integer-exponent slots known below absolute precision N."""
-    w = Fraction(N) - h
-    return max(-((-w.numerator) // w.denominator), 0)
+    return max(_ceil(Fraction(N) - h), 0)
 
 
 def product_series(spec, N):

@@ -8,9 +8,10 @@ modular forms, and divisor polynomials on the j-line.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from .qseries import DEFAULT_PREC, QSeries, first_mismatch
+from .poly import Poly
+from .qseries import DEFAULT_PREC, QSeries, _ceil, first_mismatch
 
 
 @lru_cache(maxsize=None)
@@ -24,11 +25,6 @@ def bernoulli(n):
     for j in range(n):
         acc += comb(n + 1, j) * bernoulli(j)
     return -acc / (n + 1)
-
-
-def _ceil_int(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -56,18 +52,10 @@ def eisenstein(k, normalization="E", N=DEFAULT_PREC):
     if norm not in ("E", "G"):
         raise ValueError("normalization must be 'E' or 'G'")
     N = Fraction(N)
-    series = _eis_e(k, max(_ceil_int(N), 1)).truncate(N)
+    series = _eis_e(k, max(_ceil(N), 1)).truncate(N)
     if norm == "G":
-        series = series * (-bernoulli(k) / Fraction(_factorial(k)))
+        series = series * (-bernoulli(k) / factorial(k))
     return series
-
-
-@lru_cache(maxsize=None)
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 class MFPoly:
@@ -234,7 +222,7 @@ def _gen_pow(k, e, slots):
 def to_qseries(p, N=DEFAULT_PREC):
     """q-expansion of an MFPoly with rational coefficients, precision N."""
     N = Fraction(N)
-    slots = max(_ceil_int(N), 1)
+    slots = max(_ceil(N), 1)
     out = QSeries.zero(N)
     for (a, b), c in sorted(p.terms.items()):
         out = out + Fraction(c) * (_gen_pow(4, a, slots) * _gen_pow(6, b, slots))
@@ -338,14 +326,9 @@ def identify(y, weight, margin=10):
     return solution
 
 
-_HK = {
-    0: (Fraction(1),),
-    2: (Fraction(0), Fraction(0), Fraction(-1728), Fraction(1)),
-    4: (Fraction(0), Fraction(1)),
-    6: (Fraction(-1728), Fraction(1)),
-    8: (Fraction(0), Fraction(0), Fraction(1)),
-    10: (Fraction(0), Fraction(-1728), Fraction(1)),
-}
+_X = Poly((0, 1))
+_HK = {0: Poly((1,)), 2: _X * _X * (_X - 1728), 4: _X, 6: _X - 1728,
+       8: _X * _X, 10: _X * (_X - 1728)}
 
 
 def h_poly(k):
@@ -353,21 +336,6 @@ def h_poly(k):
     if k % 2:
         raise ValueError("h_k is defined for even weights only")
     return _HK[k % 12]
-
-
-def _poly_mul(u, v):
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_trim(u):
-    u = list(u)
-    while len(u) > 1 and not u[-1]:
-        u.pop()
-    return tuple(u)
 
 
 @dataclass(frozen=True)
@@ -378,8 +346,8 @@ class DivisorData:
     t: int
     delta: int
     epsilon: int
-    f_tilde: tuple
-    F: tuple
+    f_tilde: Poly
+    F: Poly
 
 
 _DELTA_EPS = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
@@ -400,10 +368,10 @@ def decompose(p):
         # E4^a E6^b = E4^delta E6^eps (E4^3)^i (E4^3 - 1728*Delta)^s
         for r in range(s + 1):
             ftilde[i + r] += Fraction(c) * comb(s, r) * Fraction(-1728) ** (s - r)
-    ftilde = _poly_trim(ftilde)
-    return DivisorData(w, t, delta, eps, ftilde, _poly_trim(_poly_mul(h_poly(w), ftilde)))
+    ftilde = Poly(ftilde)
+    return DivisorData(w, t, delta, eps, ftilde, h_poly(w) * ftilde)
 
 
 def divisor_polynomial(p):
-    """F(p, x) = h_{weight mod 12}(x) * f_tilde(p, x), ascending coefficients."""
+    """F(p, x) = h_{weight mod 12}(x) * f_tilde(p, x), a Poly over Q."""
     return decompose(p).F

@@ -46,10 +46,13 @@ def _add_prec(p, v):
     return None if p is None else p + v
 
 
-def _conv_trunc(a, b, n):
-    """First n coefficients of the product of coefficient lists a and b."""
+def _conv_trunc(a, b, n=None):
+    """First n coefficients (all when n is None) of the product of the
+    coefficient lists a and b."""
     la, lb = len(a), len(b)
-    if n is None:
+    if not la or not lb:
+        return []
+    if n is None or n > la + lb - 1:
         n = la + lb - 1
     rb = b[::-1]
     out = []
@@ -62,6 +65,35 @@ def _conv_trunc(a, b, n):
             out.append(0)
         else:
             out.append(sum(map(_mul_op, a[lo:hi + 1], rb[lb - 1 - t + lo:lb - t + hi])))
+    return out
+
+
+def _divexact(u, v, w):
+    """Exact quotient u/v of integer slot vectors, known to w - val(v) slots.
+
+    The one integer triangular solve: every step must divide exactly by
+    the leading slot of v, and an inexact step raises.
+    """
+    v0 = 0
+    while not v[v0]:
+        v0 += 1
+    lead = v[v0]
+    tail = v[v0 + 1:]
+    lu = len(u)
+    out = []
+    for n in range(w - v0):
+        acc = u[n + v0] if n + v0 < lu else 0
+        jm = min(len(tail), n)
+        if jm:
+            acc -= sum(map(_mul_op, tail[:jm], out[n - jm:n][::-1]))
+        if acc:
+            q, r = divmod(acc, lead)
+            if r:
+                raise ArithmeticError(
+                    "inexact division in fraction-free elimination")
+            out.append(q)
+        else:
+            out.append(0)
     return out
 
 
@@ -279,7 +311,6 @@ class QSeries:
             n_out = max(_ceil((prec - offset) * L), 0)
             if n_out == 0:
                 return QSeries.zero(prec)
-            n_out = min(n_out, len(a) + len(b) - 1)
         out = _conv_trunc(a, b, n_out)
         return QSeries(offset, out, L, self.den * other.den, prec)
 
@@ -349,12 +380,7 @@ class QSeries:
         stride = p // g
         new_d = q * self.step_den // g
         _check_cap(new_d)
-        if stride == 1:
-            nums = self.nums
-        else:
-            nums = [0] * ((len(self.nums) - 1) * stride + 1)
-            for i, c in enumerate(self.nums):
-                nums[i * stride] = c
+        nums = self.nums if stride == 1 else _upsample(self.nums, stride)
         prec = None if self.prec is None else self.prec * s
         return QSeries(self.offset * s, nums, new_d, self.den, prec)
 
@@ -441,7 +467,8 @@ def _upsample(nums, stride):
 
 
 def _long_div(u, v, prec=None):
-    """Exact long division u/v of truncated series."""
+    """Exact long division u/v of truncated series, by one fraction-free
+    integer solve."""
     if not v.nums:
         raise ValueError("series not invertible")
     if not u.nums:
@@ -460,31 +487,13 @@ def _long_div(u, v, prec=None):
         return QSeries.zero(out_prec)
     a = u.nums if u.step_den == L else _upsample(u.nums, L // u.step_den)
     b = v.nums if v.step_den == L else _upsample(v.nums, L // v.step_den)
-    if v.den == 1 and u.den == 1 and b[0] in (1, -1):
-        # quotients of integer series by a unit-lead series stay integral
-        lead = b[0]
-        qs = []
-        for n in range(n_out):
-            acc = a[n] if n < len(a) else 0
-            if qs:
-                jmax = min(n, len(b) - 1)
-                if jmax >= 1:
-                    acc -= sum(map(_mul_op, b[1:jmax + 1], qs[n - 1::-1][:jmax]))
-            qs.append(acc * lead)
-        return QSeries(offset, qs, L, 1, out_prec)
-    bf = [Fraction(c, v.den) for c in b]
-    lead = bf[0]
-    af = [Fraction(c, u.den) for c in a]
-    qs = []
-    for n in range(n_out):
-        acc = af[n] if n < len(af) else Fraction(0)
-        jmax = min(n, len(bf) - 1)
-        for j in range(1, jmax + 1):
-            qj = qs[n - j]
-            if qj:
-                acc -= bf[j] * qj
-        qs.append(acc / lead)
-    return QSeries.from_fractions(offset, qs, L, out_prec)
+    # slot n of a/b has a denominator dividing b0^(n+1), so scaling the
+    # dividend by b0^n_out makes every step of the solve exact; v.den
+    # rides along in the same scale
+    scale = b[0] ** n_out
+    factor = scale * v.den
+    qs = _divexact([x * factor for x in a[:n_out]], b, n_out)
+    return QSeries(offset, qs, L, u.den * scale, out_prec)
 
 
 def first_mismatch(a, b):

@@ -21,117 +21,12 @@ from math import factorial, lcm
 
 from .etaprod import eta
 from .modpoly import (E4, G4, MFPoly, theta_derivation, theta_h, to_qseries)
+from .poly import Poly
 from .qseries import DEFAULT_PREC, QSeries
 from .wronskian import normalize, wronskian
 
 
-# ---- formal rational-coefficient polynomials ------------------------------
-
-class RatPoly:
-    """Dense polynomial in one formal variable with Fraction coefficients.
-
-    Provides just enough ring structure to serve as an MFPoly coefficient:
-    +, *, unary -, ==, truthiness, and exact evaluation.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c = tuple(c)
-
-    def degree(self):
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.c) - 1
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        elif not isinstance(other, RatPoly):
-            return NotImplemented
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return RatPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly(tuple(-x for x in self.c))
-
-    def __sub__(self, other):
-        out = self + (-other if isinstance(other, RatPoly) else -Fraction(other))
-        return out
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, RatPoly):
-            if not self.c or not other.c:
-                return RatPoly()
-            out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-            for i, x in enumerate(self.c):
-                if x:
-                    for j, y in enumerate(other.c):
-                        if y:
-                            out[i + j] += x * y
-            return RatPoly(out)
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(tuple(x * other for x in self.c))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __call__(self, x):
-        out = Fraction(0)
-        for c in reversed(self.c):
-            out = out * x + c
-        return out
-
-    def __repr__(self):
-        return "RatPoly(%r)" % (self.c,)
-
-
-def _poly_divmod(u, v):
-    r = list(u.c)
-    dv = v.degree()
-    lead = v.c[-1]
-    q = [Fraction(0)] * max(len(r) - dv, 0)
-    for i in range(len(r) - 1 - dv, -1, -1):
-        t = r[i + dv] / lead
-        if t:
-            q[i] = t
-            for j, y in enumerate(v.c):
-                r[i + j] -= t * y
-    return RatPoly(q), RatPoly(r)
-
-
-def _poly_gcd(a, b):
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a and a.c[-1] != 1:
-        a = a * (Fraction(1) / a.c[-1])
-    return a
-
+# ---- rational roots of a polynomial over Q ---------------------------------
 
 def _divisors(n):
     out = []
@@ -146,9 +41,9 @@ def _divisors(n):
 
 
 def _rational_roots(p):
-    """All rational roots of a nonzero RatPoly, found exactly."""
+    """All rational roots of a nonzero Poly over Q, found exactly."""
     roots = set()
-    c = list(p.c)
+    c = list(p.coeffs)
     while c and not c[0]:
         c.pop(0)
         roots.add(Fraction(0))
@@ -273,13 +168,13 @@ def r12_vanishing_roots():
     coefficients are polynomials in lambda; the result is the exact set of
     common rational roots of those coefficient polynomials.
     """
-    lam = RatPoly((0, 1))
+    lam = Poly((0, 1))
     q = MFPoly.monomial(lam * Fraction(1, 720), 1, 0)   # lambda * G4
     r12 = r_recursion(q, 12)[-1]
     polys = list(r12.terms.values())
     g = polys[0]
     for p in polys[1:]:
-        g = _poly_gcd(g, p)
+        g = g.gcd(p)
     return _rational_roots(g)
 
 

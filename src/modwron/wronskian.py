@@ -29,11 +29,10 @@ precision.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul as _mul_op
 
 from .modpoly import MFPoly, identify
-from .qseries import (QSeries, _ceil, _check_cap, _conv_trunc, _min_prec,
-                      _upsample)
+from .qseries import (QSeries, _ceil, _check_cap, _conv_trunc, _divexact,
+                      _min_prec, _upsample)
 
 try:
     from gmpy2 import mpz as _big
@@ -133,13 +132,6 @@ def _vec_val(v, w):
     return None
 
 
-def _vec_mul(a, b, w):
-    la, lb = len(a), len(b)
-    if not la or not lb:
-        return []
-    return _conv_trunc(a, b, min(w, la + lb - 1))
-
-
 def _vec_sub(a, b):
     if len(a) < len(b):
         a = a + [0] * (len(b) - len(a))
@@ -149,31 +141,6 @@ def _vec_sub(a, b):
         if x:
             a[i] -= x
     return a
-
-
-def _vec_divexact(u, v, w):
-    """Exact quotient u/v of integer slot vectors, known to w - val(v) slots."""
-    v0 = 0
-    while not v[v0]:
-        v0 += 1
-    lead = v[v0]
-    tail = v[v0 + 1:]
-    lu = len(u)
-    out = []
-    for n in range(w - v0):
-        acc = u[n + v0] if n + v0 < lu else 0
-        jm = min(len(tail), n)
-        if jm:
-            acc -= sum(map(_mul_op, tail[:jm], out[n - jm:n][::-1]))
-        if acc:
-            q, r = divmod(acc, lead)
-            if r:
-                raise ArithmeticError(
-                    "inexact division in fraction-free elimination")
-            out.append(q)
-        else:
-            out.append(0)
-    return out
 
 
 def _bareiss(fs, ends):
@@ -263,9 +230,9 @@ def _bareiss(fs, ends):
         for r in range(t + 1, len(orders)):
             mrt = M[r][t]
             for c in range(t + 1, k):
-                num = _vec_sub(_vec_mul(M[r][c], piv, wcur),
-                               _vec_mul(mrt, M[t][c], wcur))
-                M[r][c] = num if prev is None else _vec_divexact(num, prev, wcur)
+                num = _vec_sub(_conv_trunc(M[r][c], piv, wcur),
+                               _conv_trunc(mrt, M[t][c], wcur))
+                M[r][c] = num if prev is None else _divexact(num, prev, wcur)
             M[r][t] = None
         wcur -= prev_val
         prev = piv

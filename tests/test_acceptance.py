@@ -15,7 +15,8 @@ from modwron.modpoly import (G4, MFPoly, theta_derivation, theta_h,
                              to_qseries)
 from modwron.partitions import ColorSpec, colored_count, verify_recurrences
 from modwron.qseries import QSeries
-from modwron.ssing import (FpPoly, congruence_constant_check, hasse_oracle,
+from modwron.poly import Poly
+from modwron.ssing import (congruence_constant_check, hasse_oracle,
                            linear_quadratic_split, ss_tilde,
                            supersingular_report)
 from modwron.symmpow import (kz_coeff, r12_vanishing_roots, r_recursion,
@@ -98,9 +99,9 @@ def test_a07_supersingular_routes_and_oracle():
         assert set(rep.fp_roots) == hasse_oracle(p), p
         roots, quads = linear_quadratic_split(ss_tilde(p))
         assert all(q.degree() == 2 and not q.roots() for q in quads), p
-    assert supersingular_report(5).polynomial == FpPoly(5, (0, 1))
-    assert supersingular_report(7).polynomial == FpPoly(7, (1, 1))
-    assert supersingular_report(13).polynomial == FpPoly(13, (13 - 5, 1))
+    assert supersingular_report(5).polynomial == Poly((0, 1), 5)
+    assert supersingular_report(7).polynomial == Poly((1, 1), 7)
+    assert supersingular_report(13).polynomial == Poly((13 - 5, 1), 13)
     assert hasse_oracle(5) == {0}
     assert hasse_oracle(7) == {6}
     assert hasse_oracle(13) == {5}

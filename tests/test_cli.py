@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from modwron import cli
-from modwron.cli import (IDENTITIES, _assess, default_precision,
-                         format_ratpoly_x, main, symcheck_report, verify)
+from modwron.cli import (IDENTITIES, _assess, default_precision, main,
+                         symcheck_report, verify)
+from modwron.poly import Poly
 from modwron.qseries import QSeries
 from modwron.symmpow import SymWronskianMismatch
 
@@ -280,6 +284,69 @@ def test_identify_cli_rejects_nonform(capsys, monkeypatch):
     assert "not identifiable" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "ch1", "--prec", "1/0"),
+    ("kz", "--l", "2", "--alpha", "1/0"),
+])
+def test_zero_denominator_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid fraction '1/0'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["identify", "divpoly"])
+@pytest.mark.parametrize("blob", [
+    '{"offset": "0", "step_den": 1, "prec": "30", "coeffs": 5}',
+    '[{"offset": "0", "step_den": 1, "prec": "30", "coeffs": ["1"]}]',
+    '{"offset": "0", "step_den": 1, "prec": "30", "coeffs": ["1/0"]}',
+    '{"offset": 1e400, "step_den": 1, "prec": "30", "coeffs": ["1"]}',
+])
+def test_malformed_stdin_series_is_a_configuration_error(capsys, monkeypatch,
+                                                         command, blob):
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    code, out, err = run_cli(capsys, command, "--weight", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: could not parse a JSON q-series")
+    assert err.count("\n") == 1
+
+
+def test_ssing_cli_golden_with_quadratic_factor(capsys):
+    code, out, _ = run_cli(capsys, "ssing", "--p", "37", "--json")
+    assert code == 0
+    assert out == json.dumps({
+        "p": 37,
+        "polynomial": [11, 5, 23, 1],
+        "fp_roots": [8],
+        "quadratic_factors": [[31, 31, 1]],
+        "routes_agree": True,
+        "oracle_match": True,
+        "epsilon": [0, 0],
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def test_divpoly_cli_json_golden(capsys, monkeypatch):
+    from modwron.modpoly import eisenstein
+    blob = json.dumps(eisenstein(12, "E", 30).to_json())
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    code, out, _ = run_cli(capsys, "divpoly", "--weight", "12", "--json")
+    assert code == 0
+    assert out == json.dumps({"weight": 12,
+                              "divisor_polynomial": ["-432000/691", "1"]},
+                             indent=2, sort_keys=True) + "\n"
+
+
+def test_identify_human_line_uses_mfpoly_str(capsys, monkeypatch):
+    from modwron.modpoly import E4, E6, to_qseries
+    form = E4 ** 3 - F(1, 2) * E6 ** 2
+    blob = json.dumps(to_qseries(form, 30).to_json())
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    code, out, _ = run_cli(capsys, "identify", "--weight", "12")
+    assert code == 0
+    assert out == "E4^3 - 1/2*E6^2\n" == str(form) + "\n"
+
+
 def test_run_all_cli_restricted(capsys):
     code, out, _ = run_cli(capsys, "run-all", "--prec", "20",
                            "--primes", "5,7", "--json")
@@ -291,6 +358,16 @@ def test_run_all_cli_restricted(capsys):
     assert all(d["status"] == "pass" for d in payload)
 
 
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "modwron", "series", "ch1", "--prec", "3"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("ch1 = q^(11/60)")
+
+
 def test_run_all_cli_bad_primes(capsys):
     code, _, err = run_cli(capsys, "run-all", "--primes", "5,x")
     assert code == 2
@@ -298,8 +375,9 @@ def test_run_all_cli_bad_primes(capsys):
 
 
 def test_format_ratpoly_x():
-    assert format_ratpoly_x((F(-432000, 691), F(1))) == "x - 432000/691"
-    assert format_ratpoly_x((F(0), F(-1728), F(1))) == "x^2 - 1728*x"
-    assert format_ratpoly_x((F(1),)) == "1"
-    assert format_ratpoly_x((F(0),)) == "0"
-    assert format_ratpoly_x((F(5, 2), F(0), F(-1))) == "-x^2 + 5/2"
+    # the divpoly human line prints the Poly over Q
+    assert str(Poly((F(-432000, 691), F(1)))) == "x - 432000/691"
+    assert str(Poly((F(0), F(-1728), F(1)))) == "x^2 - 1728*x"
+    assert str(Poly((F(1),))) == "1"
+    assert str(Poly((F(0),))) == "0"
+    assert str(Poly((F(5, 2), F(0), F(-1)))) == "-x^2 + 5/2"

@@ -277,3 +277,37 @@ def test_precision_soundness(a, b):
     hi = a_hi * b_hi + a_hi.derive()
     assert first_mismatch(lo, hi) is None
     assert lo.prec is None or hi.prec is None or hi.prec >= lo.prec
+
+
+@st.composite
+def truncated_and_completion(draw, divisor=False):
+    """A truncated series and an exact completion of it: its known terms, a
+    term right at its precision, and terms further out, on or off its
+    lattice.  A divisor gets a unit or non-unit leading slot."""
+    off = F(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3, 4])))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
+    if divisor:
+        nums[0] = draw(st.sampled_from([1, -1, 2, -3, 4, 6]))
+    prec = off + F(draw(st.integers(1, 10)), draw(st.sampled_from([1, 2, 3, 6])))
+    f = QSeries(off, nums, draw(st.sampled_from([1, 2, 3])),
+                draw(st.integers(1, 4)), prec)
+    g = QSeries(f.offset, f.nums, f.step_den, f.den)
+    g = g + QSeries.monomial(draw(st.sampled_from([1, -2, 3])), prec)
+    for j, d, c in draw(st.lists(st.tuples(
+            st.integers(1, 6), st.sampled_from([1, 2, 3, 6]),
+            st.integers(-3, 3)), max_size=2)):
+        g = g + QSeries.monomial(c, prec + F(j, d))
+    return f, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(truncated_and_completion(), truncated_and_completion(divisor=True))
+def test_division_precision_soundness(uc, vc):
+    """No completion of the inputs beyond their precision changes a
+    coefficient of u/v or 1/v below the precision reported for it."""
+    (u, u_full), (v, v_full) = uc, vc
+    for lo, num in ((u / v, u_full), (v.invert(), QSeries.one())):
+        hi = num / v_full
+        assert first_mismatch(hi * v_full, num) is None
+        assert first_mismatch(lo, hi) is None
+        assert lo.prec <= hi.prec

@@ -5,36 +5,35 @@ from fractions import Fraction as F
 import pytest
 
 from modwron.modpoly import to_qseries
-from modwron.ssing import (CongruenceReport, FpPoly,
-                           congruence_constant_check, epsilon_factors,
-                           fp_gcd, hasse_oracle, legendre_symbol,
-                           linear_quadratic_split, reduce_mod_p,
-                           ss_poly_deligne, ss_poly_wronskian, ss_tilde,
-                           supersingular_report)
+from modwron.poly import Poly
+from modwron.ssing import (CongruenceReport, congruence_constant_check,
+                           epsilon_factors, hasse_oracle, legendre_symbol,
+                           linear_quadratic_split, ss_poly_deligne,
+                           ss_poly_wronskian, ss_tilde, supersingular_report)
 from modwron.symmpow import kz_coeff
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-# ---- FpPoly -------------------------------------------------------------------
+# ---- Poly over F_p ------------------------------------------------------------
 
 def test_fppoly_normal_form():
-    f = FpPoly(7, (8, 14, 7))
+    f = Poly((8, 14, 7), 7)
     assert f.coeffs == (1,)
     assert f.degree() == 0
-    assert FpPoly(7, (0, 0)).is_zero()
-    assert FpPoly(7, ()).degree() == -1
+    assert Poly((0, 0), 7).is_zero()
+    assert Poly((), 7).degree() == -1
 
 
 def test_fppoly_rejects_bad_characteristic():
     for p in (4, 3, 1, 9, -5):
         with pytest.raises(ValueError, match="prime"):
-            FpPoly(p, (1,))
+            Poly((1,), p)
 
 
 def test_fppoly_arithmetic():
     p = 11
-    x = FpPoly(p, (0, 1))
+    x = Poly((0, 1), p)
     assert (x + 3) * (x - 3) == x * x - 9
     assert (x + 1) ** 3 == x ** 3 + 3 * x * x + 3 * x + 1
     q, r = divmod(x ** 5 - 1, x - 1)
@@ -46,7 +45,7 @@ def test_fppoly_arithmetic():
 
 def test_fppoly_monic_and_exact_div():
     p = 13
-    x = FpPoly(p, (0, 1))
+    x = Poly((0, 1), p)
     f = 3 * (x + 2) * (x + 5)
     assert f.monic() == (x + 2) * (x + 5)
     assert f.exact_div(x + 2) == 3 * (x + 5)
@@ -56,52 +55,52 @@ def test_fppoly_monic_and_exact_div():
 
 def test_fppoly_roots_and_gcd():
     p = 11
-    x = FpPoly(p, (0, 1))
+    x = Poly((0, 1), p)
     f = (x - 2) * (x - 7) * (x * x + 1)
     assert f.roots() == {2, 7}
-    assert fp_gcd(f, (x - 2) * (x - 3)) == x - 2
-    assert fp_gcd(f, f.derivative()).degree() == 0
+    assert f.gcd((x - 2) * (x - 3)) == x - 2
+    assert f.gcd(f.derivative()).degree() == 0
 
 
 def test_fppoly_mixed_characteristic_rejected():
     with pytest.raises(ValueError, match="characteristic"):
-        FpPoly(5, (1,)) + FpPoly(7, (1,))
+        Poly((1,), 5) + Poly((1,), 7)
 
 
 def test_fppoly_str():
-    assert str(FpPoly(7, (1, 0, 3))) == "3*x^2 + 1"
-    assert str(FpPoly(7, (0, 1))) == "x"
-    assert str(FpPoly(7, ())) == "0"
+    assert str(Poly((1, 0, 3), 7)) == "3*x^2 + 1"
+    assert str(Poly((0, 1), 7)) == "x"
+    assert str(Poly((), 7)) == "0"
 
 
-# ---- reduce_mod_p --------------------------------------------------------------
+# ---- reducing rational coefficients mod p ---------------------------------------
 
 def test_reduce_x_minus_1728_mod_7():
-    assert reduce_mod_p((F(-1728), F(1)), 7) == FpPoly(7, (1, 1))
+    assert Poly((F(-1728), F(1)), 7) == Poly((1, 1), 7)
 
 
 def test_reduce_rational_coefficient_mod_13():
-    f = reduce_mod_p((F(-432000, 691), F(1)), 13)
-    assert f == FpPoly(13, (-5, 1))
+    f = Poly((F(-432000, 691), F(1)), 13)
+    assert f == Poly((-5, 1), 13)
 
 
 def test_reduce_rejects_denominator_divisible_by_p():
     with pytest.raises(ValueError, match="1/7.*x\\^0"):
-        reduce_mod_p((F(1, 7),), 7)
+        Poly((F(1, 7),), 7)
 
 
 # ---- the two constructions ------------------------------------------------------
 
 def test_ss_deligne_spot_values():
-    assert ss_poly_deligne(5) == FpPoly(5, (0, 1))
-    assert ss_poly_deligne(7) == FpPoly(7, (1, 1))
-    assert ss_poly_deligne(13) == FpPoly(13, (-5, 1))
+    assert ss_poly_deligne(5) == Poly((0, 1), 5)
+    assert ss_poly_deligne(7) == Poly((1, 1), 7)
+    assert ss_poly_deligne(13) == Poly((-5, 1), 13)
 
 
 def test_ss_wronskian_spot_values():
-    assert ss_poly_wronskian(5) == FpPoly(5, (0, 1))
-    assert ss_poly_wronskian(7) == FpPoly(7, (1, 1))
-    assert ss_poly_wronskian(13) == FpPoly(13, (-5, 1))
+    assert ss_poly_wronskian(5) == Poly((0, 1), 5)
+    assert ss_poly_wronskian(7) == Poly((1, 1), 7)
+    assert ss_poly_wronskian(13) == Poly((-5, 1), 13)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -117,7 +116,7 @@ def test_roots_match_hasse_oracle(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_ss_poly_squarefree(p):
     s = ss_poly_deligne(p)
-    assert fp_gcd(s, s.derivative()).degree() == 0
+    assert s.gcd(s.derivative()).degree() == 0
 
 
 def test_hasse_oracle_small_primes():
@@ -136,13 +135,13 @@ def test_epsilon_factors():
 
 def test_ss_tilde_trivial_for_small_primes():
     for p in (5, 7, 11):
-        assert ss_tilde(p) == FpPoly(p, (1,))
+        assert ss_tilde(p) == Poly((1,), p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_ss_tilde_division_exact(p):
     eps_omega, eps_i = epsilon_factors(p)
-    x = FpPoly(p, (0, 1))
+    x = Poly((0, 1), p)
     forced = x ** eps_omega * (x - 1728) ** eps_i
     assert ss_tilde(p) * forced == ss_poly_deligne(p)
 
@@ -151,15 +150,15 @@ def test_linear_quadratic_split_p37():
     assert epsilon_factors(37) == (0, 0)
     roots, quads = linear_quadratic_split(ss_tilde(37))
     assert roots == [8]
-    assert quads == [FpPoly(37, (31, 31, 1))]
+    assert quads == [Poly((31, 31, 1), 37)]
     assert not quads[0].roots()
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_tilde_splits_into_linears_and_quadratics(p):
     roots, quads = linear_quadratic_split(ss_tilde(p))
-    rebuilt = FpPoly(p, (1,))
-    x = FpPoly(p, (0, 1))
+    rebuilt = Poly((1,), p)
+    x = Poly((0, 1), p)
     for a in roots:
         rebuilt = rebuilt * (x - a)
     for q in quads:
@@ -180,13 +179,13 @@ def test_report_builds_deligne_once(monkeypatch):
     monkeypatch.setattr(ssing, "ss_poly_deligne", counted)
     rep = supersingular_report(37)
     assert calls == [37]
-    assert list(rep.quadratic_factors) == [FpPoly(37, (31, 31, 1))]
+    assert list(rep.quadratic_factors) == [Poly((31, 31, 1), 37)]
 
 
 def test_split_rejects_irreducible_cubic():
     # x^3 + x + 1 has no roots mod 5 and no quadratic factor
     with pytest.raises(ValueError, match="leftover"):
-        linear_quadratic_split(FpPoly(5, (1, 1, 0, 1)))
+        linear_quadratic_split(Poly((1, 1, 0, 1), 5))
 
 
 # ---- the constant congruence -------------------------------------------------------
@@ -223,7 +222,7 @@ def test_kz_collapses_to_power_of_twelve(p):
 
 def test_supersingular_report_p31():
     rep = supersingular_report(31)
-    assert rep.polynomial == FpPoly(31, (2, 22, 2, 1))
+    assert rep.polynomial == Poly((2, 22, 2, 1), 31)
     assert rep.fp_roots == (2, 4, 23)
     assert rep.quadratic_factors == ()
     assert rep.routes_agree and rep.oracle_match
@@ -234,4 +233,4 @@ def test_supersingular_report_p37_has_quadratic():
     rep = supersingular_report(37)
     assert rep.routes_agree and rep.oracle_match
     assert rep.fp_roots == (8,)
-    assert rep.quadratic_factors == (FpPoly(37, (31, 31, 1)),)
+    assert rep.quadratic_factors == (Poly((31, 31, 1), 37),)

@@ -7,10 +7,11 @@ import pytest
 
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, E6, G4, MFPoly, theta_derivation
+from modwron.poly import Poly
 from modwron.qseries import QSeries
-from modwron.symmpow import (RatPoly, SymWronskianMismatch, apply,
-                             d_operator, kz_coeff, r12_vanishing_roots,
-                             r_recursion, sym_basis, sym_quotient_closed_form,
+from modwron.symmpow import (SymWronskianMismatch, apply, d_operator,
+                             kz_coeff, r12_vanishing_roots, r_recursion,
+                             sym_basis, sym_quotient_closed_form,
                              sym_wronskian_check)
 from modwron.wronskian import normalize, quotient_form, wronskian
 
@@ -40,16 +41,16 @@ def a1_pair():
     return named_series("a1_f1", N), named_series("a1_f2", N)
 
 
-# ---- RatPoly ----------------------------------------------------------------
+# ---- Poly over Q --------------------------------------------------------------
 
 def test_ratpoly_ring_operations():
-    x = RatPoly((0, 1))
+    x = Poly((0, 1))
     assert (x + 1) * (x - 1) == x * x - 1
     assert (x * x - 1)(F(3)) == 8
     assert -(x - F(1, 2)) == F(1, 2) - x
-    assert not RatPoly()
-    assert RatPoly((0, 0, 0)) == 0
-    assert (2 * x).degree() == 1 and RatPoly().degree() == -1
+    assert not Poly()
+    assert Poly((0, 0, 0)) == 0
+    assert (2 * x).degree() == 1 and Poly().degree() == -1
 
 
 # ---- sym_basis --------------------------------------------------------------
@@ -254,7 +255,7 @@ def test_r12_lambda_one_nonzero():
 
 
 def test_r12_symbolic_coefficient_degrees():
-    lam = RatPoly((0, 1))
+    lam = Poly((0, 1))
     q = MFPoly.monomial(lam * F(1, 720), 1, 0)
     r12 = r_recursion(q, 12)[-1]
     assert all(p.degree() <= 6 for p in r12.terms.values())
