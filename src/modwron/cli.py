@@ -4,7 +4,8 @@ checks, with machine-readable JSON output.
 
 Every verification expands both sides of an identity independently and
 compares coefficient-by-coefficient, so a failure localizes to an
-exponent.  Exit codes: 0 all pass, 1 any fail, 2 configuration error.
+exponent.  Exit codes: 0 all pass, 1 any fail (or a reader of stdout that
+closed early), 2 configuration error.
 """
 
 import argparse
@@ -599,10 +600,17 @@ def main(argv=None):
     try:
         prec = (_positive_prec(args.prec, "--prec") if args.prec is not None
                 else default_precision())
-        return _COMMANDS[args.command](args, prec)
+        status = _COMMANDS[args.command](args, prec)
+        sys.stdout.flush()
+        return status
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed early.  What is still buffered goes to devnull,
+        # so the flush at exit cannot fail, and the run counts as incomplete.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

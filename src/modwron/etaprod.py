@@ -9,7 +9,7 @@ eighth powers of the two half-integral Weber functions.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .qseries import QSeries, _ceil
+from .qseries import QSeries, _ceil, _euler_product
 
 ONE_24TH = Fraction(1, 24)
 
@@ -53,20 +53,11 @@ def product_series(spec, N):
     L = _int_window(N, h)
     if L == 0:
         return QSeries.zero(N)
-    c = [0] * L
-    c[0] = 1
+    w = [0] * L
     for r, m, e in spec.factors:
-        start = r if r else m
-        for n in range(start, L, m):
-            if e > 0:
-                for _ in range(e):
-                    for k in range(L - 1, n - 1, -1):
-                        c[k] -= c[k - n]
-            else:
-                for _ in range(-e):
-                    for k in range(n, L):
-                        c[k] += c[k - n]
-    return QSeries(h, c, 1, 1, N)
+        for n in range(r if r else m, L, m):
+            w[n] += e
+    return QSeries(h, _euler_product(w, L), 1, 1, N)
 
 
 def _eta_unit(nslots):
@@ -123,15 +114,17 @@ def theta_sum(spec, N):
 
 
 def _half_step_product(exponent_count, N):
-    """prod over n>0 of (1 + q^(n - 1/2))^exponent_count on the half lattice."""
-    slots = _int_window(2 * Fraction(N), 0)
-    c = [0] * max(slots, 1)
-    c[0] = 1
+    """prod over n>0 of (1 + q^(n - 1/2))^exponent_count on the half lattice.
+
+    In x = q^(1/2) each factor 1 + x^j (j odd) is (1 - x^(2j)) / (1 - x^j).
+    """
+    slots = max(_int_window(2 * Fraction(N), 0), 1)
+    w = [0] * slots
     for j in range(1, slots, 2):
-        for _ in range(exponent_count):
-            for k in range(slots - 1, j - 1, -1):
-                c[k] += c[k - j]
-    return QSeries(0, c, 2, 1, Fraction(N))
+        w[j] -= exponent_count
+        if 2 * j < slots:
+            w[2 * j] += exponent_count
+    return QSeries(0, _euler_product(w, slots), 2, 1, Fraction(N))
 
 
 def _ch1(N, route):

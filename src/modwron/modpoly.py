@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .poly import Poly
-from .qseries import DEFAULT_PREC, QSeries, _ceil, first_mismatch
+from .qseries import DEFAULT_PREC, QSeries, _ceil
 
 
 @lru_cache(maxsize=None)

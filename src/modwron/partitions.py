@@ -4,12 +4,12 @@ A color specification assigns to each residue class mod m a number of
 available colors; the counted objects are partitions where a part of size
 j carries one of the colors allowed for j's residue.  The generating
 function is the product of 1/(1-q^j) taken once per color, and counting
-is dynamic programming on that product's coefficient array.
+expands that product with the one Euler-product kernel of `qseries`.
 """
 
 from dataclasses import dataclass
 
-from .qseries import QSeries
+from .qseries import _euler_product
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,8 @@ class ColorSpec:
 
 def _count_array(colors_of, n):
     """Coefficients 0..n of prod_j (1 - q^j)^(-colors_of(j))."""
-    arr = [0] * (n + 1)
-    arr[0] = 1
-    for j in range(1, n + 1):
-        for _ in range(colors_of(j)):
-            for k in range(j, n + 1):
-                arr[k] += arr[k - j]
-    return arr
+    w = [0] + [-colors_of(j) for j in range(1, n + 1)]
+    return _euler_product(w, n + 1)
 
 
 def colored_count(spec, n):

@@ -144,17 +144,18 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
+    def __pow__(self, e, mod=None):
+        """self^e by square and multiply; pow(f, e, m) reduces mod m."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self._new((1,))
-        base = self
+        step = (lambda f: f) if mod is None else (lambda f: f % mod)
+        out, base = step(self._new((1,))), step(self)
         while e:
             if e & 1:
-                out = out * base
+                out = step(out * base)
             e >>= 1
             if e:
-                base = base * base
+                base = step(base * base)
         return out
 
     def __divmod__(self, other):

@@ -97,6 +97,32 @@ def _divexact(u, v, w):
     return out
 
 
+def _euler_product(w, n):
+    """First n coefficients of prod_{d>=1} (1 - q^d)^w[d] (w[0] unused).
+
+    The one product kernel: the log-derivative recurrence
+    k c_k = sum_{j<=k} s_j c_{k-j}, with s_j = -sum_{d|j} d w[d], costs
+    about n^2/2 multiplications whatever the exponents are.  Every step
+    must divide exactly by k, and an inexact step raises.
+    """
+    if n <= 0:
+        return []
+    s = [0] * n
+    for d in range(1, min(len(w), n)):
+        if w[d]:
+            dw = d * w[d]
+            for j in range(d, n, d):
+                s[j] -= dw
+    c = [1]
+    for k in range(1, n):
+        acc = sum(map(_mul_op, s[1:k + 1], c[::-1]))
+        q, r = divmod(acc, k)
+        if r:
+            raise ArithmeticError("inexact step in the Euler-product recurrence")
+        c.append(q)
+    return c
+
+
 class QSeries:
     """Truncated q-series with exact rational coefficients and offset."""
 

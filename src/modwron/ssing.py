@@ -5,9 +5,10 @@ roots are the supersingular j-invariants.  This module computes it two
 ways -- from the divisor polynomial of the Eisenstein series E_{p-1}, and
 from the divisor polynomial of the normalized symmetric-power Wronskian
 quotient of the Weber pair at m = (p-3)/2 -- and certifies both against a
-brute-force Hasse-invariant oracle.  It also peels off the forced linear
-factors at j = 0 and j = 1728 and splits the remainder into linear and
-irreducible quadratic factors over F_p.
+Hasse-invariant oracle, which reads one coefficient of (x^3 + ax + b)^((p-1)/2)
+per j in O(p) operations.  It also peels off the forced linear factors at
+j = 0 and j = 1728 and splits the remainder into linear and irreducible
+quadratic factors over F_p by distinct- and equal-degree factorization.
 """
 
 from dataclasses import dataclass
@@ -46,20 +47,30 @@ def ss_poly_wronskian(p):
     return Poly(divisor_polynomial(form).coeffs, p).monic()
 
 
-# ---- the brute-force oracle ---------------------------------------------------
+# ---- the Hasse-invariant oracle -------------------------------------------------
 
 def hasse_oracle(p):
     """Supersingular j-invariants in F_p by the Hasse-invariant test.
 
     j is supersingular exactly when the x^(p-1) coefficient of
-    (x^3 + ax + b)^((p-1)/2) vanishes, for any curve y^2 = x^3 + ax + b
-    over F_p with invariant j; the curve used is a = 3j(1728-j),
-    b = 2j(1728-j)^2, with the degenerate invariants j = 0 and j = 1728
-    handled by (0, 1) and (1, 0).
+    (x^3 + ax + b)^e, e = (p-1)/2, vanishes, for any curve
+    y^2 = x^3 + ax + b over F_p with invariant j; the curve used is
+    a = 3j(1728-j), b = 2j(1728-j)^2, with the degenerate invariants
+    j = 0 and j = 1728 handled by (0, 1) and (1, 0).  That coefficient is
+    the multinomial sum over x^(3i) (ax)^k b^l with k = 2e - 3i and
+    l = 2i - e, so each j costs about p/12 terms mod p, with the factorial
+    inverses computed once.
     """
     check_prime(p)
-    out = set()
     e = (p - 1) // 2
+    fact = [1] * (e + 1)
+    for i in range(1, e + 1):
+        fact[i] = fact[i - 1] * i % p
+    inv = [pow(f, -1, p) for f in fact]
+    terms = [(fact[e] * inv[i] * inv[2 * e - 3 * i] * inv[2 * i - e] % p,
+              2 * e - 3 * i, 2 * i - e)
+             for i in range((e + 1) // 2, 2 * e // 3 + 1)]
+    out = set()
     for j in range(p):
         if j == 0:
             a, b = 0, 1
@@ -68,8 +79,7 @@ def hasse_oracle(p):
         else:
             a = 3 * j * (1728 - j) % p
             b = 2 * j * (1728 - j) ** 2 % p
-        cubic = Poly((b, a, 0, 1), p)
-        if (cubic ** e).coeff(p - 1) == 0:
+        if not sum(m * pow(a, k, p) * pow(b, l, p) for m, k, l in terms) % p:
             out.add(j)
     return out
 
@@ -100,28 +110,45 @@ def linear_quadratic_split(f):
     """Split a squarefree monic Poly over F_p into linear and irreducible
     quadratic factors; raises if any other factor type remains.
 
-    Returns (sorted list of roots, list of monic irreducible quadratics).
+    The roots in F_p are divided out.  What remains must be a product of
+    distinct irreducible quadratics: gcd(x^p - x, rem) = 1, so it has no
+    root in F_p, and rem divides x^(p^2) - x.  It is then split by
+    gcd(g, (x+t)^((p^2-1)/2) - 1) for t = 0, 1, ... in order, until every
+    piece has degree 2.  At a root r of an irreducible quadratic q,
+    (r+t)^((p^2-1)/2) is the Legendre symbol of q(-t), and two distinct q
+    are told apart by some t in F_p: by the Weil bound for p > 9, and by
+    exhaustion for p = 5, 7.
+
+    Returns (sorted list of roots, list of monic irreducible quadratics
+    sorted by their x and constant coefficients).
     """
     p = f.p
     rem = f.monic()
     roots = sorted(rem.roots())
+    x = Poly((0, 1), p)
     for a in roots:
-        rem = rem.exact_div(Poly((-a, 1), p))
-    quads = []
-    for b in range(p):
-        for c in range(p):
-            if rem.degree() < 2:
-                break
-            cand = Poly((c, b, 1), p)
-            q, r = divmod(rem, cand)
-            if r.is_zero() and not cand.roots():
-                quads.append(cand)
-                rem = q
-    if rem != 1:
-        raise ValueError(
-            "leftover factor %s is neither linear nor an irreducible "
-            "quadratic" % (rem,))
-    return roots, quads
+        rem = rem.exact_div(x - a)
+    pieces = []
+    if rem.degree() > 0:
+        xp = pow(x, p, rem)
+        if rem.gcd(xp - x) != 1 or pow(xp, p, rem) != x:
+            raise ValueError(
+                "leftover factor %s is neither linear nor an irreducible "
+                "quadratic" % (rem,))
+        pieces = [rem]
+    half = (p * p - 1) // 2
+    for t in range(p):
+        if all(g.degree() == 2 for g in pieces):
+            break
+        split = []
+        for g in pieces:
+            d = g.gcd(pow(x + t, half, g) - 1) if g.degree() > 2 else g
+            if 0 < d.degree() < g.degree():
+                split += [d, g.exact_div(d)]
+            else:
+                split.append(g)
+        pieces = split
+    return roots, sorted(pieces, key=lambda q: (q.coeff(1), q.coeff(0)))
 
 
 # ---- the constant congruence ---------------------------------------------------

@@ -368,6 +368,22 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("ch1 = q^(11/60)")
 
 
+def test_closed_reader_exits_quietly():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "modwron", "series", "ch1", "--prec", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert "BrokenPipeError" not in done.stderr
+    assert done.returncode in (0, 1, 2)
+
+
 def test_run_all_cli_bad_primes(capsys):
     code, _, err = run_cli(capsys, "run-all", "--primes", "5,x")
     assert code == 2

@@ -13,6 +13,8 @@ from modwron.etaprod import (
     NAMES,
     ProductSpec,
     ThetaSpec,
+    _half_step_product,
+    _int_window,
     eta,
     named_series,
     product_series,
@@ -194,6 +196,77 @@ def test_product_series_euler_inverse():
 def test_product_series_zero_window():
     spec = ProductSpec([(0, 1, 1)], prefactor=5)
     assert product_series(spec, 3).is_zero()
+
+
+# ---- the products against one pass per factor --------------------------------
+
+def product_series_by_passes(spec, N):
+    """Reference: one pass over the coefficients per factor and unit power."""
+    N = F(N)
+    h = spec.prefactor
+    L = _int_window(N, h)
+    if L == 0:
+        return QSeries.zero(N)
+    c = [0] * L
+    c[0] = 1
+    for r, m, e in spec.factors:
+        start = r if r else m
+        for n in range(start, L, m):
+            if e > 0:
+                for _ in range(e):
+                    for k in range(L - 1, n - 1, -1):
+                        c[k] -= c[k - n]
+            else:
+                for _ in range(-e):
+                    for k in range(n, L):
+                        c[k] += c[k - n]
+    return QSeries(h, c, 1, 1, N)
+
+
+def half_step_product_by_passes(exponent_count, N):
+    """Reference: one pass per odd j and unit power of (1 + x^j)."""
+    slots = _int_window(2 * F(N), 0)
+    c = [0] * max(slots, 1)
+    c[0] = 1
+    for j in range(1, slots, 2):
+        for _ in range(exponent_count):
+            for k in range(slots - 1, j - 1, -1):
+                c[k] += c[k - j]
+    return QSeries(0, c, 2, 1, F(N))
+
+
+@st.composite
+def product_specs(draw):
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 12))
+        factors.append((draw(st.integers(0, m - 1)), m,
+                        draw(st.integers(-12, 12))))
+    prefactor = F(draw(st.integers(-12, 12)), draw(st.integers(1, 60)))
+    return ProductSpec(factors, prefactor)
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_specs(), st.fractions(min_value=-2, max_value=60,
+                                     max_denominator=12))
+def test_product_series_matches_repeated_passes(spec, N):
+    assert product_series(spec, N) == product_series_by_passes(spec, N)
+
+
+@pytest.mark.parametrize("factors", [
+    [(2, 4, 8), (1, 2, -8)], [(0, 4, 8), (0, 2, -8)], [(1, 2, 8)],
+    [(0, 2, 8), (0, 1, -8)]])
+def test_weber_product_specs_match_repeated_passes(factors):
+    spec = ProductSpec(factors)
+    for N in (0, 1, 17, 101):
+        assert product_series(spec, N) == product_series_by_passes(spec, N)
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_half_step_product_matches_repeated_passes(count):
+    for N in (F(-1), F(0), F(1, 6), F(7, 2), F(40) + F(1, 6)):
+        assert (_half_step_product(count, N)
+                == half_step_product_by_passes(count, N))
 
 
 def test_theta_spec_validation():

@@ -3,10 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modwron.etaprod import ProductSpec, named_series, product_series
-from modwron.partitions import (ColorSpec, RecurrenceReport, colored_count,
-                                pab_count, partition_function,
+from modwron.partitions import (ColorSpec, RecurrenceReport, _count_array,
+                                colored_count, pab_count, partition_function,
                                 verify_recurrences)
 
 
@@ -61,6 +62,30 @@ def test_colored_count_matches_product_series():
     s = product_series(ps, F(40))
     for n in range(40):
         assert s.coeff_at(n) == colored_count(spec, n)
+
+
+def count_array_by_passes(colors_of, n):
+    """Reference: one pass over the counts per part size and color."""
+    arr = [0] * (n + 1)
+    arr[0] = 1
+    for j in range(1, n + 1):
+        for _ in range(colors_of(j)):
+            for k in range(j, n + 1):
+                arr[k] += arr[k - j]
+    return arr
+
+
+@st.composite
+def color_specs(draw):
+    m = draw(st.integers(1, 8))
+    return ColorSpec(m, tuple(draw(st.lists(st.integers(0, 12), min_size=m,
+                                            max_size=m))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(color_specs(), st.integers(0, 80))
+def test_count_array_matches_repeated_passes(spec, n):
+    assert _count_array(spec.colors, n) == count_array_by_passes(spec.colors, n)
 
 
 def test_pab_matches_ch2_coefficients():

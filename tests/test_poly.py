@@ -75,6 +75,15 @@ def test_str_over_q():
     assert repr(Poly((1, 1), 5)) == "Poly((1, 1), p=5)"
 
 
+def test_power_reduced_mod_a_polynomial():
+    x = Poly((0, 1), 7)
+    m = x ** 3 + 2 * x + 5
+    for e in (0, 1, 2, 3, 7, 49, 100):
+        assert pow(x + 3, e, m) == (x + 3) ** e % m
+    assert pow(x - 1, 3, Poly((3,), 7)) == 0    # a unit divides everything
+    assert pow(X, 4, X ** 2 + 1) == 1       # over Q, x^2 = -1
+
+
 _coeffs = st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
                    max_size=5)
 

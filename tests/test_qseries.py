@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron.qseries import QSeries, first_mismatch, LATTICE_CAP
+from modwron.qseries import QSeries, first_mismatch, LATTICE_CAP, _euler_product
 
 
 # ---- construction and normal form -------------------------------------
@@ -311,3 +311,42 @@ def test_division_precision_soundness(uc, vc):
         assert first_mismatch(hi * v_full, num) is None
         assert first_mismatch(lo, hi) is None
         assert lo.prec <= hi.prec
+
+
+# ---- the Euler-product kernel --------------------------------------------------
+
+def euler_product_by_passes(w, n):
+    """Reference: multiply in each (1 - q^d)^w[d] one factor at a time."""
+    c = [0] * n
+    if n:
+        c[0] = 1
+    for d in range(1, min(len(w), n)):
+        if w[d] > 0:
+            for _ in range(w[d]):
+                for k in range(n - 1, d - 1, -1):
+                    c[k] -= c[k - d]
+        else:
+            for _ in range(-w[d]):
+                for k in range(d, n):
+                    c[k] += c[k - d]
+    return c
+
+
+def test_euler_product_small_cases():
+    assert _euler_product([0, 1], 0) == []
+    assert _euler_product([], 4) == [1, 0, 0, 0]
+    assert _euler_product([0, 1], 4) == [1, -1, 0, 0]
+    assert _euler_product([0, -1], 8) == [1, 1, 1, 1, 1, 1, 1, 1]
+    assert _euler_product([0] + [-1] * 9, 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=80), st.integers(0, 80))
+def test_euler_product_matches_repeated_passes(w, n):
+    assert _euler_product(w, n) == euler_product_by_passes(w, n)
+
+
+def test_euler_product_non_integral_step_raises():
+    # (1 - q)^(1/2) = 1 - q/2 - ...: the first step is not an integer
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _euler_product([0, F(1, 2)], 3)

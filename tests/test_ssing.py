@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modwron.modpoly import to_qseries
 from modwron.poly import Poly
@@ -13,6 +14,15 @@ from modwron.ssing import (CongruenceReport, congruence_constant_check,
 from modwron.symmpow import kz_coeff
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def primes_between(lo, hi):
+    return [p for p in range(max(lo, 5), hi + 1)
+            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+# deg S_p = floor(p/12) + this, by p mod 12 (Eichler-Deuring count)
+EICHLER_DEURING = {1: 0, 5: 1, 7: 1, 11: 2}
 
 
 # ---- Poly over F_p ------------------------------------------------------------
@@ -125,6 +135,28 @@ def test_hasse_oracle_small_primes():
     assert hasse_oracle(13) == {5}
 
 
+def hasse_by_full_power(p):
+    """Reference: expand all of (x^3 + ax + b)^((p-1)/2) for every j."""
+    out = set()
+    e = (p - 1) // 2
+    for j in range(p):
+        if j == 0:
+            a, b = 0, 1
+        elif j == 1728 % p:
+            a, b = 1, 0
+        else:
+            a = 3 * j * (1728 - j) % p
+            b = 2 * j * (1728 - j) ** 2 % p
+        if (Poly((b, a, 0, 1), p) ** e).coeff(p - 1) == 0:
+            out.add(j)
+    return out
+
+
+@pytest.mark.parametrize("p", primes_between(5, 97))
+def test_hasse_oracle_matches_full_power(p):
+    assert hasse_oracle(p) == hasse_by_full_power(p)
+
+
 # ---- epsilon factors and the tilde polynomial ------------------------------------
 
 def test_epsilon_factors():
@@ -188,6 +220,88 @@ def test_split_rejects_irreducible_cubic():
         linear_quadratic_split(Poly((1, 1, 0, 1), 5))
 
 
+def test_split_rejects_repeated_root():
+    x = Poly((0, 1), 13)
+    for f in ((x - 3) ** 2, (x - 3) ** 2 * (x - 5), (x - 3) ** 2 * (x * x + 2)):
+        with pytest.raises(ValueError, match="leftover"):
+            linear_quadratic_split(f)
+
+
+def test_split_rejects_square_of_irreducible_quadratic():
+    x = Poly((0, 1), 13)
+    q = x * x + 2          # -2 is not a square mod 13
+    assert not q.roots()
+    for f in (q ** 2, q ** 2 * (x - 1), q ** 2 * (x * x + 5)):
+        with pytest.raises(ValueError, match="leftover"):
+            linear_quadratic_split(f)
+
+
+def split_by_search(f):
+    """Reference: divide out every monic quadratic x^2 + bx + c in turn."""
+    p = f.p
+    rem = f.monic()
+    roots = sorted(rem.roots())
+    for a in roots:
+        rem = rem.exact_div(Poly((-a, 1), p))
+    quads = []
+    for b in range(p):
+        for c in range(p):
+            if rem.degree() < 2:
+                break
+            cand = Poly((c, b, 1), p)
+            q, r = divmod(rem, cand)
+            if r.is_zero() and not cand.roots():
+                quads.append(cand)
+                rem = q
+    if rem != 1:
+        raise ValueError("leftover factor %s" % (rem,))
+    return roots, quads
+
+
+@pytest.mark.parametrize("p", primes_between(5, 151))
+def test_split_matches_search_on_ss_tilde(p):
+    assert linear_quadratic_split(ss_tilde(p)) == split_by_search(ss_tilde(p))
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_split_separates_every_pair_of_quadratics(p):
+    # x^(p^2) - x over x^p - x is the product of all monic irreducible
+    # quadratics, so each pair of them must be told apart by some x + t
+    x = Poly((0, 1), p)
+    roots, quads = linear_quadratic_split((x ** (p * p) - x).exact_div(x ** p - x))
+    assert roots == [] and len(quads) == p * (p - 1) // 2
+    assert all(q.degree() == 2 and not q.roots() for q in quads)
+    assert quads == sorted(quads, key=lambda q: (q.coeff(1), q.coeff(0)))
+
+
+@st.composite
+def split_products(draw):
+    p = draw(st.sampled_from(primes_between(5, 31)))
+    irreducible = [(c, b) for b in range(p) for c in range(p)
+                   if not Poly((c, b, 1), p).roots()]
+    roots = draw(st.lists(st.integers(0, p - 1), max_size=4, unique=True))
+    quads = draw(st.lists(st.sampled_from(irreducible), max_size=6,
+                          unique=True))
+    return p, roots, quads
+
+
+@settings(max_examples=120, deadline=None)
+@given(split_products())
+def test_split_matches_search_on_random_products(case):
+    p, roots, quads = case
+    x = Poly((0, 1), p)
+    f = Poly((1,), p)
+    for a in roots:
+        f = f * (x - a)
+    for c, b in quads:
+        f = f * Poly((c, b, 1), p)
+    got = linear_quadratic_split(f)
+    assert got == split_by_search(f)
+    assert got[0] == sorted(roots)
+    assert [(q.coeff(1), q.coeff(0)) for q in got[1]] == sorted(
+        (b, c) for c, b in quads)
+
+
 # ---- the constant congruence -------------------------------------------------------
 
 def test_legendre_symbol_second_supplement():
@@ -227,6 +341,23 @@ def test_supersingular_report_p31():
     assert rep.quadratic_factors == ()
     assert rep.routes_agree and rep.oracle_match
     assert rep.epsilon == (0, 1)
+
+
+@pytest.mark.parametrize("p", primes_between(101, 199))
+def test_supersingular_report_past_97(p):
+    rep = supersingular_report(p)
+    assert rep.routes_agree and rep.oracle_match
+    assert rep.polynomial.degree() == p // 12 + EICHLER_DEURING[p % 12]
+    roots, quads = linear_quadratic_split(ss_tilde(p))
+    assert tuple(quads) == rep.quadratic_factors
+    x = Poly((0, 1), p)
+    rebuilt = Poly((1,), p)
+    for a in roots:
+        rebuilt = rebuilt * (x - a)
+    for q in quads:
+        assert q.degree() == 2 and not q.roots()
+        rebuilt = rebuilt * q
+    assert rebuilt == ss_tilde(p)
 
 
 def test_supersingular_report_p37_has_quadratic():
