@@ -19,7 +19,7 @@ from time import perf_counter
 from .etaprod import ProductSpec, eta, named_series, product_series, NAMES
 from .modpoly import identify, divisor_polynomial, to_qseries, G4
 from .partitions import verify_recurrences
-from .qseries import DEFAULT_PREC, QSeries
+from .qseries import DEFAULT_PREC, QSeries, _min_prec, first_mismatch
 from .ssing import congruence_constant_check, supersingular_report
 from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
                       r12_vanishing_roots, r_recursion, sym_basis,
@@ -40,6 +40,14 @@ PAIR_LAMBDA = {
     "weber": Fraction(-40),
     "a1": Fraction(-25, 4),
 }
+# the rational lambda with R_12 = 0 for Q = lambda G4
+R12_ROOTS = {Fraction(0), Fraction(-11, 5), Fraction(-25, 4), Fraction(-15),
+             Fraction(-40)}
+
+
+def _pair(pair, prec):
+    """The two named series of a weight-0 pair, to precision prec."""
+    return tuple(named_series(name, prec) for name in PAIR_NAMES[pair])
 
 
 def default_precision():
@@ -96,15 +104,14 @@ class VerificationReport:
 def _assess(identity, pairs, target, t0):
     """Compare (lhs, rhs) pairs through the target exponent bound."""
     checked = None
-    fail_at = None
+    fails = []
     for lhs, rhs in pairs:
-        bounds = [p for p in (lhs.prec, rhs.prec, target) if p is not None]
-        p = min(bounds)
-        diff = (lhs - rhs).truncate(p)
-        checked = p if checked is None else min(checked, p)
-        if not diff.is_zero():
-            e = diff.valuation()
-            fail_at = e if fail_at is None else min(fail_at, e)
+        p = _min_prec(lhs.prec, rhs.prec, target)
+        checked = _min_prec(checked, p)
+        e = first_mismatch(lhs.truncate(p), rhs)
+        if e is not None:
+            fails.append(e)
+    fail_at = min(fails, default=None)
     if fail_at is not None:
         status = "fail"
     elif checked is not None and checked < target:
@@ -192,8 +199,7 @@ def _f1f2(n):
 def _ode(pair):
     def build(n):
         m = n + 2
-        f = named_series(PAIR_NAMES[pair][0], m)
-        g = named_series(PAIR_NAMES[pair][1], m)
+        f, g = _pair(pair, m)
         op = d_operator(PAIR_LAMBDA[pair] * G4, 1)
         return [(apply(op, f), QSeries.zero(m)),
                 (apply(op, g), QSeries.zero(m))]
@@ -226,7 +232,37 @@ def verify(identity, prec=None):
     return _assess(identity, pairs, target, t0)
 
 
-# ---- symmetric-power checks ----------------------------------------------------
+# ---- report rows ---------------------------------------------------------------
+
+def _row(identity, precision, check, *args):
+    """Time check(*args) and build its report row.
+
+    check returns "" when it passes and the failed sub-check's name when it
+    does not; a SymWronskianMismatch it raises is a fail at its exponent.
+    """
+    t0 = perf_counter()
+    first_fail = None
+    try:
+        detail = check(*args)
+    except SymWronskianMismatch as e:
+        detail, first_fail = e.check, e.exponent
+    return VerificationReport(identity, "fail" if detail else "pass",
+                              precision, first_fail, perf_counter() - t0,
+                              detail)
+
+
+def _symcheck(pair, m, prec):
+    f, g = _pair(pair, prec)
+    w, wd = wronskians(sym_basis(f, g, m))
+    sym_wronskian_check(f, g, m, ws=w)
+    routes = [("determinant", identify_quotient(w, wd, 2 * m + 2))]
+    rlast = r_recursion(PAIR_LAMBDA[pair] * G4, m)[-1]
+    routes.append(("recursion", rlast if m % 2 else -rlast))
+    if pair == "weber":
+        routes.append(("closed form", sym_quotient_closed_form(m)))
+    odd = [name for name, form in routes[1:] if form != routes[0][1]]
+    return "determinant disagrees with %s" % " and ".join(odd) if odd else ""
+
 
 def symcheck_report(pair, m, prec):
     """Wronskian factorization plus route agreement for one (pair, m).
@@ -237,26 +273,42 @@ def symcheck_report(pair, m, prec):
     closed form.  W and W' come from one elimination, and the same W feeds
     the factorization check.
     """
-    t0 = perf_counter()
-    name1, name2 = PAIR_NAMES[pair]
-    f = named_series(name1, prec)
-    g = named_series(name2, prec)
-    ident = "sym_%s_m%d" % (pair, m)
-    w, wd = wronskians(sym_basis(f, g, m))
-    try:
-        sym_wronskian_check(f, g, m, ws=w)
-    except SymWronskianMismatch as e:
-        return VerificationReport(ident, "fail", prec, e.exponent,
-                                  perf_counter() - t0, e.check)
-    routes = [("determinant", identify_quotient(w, wd, 2 * m + 2))]
-    rlast = r_recursion(PAIR_LAMBDA[pair] * G4, m)[-1]
-    routes.append(("recursion", rlast if m % 2 else -rlast))
-    if pair == "weber":
-        routes.append(("closed form", sym_quotient_closed_form(m)))
-    odd = [name for name, form in routes[1:] if form != routes[0][1]]
-    detail = "determinant disagrees with %s" % " and ".join(odd) if odd else ""
-    return VerificationReport(ident, "fail" if odd else "pass", prec, None,
-                              perf_counter() - t0, detail)
+    return _row("sym_%s_m%d" % (pair, m), prec, _symcheck, pair, m, prec)
+
+
+def _r12_roots():
+    roots = r12_vanishing_roots()
+    if roots == R12_ROOTS:
+        return ""
+    return "R_12 root set {%s}" % ", ".join(str(r) for r in sorted(roots))
+
+
+def _eta_powers(pair, prec):
+    f, g = _pair(pair, prec)
+    for m in range(1, 7):
+        sym_wronskian_check(f, g, m)
+    return ""
+
+
+def _recurrence_sections(rec):
+    """check id -> (label, counterexamples) of a RecurrenceReport."""
+    return {
+        "ssss": ("colored mod-5 recurrence", rec.colored_counterexamples),
+        "p27": ("restricted mod-27 recurrence", rec.restricted_counterexamples),
+    }
+
+
+def _recurrences(upto):
+    sections = _recurrence_sections(verify_recurrences(upto)).values()
+    return ", ".join(label for label, bad in sections if bad)
+
+
+def _ssing(p):
+    rep = supersingular_report(p)
+    checks = (("routes disagree", rep.routes_agree),
+              ("oracle differs", rep.oracle_match),
+              ("congruence fails", congruence_constant_check(p).ok))
+    return ", ".join(name for name, ok in checks if not ok)
 
 
 # ---- formatting helpers ---------------------------------------------------------
@@ -285,46 +337,15 @@ def run_all(prec, primes):
     """Every registered identity, the symmetric-power routes m = 1..12,
     the R_12 root set, the eta-power factorizations, the partition
     recurrences, and the supersingular pipeline."""
-    reports = []
-    for name in sorted(IDENTITIES):
-        reports.append(verify(name, prec))
+    reports = [verify(name, prec) for name in sorted(IDENTITIES)]
     det_prec = min(Fraction(prec), Fraction(60))
-    for m in range(1, 13):
-        reports.append(symcheck_report("weber", m, det_prec))
-    t0 = perf_counter()
-    roots_ok = r12_vanishing_roots() == {
-        Fraction(0), Fraction(-11, 5), Fraction(-25, 4),
-        Fraction(-15), Fraction(-40)}
-    reports.append(VerificationReport(
-        "r12_roots", "pass" if roots_ok else "fail", None, None,
-        perf_counter() - t0))
+    reports += [symcheck_report("weber", m, det_prec) for m in range(1, 13)]
+    reports.append(_row("r12_roots", None, _r12_roots))
     eta_prec = min(Fraction(prec), Fraction(45))
-    for pair in ("rr", "weber"):
-        t0 = perf_counter()
-        f = named_series(PAIR_NAMES[pair][0], eta_prec)
-        g = named_series(PAIR_NAMES[pair][1], eta_prec)
-        status, fail_at, detail = "pass", None, ""
-        try:
-            for m in range(1, 7):
-                sym_wronskian_check(f, g, m)
-        except SymWronskianMismatch as e:
-            status, fail_at, detail = "fail", e.exponent, e.check
-        reports.append(VerificationReport(
-            "eta_power_%s" % pair, status, eta_prec, fail_at,
-            perf_counter() - t0, detail))
-    t0 = perf_counter()
-    rec = verify_recurrences(50)
-    reports.append(VerificationReport(
-        "partition_recurrences", "pass" if rec.ok else "fail", 50, None,
-        perf_counter() - t0))
-    for p in primes:
-        t0 = perf_counter()
-        rep = supersingular_report(p)
-        cong = congruence_constant_check(p)
-        ok = rep.routes_agree and rep.oracle_match and cong.ok
-        reports.append(VerificationReport(
-            "ssing_p%d" % p, "pass" if ok else "fail", None, None,
-            perf_counter() - t0))
+    reports += [_row("eta_power_%s" % pair, eta_prec, _eta_powers, pair,
+                     eta_prec) for pair in ("rr", "weber")]
+    reports.append(_row("partition_recurrences", 50, _recurrences, 50))
+    reports += [_row("ssing_p%d" % p, None, _ssing, p) for p in primes]
     return reports
 
 
@@ -342,9 +363,7 @@ def _parse_basis(spec, prec):
         if pair not in PAIR_NAMES:
             raise ValueError("unknown pair %r (choose from %s)"
                              % (pair, ", ".join(sorted(PAIR_NAMES))))
-        f = named_series(PAIR_NAMES[pair][0], prec)
-        g = named_series(PAIR_NAMES[pair][1], prec)
-        return sym_basis(f, g, m)
+        return sym_basis(*_pair(pair, prec), m)
     return [named_series(name.strip(), prec) for name in spec.split(",")]
 
 
@@ -526,10 +545,7 @@ def _cmd_ssing(args, prec):
 
 def _cmd_partitions(args, prec):
     rec = verify_recurrences(args.upto)
-    sections = {
-        "ssss": ("colored mod-5 recurrence", rec.colored_counterexamples),
-        "p27": ("restricted mod-27 recurrence", rec.restricted_counterexamples),
-    }
+    sections = _recurrence_sections(rec)
     wanted = ("ssss", "p27") if args.check == "both" else (args.check,)
     ok = all(not sections[w][1] for w in wanted)
     payload = {"upto": rec.upto, "ok": ok}

@@ -1,9 +1,10 @@
 """Eta products, congruence-restricted q-products, and theta sums.
 
-Builders for the named series used throughout: the Rogers-Ramanujan characters
-ch1/ch2 (in both infinite-product and theta-over-eta form), the continued
-fraction R(q), the weight-0 pair attached to level-2 theta functions, and the
-eighth powers of the two half-integral Weber functions.
+The named series used throughout are data in two tables, one of product
+specs and one of theta sums over eta: the Rogers-Ramanujan characters ch1/ch2
+(in both tables), the continued fraction R(q), the weight-0 pair attached to
+level-2 theta functions, and the eighth powers of the two half-integral Weber
+functions.
 """
 
 from fractions import Fraction
@@ -113,87 +114,47 @@ def theta_sum(spec, N):
     return QSeries(offset, nums, den, 1, N)
 
 
-def _half_step_product(exponent_count, N):
-    """prod over n>0 of (1 + q^(n - 1/2))^exponent_count on the half lattice.
-
-    In x = q^(1/2) each factor 1 + x^j (j odd) is (1 - x^(2j)) / (1 - x^j).
-    """
-    slots = max(_int_window(2 * Fraction(N), 0), 1)
-    w = [0] * slots
-    for j in range(1, slots, 2):
-        w[j] -= exponent_count
-        if 2 * j < slots:
-            w[2 * j] += exponent_count
-    return QSeries(0, _euler_product(w, slots), 2, 1, Fraction(N))
-
-
-def _ch1(N, route):
-    if route == "theta":
-        t = theta_sum(ThetaSpec(5, 3, "alternating"), N + 1)
-        return (QSeries.monomial(1, Fraction(9, 40)) * t / eta(1, N + 1)).truncate(N)
-    return product_series(
-        ProductSpec([(2, 5, -1), (3, 5, -1)], Fraction(11, 60)), N)
-
-
-def _ch2(N, route):
-    if route == "theta":
-        t = theta_sum(ThetaSpec(5, 1, "alternating"), N + 1)
-        return (QSeries.monomial(1, Fraction(1, 40)) * t / eta(1, N + 1)).truncate(N)
-    return product_series(
-        ProductSpec([(1, 5, -1), (4, 5, -1)], Fraction(-1, 60)), N)
-
-
-def _rr_cf(N, route):
-    return product_series(
-        ProductSpec([(1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1)],
-                    Fraction(1, 5)), N)
-
-
-def _a1_f1(N, route):
-    t = theta_sum(ThetaSpec(2, 0), N + 1)
-    return (t / eta(1, N + 1)).truncate(N)
-
-
-def _a1_f2(N, route):
-    t = theta_sum(ThetaSpec(2, 2), N + 1)
-    return (QSeries.monomial(1, Fraction(1, 4)) * t / eta(1, N + 1)).truncate(N)
-
-
-def _weber8_1(N, route):
-    prod = _half_step_product(8, Fraction(N) + Fraction(1, 6))
-    return (QSeries.monomial(1, Fraction(-1, 6)) * prod).truncate(N)
-
-
-def _weber8_2(N, route):
-    return product_series(
-        ProductSpec([(0, 2, 8), (0, 1, -8)], Fraction(1, 3)), N)
-
-
-_NAMED = {
-    "ch1": _ch1,
-    "ch2": _ch2,
-    "rr_cf": _rr_cf,
-    "a1_f1": _a1_f1,
-    "a1_f2": _a1_f2,
-    "weber8_1": _weber8_1,
-    "weber8_2": _weber8_2,
+# name -> (ProductSpec, lattice step): the spec's product in x = q^step.
+# weber8_1 is prod (1 + x^j)^8 over odd j, x = q^(1/2), written with
+# 1 + x^j = (1 - x^(2j)) / (1 - x^j).
+PRODUCTS = {
+    "ch1": (ProductSpec([(2, 5, -1), (3, 5, -1)], Fraction(11, 60)), 1),
+    "ch2": (ProductSpec([(1, 5, -1), (4, 5, -1)], Fraction(-1, 60)), 1),
+    "rr_cf": (ProductSpec([(1, 5, 1), (4, 5, 1), (2, 5, -1), (3, 5, -1)],
+                          Fraction(1, 5)), 1),
+    "weber8_1": (ProductSpec([(2, 4, 8), (1, 2, -8)], Fraction(-1, 3)),
+                 Fraction(1, 2)),
+    "weber8_2": (ProductSpec([(0, 2, 8), (0, 1, -8)], Fraction(1, 3)), 1),
 }
 
-NAMES = tuple(sorted(_NAMED))
+# name -> (ThetaSpec, prefactor): q^prefactor * theta / eta(tau).
+THETAS = {
+    "ch1": (ThetaSpec(5, 3, "alternating"), Fraction(9, 40)),
+    "ch2": (ThetaSpec(5, 1, "alternating"), Fraction(1, 40)),
+    "a1_f1": (ThetaSpec(2, 0), 0),
+    "a1_f2": (ThetaSpec(2, 2), Fraction(1, 4)),
+}
 
-_ROUTED = ("ch1", "ch2")
+NAMES = tuple(sorted(set(PRODUCTS) | set(THETAS)))
 
 
 def named_series(name, N, route=None):
     """Build one of the named weight-0 series to absolute precision N.
 
-    ch1 and ch2 admit route="product" (default) or route="theta"; the two
-    constructions agree by the Jacobi triple product.
+    ch1 and ch2, the names in both tables, admit route="product" (default)
+    or route="theta"; the two constructions agree by the Jacobi triple
+    product.
     """
-    if name not in _NAMED:
+    if name not in NAMES:
         raise ValueError("unknown series %r (choose from %s)" % (name, ", ".join(NAMES)))
-    if route is not None and name not in _ROUTED:
+    if route is not None and not (name in PRODUCTS and name in THETAS):
         raise ValueError("series %r has a single construction route" % name)
     if route not in (None, "product", "theta"):
         raise ValueError("route must be 'product' or 'theta'")
-    return _NAMED[name](Fraction(N), route or "product")
+    N = Fraction(N)
+    if name in PRODUCTS and route != "theta":
+        spec, step = PRODUCTS[name]
+        return product_series(spec, N / step).rescale(step)
+    spec, prefactor = THETAS[name]
+    t = theta_sum(spec, N + 1)
+    return (QSeries.monomial(1, prefactor) * t / eta(1, N + 1)).truncate(N)

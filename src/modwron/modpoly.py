@@ -144,8 +144,9 @@ class MFPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -265,29 +266,31 @@ def theta_power(y, j, N=None):
     return out
 
 
+# w mod 12 -> (delta, epsilon): every form of even weight w is
+# E4^delta E6^epsilon Delta^t f~(j) with 4 delta + 6 epsilon + 12 t = w, and
+# delta, epsilon are the orders of its forced zeros at j = 0 and j = 1728.
+_DELTA_EPS = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
+
+
+def _weight_shape(w):
+    """(delta, epsilon, t) of an even weight w; t = -1 when M_w = 0."""
+    delta, eps = _DELTA_EPS[w % 12]
+    return delta, eps, (w - 4 * delta - 6 * eps) // 12
+
+
 def dim_modular(w):
     """Dimension of the space of holomorphic level-one forms of weight w."""
     if w < 0 or w % 2:
         return 0
-    if w % 12 == 2:
-        return w // 12
-    return w // 12 + 1
-
-
-def _gen_for_weight(u):
-    """Some monomial (a, b) with 4a+6b = u; u even, nonnegative, not 2."""
-    if u % 4 == 0:
-        return (u // 4, 0)
-    return ((u - 6) // 4, 1)
+    return _weight_shape(w)[2] + 1
 
 
 def _weight_basis(w):
-    """Basis of M_w with valuations 0, 1, ..., dim-1 (Delta-power ladder)."""
-    out = []
-    for i in range(dim_modular(w)):
-        a, b = _gen_for_weight(w - 12 * i)
-        out.append(DELTA ** i * MFPoly.monomial(Fraction(1), a, b))
-    return out
+    """Basis of M_w with valuations 0, 1, ..., dim-1 (Delta-power ladder):
+    Delta^i E4^(delta + 3(t-i)) E6^epsilon for i = 0..t; w even."""
+    delta, eps, t = _weight_shape(w)
+    return [DELTA ** i * MFPoly.monomial(Fraction(1), delta + 3 * (t - i), eps)
+            for i in range(t + 1)]
 
 
 def identify(y, weight, margin=10):
@@ -326,16 +329,13 @@ def identify(y, weight, margin=10):
     return solution
 
 
-_X = Poly((0, 1))
-_HK = {0: Poly((1,)), 2: _X * _X * (_X - 1728), 4: _X, 6: _X - 1728,
-       8: _X * _X, 10: _X * (_X - 1728)}
-
-
 def h_poly(k):
-    """The weight-residue factor h_k(x) accounting for forced zeros at j=0, 1728."""
+    """x^delta (x - 1728)^epsilon, the forced zeros at j = 0, 1728 in weight k."""
     if k % 2:
         raise ValueError("h_k is defined for even weights only")
-    return _HK[k % 12]
+    delta, eps, _ = _weight_shape(k)
+    x = Poly((0, 1))
+    return x ** delta * (x - 1728) ** eps
 
 
 @dataclass(frozen=True)
@@ -350,16 +350,12 @@ class DivisorData:
     F: Poly
 
 
-_DELTA_EPS = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
-
-
 def decompose(p):
     """Peel Delta^t E4^delta E6^epsilon off a form and return the j-polynomial."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero form")
     w = p.weight
-    delta, eps = _DELTA_EPS[w % 12]
-    t = (w - 4 * delta - 6 * eps) // 12
+    delta, eps, t = _weight_shape(w)
     ftilde = [Fraction(0)] * (t + 1)
     for (a, b), c in p.terms.items():
         i = (a - delta) // 3

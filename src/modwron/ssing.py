@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .modpoly import (dim_modular, divisor_polynomial, eisenstein, identify,
-                      to_qseries)
+from .modpoly import (_weight_shape, dim_modular, divisor_polynomial,
+                      eisenstein, h_poly, identify, to_qseries)
 from .poly import Poly, check_prime
 from .symmpow import sym_quotient_closed_form
 
@@ -87,11 +87,10 @@ def hasse_oracle(p):
 # ---- forced factors and the factor split --------------------------------------
 
 def epsilon_factors(p):
-    """(eps_omega, eps_i): multiplicities of the forced roots j = 0, 1728."""
+    """(eps_omega, eps_i): multiplicities of the forced roots j = 0, 1728,
+    the (delta, epsilon) of weight p - 1."""
     check_prime(p)
-    eps_omega = 0 if p % 3 == 1 else 1
-    eps_i = 0 if p % 4 == 1 else 1
-    return eps_omega, eps_i
+    return _weight_shape(p - 1)[:2]
 
 
 def ss_tilde(p):
@@ -100,10 +99,7 @@ def ss_tilde(p):
 
 
 def _strip_forced(s):
-    eps_omega, eps_i = epsilon_factors(s.p)
-    x = Poly((0, 1), s.p)
-    forced = x ** eps_omega * (x - 1728) ** eps_i
-    return s.exact_div(forced)
+    return s.exact_div(Poly(h_poly(s.p - 1).coeffs, s.p))
 
 
 def linear_quadratic_split(f):

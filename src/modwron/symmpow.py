@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .etaprod import eta
-from .modpoly import (E4, G4, MFPoly, theta_derivation, theta_h, to_qseries)
+from .modpoly import E4, MFPoly, theta_derivation, theta_h, to_qseries
 from .poly import Poly
-from .qseries import DEFAULT_PREC, QSeries
+from .qseries import DEFAULT_PREC, QSeries, first_mismatch
 from .wronskian import normalize, wronskian
 
 
@@ -63,10 +63,14 @@ def _rational_roots(p):
 
 # ---- symmetric-power bases -------------------------------------------------
 
-def sym_basis(f, g, m):
-    """The m-th symmetric power basis [f^i g^(m-i) for i = 0..m]."""
+def _check_m(m):
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
+
+
+def sym_basis(f, g, m):
+    """The m-th symmetric power basis [f^i g^(m-i) for i = 0..m]."""
+    _check_m(m)
     fp = [QSeries.one()]
     gp = [QSeries.one()]
     for _ in range(m):
@@ -125,21 +129,17 @@ def sym_wronskian_check(f, g, m, ws=None):
     for k in range(2, m + 1):
         constant *= factorial(k)
     power = m * (m + 1) // 2
-    expected = constant * wu ** power
-    diff = ws - expected
-    if not diff.is_zero():
-        raise SymWronskianMismatch("factorization", diff.valuation())
+    at = first_mismatch(ws, constant * wu ** power)
+    if at is not None:
+        raise SymWronskianMismatch("factorization", at)
     eta_power = None
     bound = ws.prec if ws.prec is not None else Fraction(DEFAULT_PREC)
     eta4 = eta(1, bound) ** 4
-    nu = normalize(wu)
-    p = min(x for x in (nu.prec, eta4.prec) if x is not None)
-    if nu.truncate(p) == eta4.truncate(p):
-        eta_power = 2 * m * (m + 1)
-        target = eta(1, bound) ** eta_power
-        ediff = normalize(ws) - target
-        if not ediff.is_zero():
-            raise SymWronskianMismatch("eta power", ediff.valuation())
+    if first_mismatch(normalize(wu), eta4) is None:
+        eta_power = 4 * power
+        at = first_mismatch(normalize(ws), eta4 ** power)
+        if at is not None:
+            raise SymWronskianMismatch("eta power", at)
     return SymWronskianReport(m=m, constant=constant, power=power,
                               eta_power=eta_power, precision=ws.prec)
 
@@ -151,8 +151,7 @@ def r_recursion(Q, m):
     R_{i+1} = theta(R_i) + (i+1)(m-i) Q R_{i-1}; R_i has weight 2i+2."""
     if Q.weight != 4:
         raise ValueError("Q must be homogeneous of weight 4")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     rs = [m * Q]
     if m >= 2:
         rs.append(m * theta_derivation(Q))
@@ -205,8 +204,7 @@ def d_operator(Q, m):
     """
     if Q.weight != 4:
         raise ValueError("Q must be homogeneous of weight 4")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     one = MFPoly.constant(Fraction(1))
     prev = [one]
     cur = [MFPoly.zero(2), one]
@@ -293,8 +291,7 @@ def sym_quotient_closed_form(m):
     (1 - 3 E4 x^4 + 2 E6 x^6)^(m/3); a form of weight 2m+2, and the zero
     form exactly when 3 divides m.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
+    _check_m(m)
     g = kz_coeff(m + 1, Fraction(m, 3))
     form = Fraction(factorial(m + 1), 6 ** (m + 1)) * g
     return form if m % 2 else -form

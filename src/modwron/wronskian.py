@@ -32,7 +32,7 @@ from math import lcm
 
 from .modpoly import MFPoly, identify
 from .qseries import (QSeries, _ceil, _check_cap, _conv_trunc, _divexact,
-                      _min_prec, _upsample)
+                      _min_prec, _upsample, first_mismatch)
 
 try:
     from gmpy2 import mpz as _big
@@ -371,12 +371,12 @@ def vanishing_check(family, holomorphy=None):
     except ValueError as exc:
         return report(diagnostic="insufficient precision to solve the "
                                  "relation: %s" % exc)
-    resid = combo - c0
-    if not resid.is_zero():
+    at = first_mismatch(combo, QSeries.constant(c0))
+    if at is not None:
         return report(forced_zero=True, r=r,
                       diagnostic="integer orders 0..%d force W'/W = 0, but "
                                  "the candidate relation fails first at "
-                                 "exponent %s" % (r, resid.valuation()))
+                                 "exponent %s" % (r, at))
     if c0 == 0:
         return report(forced_zero=True, r=r,
                       diagnostic="integer orders 0..%d force W'/W = 0, but "

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the identity registry."""
 
+import dataclasses
 import io
 import json
 import os
@@ -117,6 +118,66 @@ def test_symcheck_names_disagreeing_route(monkeypatch):
 def test_passing_report_line_has_no_detail():
     rep = symcheck_report("weber", 1, F(20))
     assert rep.detail == "" and "disagrees" not in rep.line()
+
+
+# ---- run-all rows name the failed sub-check --------------------------------------
+
+def test_run_all_rows_name_the_failed_sub_check(monkeypatch):
+    real_report = cli.supersingular_report
+    real_congruence = cli.congruence_constant_check
+    real_recurrences = cli.verify_recurrences
+    real_roots = cli.r12_vanishing_roots
+    real_check = cli.sym_wronskian_check
+
+    def report(p):
+        rep = real_report(p)
+        return dataclasses.replace(rep, routes_agree=False,
+                                   oracle_match=False) if p == 5 else rep
+
+    def congruence(p):
+        rep = real_congruence(p)
+        return dataclasses.replace(rep, ok=False) if p == 7 else rep
+
+    def recurrences(upto):
+        return dataclasses.replace(real_recurrences(upto), ok=False,
+                                   restricted_counterexamples=((9, 1, 2),))
+
+    def check(f, g, m, ws=None):
+        if ws is None and m == 3:     # only the eta_power rows omit ws
+            raise SymWronskianMismatch("eta power", F(9))
+        return real_check(f, g, m, ws=ws)
+
+    monkeypatch.setattr(cli, "supersingular_report", report)
+    monkeypatch.setattr(cli, "congruence_constant_check", congruence)
+    monkeypatch.setattr(cli, "verify_recurrences", recurrences)
+    monkeypatch.setattr(cli, "r12_vanishing_roots",
+                        lambda: real_roots() - {F(-15)})
+    monkeypatch.setattr(cli, "sym_wronskian_check", check)
+    rows = {r.identity: r for r in cli.run_all(F(20), (5, 7, 11))}
+    named = {
+        "ssing_p5": ("routes disagree", "oracle differs"),
+        "ssing_p7": ("congruence fails",),
+        "r12_roots": ("R_12 root set {-40, -25/4, -11/5, 0}",),
+        "partition_recurrences": ("restricted mod-27 recurrence",),
+        "eta_power_rr": ("eta power",),
+        "eta_power_weber": ("eta power",),
+    }
+    for ident, row in rows.items():
+        if ident not in named:
+            assert row.status == "pass" and row.detail == "", ident
+            continue
+        assert row.status == "fail", ident
+        for text in named[ident]:
+            assert text in row.line(), (ident, text)
+        assert row.to_json() == {
+            "identity": ident, "status": "fail",
+            "precision": {"partition_recurrences": "50", "eta_power_rr": "20",
+                          "eta_power_weber": "20"}.get(ident),
+            "first_fail": "9" if ident.startswith("eta_power") else None}
+    assert "congruence" not in rows["ssing_p5"].line()
+    assert "routes" not in rows["ssing_p7"].line()
+    assert "colored" not in rows["partition_recurrences"].line()
+    assert "first mismatch at q^(9)" in rows["eta_power_rr"].line()
 
 
 # ---- main() end-to-end ----------------------------------------------------------------

@@ -13,7 +13,6 @@ from modwron.etaprod import (
     NAMES,
     ProductSpec,
     ThetaSpec,
-    _half_step_product,
     _int_window,
     eta,
     named_series,
@@ -264,9 +263,51 @@ def test_weber_product_specs_match_repeated_passes(factors):
 
 @pytest.mark.parametrize("count", range(1, 9))
 def test_half_step_product_matches_repeated_passes(count):
+    # prod (1 + x^j)^count over odd j, x = q^(1/2), as the weber8_1 table
+    # entry writes it: 1 + x^j = (1 - x^(2j)) / (1 - x^j) on step 1/2
+    spec = ProductSpec([(2, 4, count), (1, 2, -count)])
     for N in (F(-1), F(0), F(1, 6), F(7, 2), F(40) + F(1, 6)):
-        assert (_half_step_product(count, N)
+        assert (product_series(spec, 2 * N).rescale(F(1, 2))
                 == half_step_product_by_passes(count, N))
+
+
+def test_weber8_1_is_the_half_step_product():
+    for N in (F(-1), F(0), F(1, 6), F(7, 2), F(40) + F(1, 6)):
+        ref = half_step_product_by_passes(8, N + F(1, 6))
+        assert (named_series("weber8_1", N)
+                == (QSeries.monomial(1, F(-1, 6)) * ref).truncate(N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
+       st.fractions(min_value=-1, max_value=30, max_denominator=12),
+       st.fractions(min_value=F(1, 120), max_value=4, max_denominator=120))
+def test_eta_precision_soundness(scale, N, more):
+    """A larger N never changes a coefficient of eta(scale tau) below the
+    precision reported at N, and every such coefficient is that of
+    q^(scale/24) prod (1 - q^(scale n)) as a product over the q^scale
+    lattice."""
+    lo = eta(scale, N)
+    hi = eta(scale, N + more)
+    assert first_mismatch(lo, hi) is None
+    assert lo.prec <= hi.prec
+    ref = product_series(ProductSpec([(0, 1, 1)], F(1, 24)), N / scale)
+    assert first_mismatch(lo, ref.rescale(scale)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NAMES), st.sampled_from([None, "theta"]),
+       st.fractions(min_value=0, max_value=20, max_denominator=12),
+       st.fractions(min_value=F(1, 120), max_value=4, max_denominator=120))
+def test_named_series_precision_soundness(name, route, N, more):
+    """A larger N never changes a coefficient of a named series below the
+    precision reported at N, on either construction route."""
+    if route and name not in ("ch1", "ch2"):
+        route = None
+    lo = named_series(name, N, route)
+    hi = named_series(name, N + more, route)
+    assert first_mismatch(lo, hi) is None
+    assert lo.prec <= hi.prec
 
 
 def test_theta_spec_validation():

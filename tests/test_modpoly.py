@@ -17,6 +17,8 @@ from modwron.modpoly import (
     G4,
     G6,
     MFPoly,
+    _weight_basis,
+    _weight_shape,
     bernoulli,
     decompose,
     delta_std,
@@ -262,6 +264,45 @@ def test_dim_modular():
     for w, d in dims.items():
         assert dim_modular(w) == d
     assert dim_modular(-4) == 0 and dim_modular(5) == 0
+
+
+# ---- the retired weight-residue encodings, kept as references ---------------
+
+_X = Poly((0, 1))
+HK_REFERENCE = {0: Poly((1,)), 2: _X * _X * (_X - 1728), 4: _X, 6: _X - 1728,
+                8: _X * _X, 10: _X * (_X - 1728)}
+
+
+def dim_modular_reference(w):
+    if w < 0 or w % 2:
+        return 0
+    if w % 12 == 2:
+        return w // 12
+    return w // 12 + 1
+
+
+def gen_for_weight_reference(u):
+    """Some monomial (a, b) with 4a+6b = u; u even, nonnegative, not 2."""
+    if u % 4 == 0:
+        return (u // 4, 0)
+    return ((u - 6) // 4, 1)
+
+
+def test_weight_table_matches_retired_encodings():
+    delta_powers = [MFPoly.constant(F(1))]
+    for w in range(-4, 401, 2):
+        d = dim_modular_reference(w)
+        assert dim_modular(w) == d
+        assert h_poly(w) == HK_REFERENCE[w % 12]
+        delta, eps, t = _weight_shape(w)
+        assert 4 * delta + 6 * eps + 12 * t == w
+        assert w < 0 or t + 1 == d
+        while len(delta_powers) < d:
+            delta_powers.append(delta_powers[-1] * DELTA)
+        expected = [delta_powers[i] * MFPoly.monomial(
+                        F(1), *gen_for_weight_reference(w - 12 * i))
+                    for i in range(d)]
+        assert _weight_basis(w) == expected
 
 
 def test_theta_power_composition():

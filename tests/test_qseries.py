@@ -313,6 +313,19 @@ def test_division_precision_soundness(uc, vc):
         assert lo.prec <= hi.prec
 
 
+@settings(max_examples=80, deadline=None)
+@given(truncated_and_completion(),
+       st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6))
+def test_rescale_precision_soundness(fc, s):
+    """No completion of the input beyond its precision changes a
+    coefficient of f(q^s) below the precision reported for it."""
+    f, f_full = fc
+    lo = f.rescale(s)
+    hi = f_full.truncate(f.prec + 7).rescale(s)
+    assert first_mismatch(lo, hi) is None
+    assert lo.prec <= hi.prec
+
+
 # ---- the Euler-product kernel --------------------------------------------------
 
 def euler_product_by_passes(w, n):

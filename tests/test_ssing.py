@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron.modpoly import to_qseries
+from modwron.modpoly import h_poly, to_qseries
 from modwron.poly import Poly
 from modwron.ssing import (CongruenceReport, congruence_constant_check,
                            epsilon_factors, hasse_oracle, legendre_symbol,
@@ -165,6 +165,21 @@ def test_epsilon_factors():
     assert epsilon_factors(11) == (1, 1)
 
 
+def epsilon_reference(p):
+    """The retired formula: j = 0 is forced unless p = 1 mod 3, and
+    j = 1728 unless p = 1 mod 4."""
+    return (0 if p % 3 == 1 else 1, 0 if p % 4 == 1 else 1)
+
+
+@pytest.mark.parametrize("p", primes_between(5, 199))
+def test_epsilon_factors_match_the_congruence_formula(p):
+    eps_omega, eps_i = epsilon_reference(p)
+    assert epsilon_factors(p) == (eps_omega, eps_i)
+    x = Poly((0, 1), p)
+    forced = x ** eps_omega * (x - 1728) ** eps_i
+    assert Poly(h_poly(p - 1).coeffs, p) == forced
+
+
 def test_ss_tilde_trivial_for_small_primes():
     for p in (5, 7, 11):
         assert ss_tilde(p) == Poly((1,), p)
@@ -172,7 +187,7 @@ def test_ss_tilde_trivial_for_small_primes():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_ss_tilde_division_exact(p):
-    eps_omega, eps_i = epsilon_factors(p)
+    eps_omega, eps_i = epsilon_reference(p)
     x = Poly((0, 1), p)
     forced = x ** eps_omega * (x - 1728) ** eps_i
     assert ss_tilde(p) * forced == ss_poly_deligne(p)

@@ -413,6 +413,14 @@ def test_vanishing_check_below_floor():
     assert "floor(k/6) = 1" in vc.diagnostic
 
 
+def test_vanishing_check_names_where_the_relation_fails():
+    # 1 + q^2 leads at 0, so the relation is f itself, constant only to q^2
+    family = [QSeries.from_fractions(0, [F(1), F(0), F(1)], 1, F(10))]
+    vc = vanishing_check(family, holomorphy="irrelevant")
+    assert vc.forced_zero and vc.r == 0 and vc.relation is None
+    assert "fails first at exponent 2" in vc.diagnostic
+
+
 def test_vanishing_report_precision(a1_pair):
     f1, f2 = a1_pair
     family = sym_family(f1, f2, 6)
