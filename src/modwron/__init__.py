@@ -7,8 +7,8 @@ from .etaprod import (ProductSpec, ThetaSpec, eta, named_series,
                       product_series, theta_sum)
 from .modpoly import (DivisorData, MFPoly, E4, E6, DELTA, G4, G6, bernoulli,
                       decompose, delta_std, dim_modular, divisor_polynomial,
-                      eisenstein, identify, j_series, theta_derivation,
-                      theta_h, theta_power, to_qseries)
+                      eisenstein, identify, InsufficientPrecision, j_series,
+                      theta_derivation, theta_h, theta_power, to_qseries)
 from .wronskian import (ModularBasis, VanishingReport, echelonize,
                         identify_quotient, normalize, quotient_form,
                         vanishing_check, wronskian, wronskian_derived,
@@ -33,8 +33,8 @@ __all__ = [
     "theta_sum",
     "DivisorData", "MFPoly", "E4", "E6", "DELTA", "G4", "G6", "bernoulli",
     "decompose", "delta_std", "dim_modular", "divisor_polynomial",
-    "eisenstein", "identify", "j_series", "theta_derivation", "theta_h",
-    "theta_power", "to_qseries",
+    "eisenstein", "identify", "InsufficientPrecision", "j_series",
+    "theta_derivation", "theta_h", "theta_power", "to_qseries",
     "ModularBasis", "VanishingReport", "echelonize", "identify_quotient",
     "normalize", "quotient_form", "vanishing_check", "wronskian",
     "wronskian_derived", "wronskians",

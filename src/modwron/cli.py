@@ -17,7 +17,8 @@ from fractions import Fraction
 from time import perf_counter
 
 from .etaprod import ProductSpec, eta, named_series, product_series, NAMES
-from .modpoly import identify, divisor_polynomial, to_qseries, G4
+from .modpoly import (InsufficientPrecision, identify, divisor_polynomial,
+                      to_qseries, G4)
 from .partitions import verify_recurrences
 from .qseries import DEFAULT_PREC, QSeries, _min_prec, first_mismatch
 from .ssing import congruence_constant_check, supersingular_report
@@ -238,7 +239,8 @@ def _row(identity, precision, check, *args):
     """Time check(*args) and build its report row.
 
     check returns "" when it passes and the failed sub-check's name when it
-    does not; a SymWronskianMismatch it raises is a fail at its exponent.
+    does not; a SymWronskianMismatch it raises is a fail at its exponent,
+    and an InsufficientPrecision an insufficient-precision row.
     """
     t0 = perf_counter()
     first_fail = None
@@ -246,6 +248,9 @@ def _row(identity, precision, check, *args):
         detail = check(*args)
     except SymWronskianMismatch as e:
         detail, first_fail = e.check, e.exponent
+    except InsufficientPrecision as e:
+        return VerificationReport(identity, "insufficient-precision",
+                                  precision, None, perf_counter() - t0, str(e))
     return VerificationReport(identity, "fail" if detail else "pass",
                               precision, first_fail, perf_counter() - t0,
                               detail)

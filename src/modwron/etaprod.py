@@ -157,4 +157,6 @@ def named_series(name, N, route=None):
         return product_series(spec, N / step).rescale(step)
     spec, prefactor = THETAS[name]
     t = theta_sum(spec, N + 1)
-    return (QSeries.monomial(1, prefactor) * t / eta(1, N + 1)).truncate(N)
+    # eta is known through its leading term even when N + 1 <= 1/24
+    d = eta(1, max(N + 1, 1))
+    return (QSeries.monomial(1, prefactor) * t / d).truncate(N)

@@ -289,8 +289,16 @@ def _weight_basis(w):
     """Basis of M_w with valuations 0, 1, ..., dim-1 (Delta-power ladder):
     Delta^i E4^(delta + 3(t-i)) E6^epsilon for i = 0..t; w even."""
     delta, eps, t = _weight_shape(w)
-    return [DELTA ** i * MFPoly.monomial(Fraction(1), delta + 3 * (t - i), eps)
-            for i in range(t + 1)]
+    basis = []
+    power = MFPoly.constant(Fraction(1))    # Delta^i, one product per step
+    for i in range(t + 1):
+        basis.append(power * MFPoly.monomial(Fraction(1), delta + 3 * (t - i), eps))
+        power = power * DELTA
+    return basis
+
+
+class InsufficientPrecision(ValueError):
+    """A series is known through too few coefficients to certify a form."""
 
 
 def identify(y, weight, margin=10):
@@ -298,20 +306,22 @@ def identify(y, weight, margin=10):
 
     Solves against the Delta-ladder basis of M_weight and then demands that
     every known coefficient of y matches — a full-residual check, not just
-    enough coefficients to pin the solution down.
+    enough coefficients to pin the solution down.  y must be known through
+    dim + margin coefficients, the zero series too, or InsufficientPrecision
+    is raised.
     """
+    d = dim_modular(weight)
+    if y.prec is not None and y.prec < d + margin:
+        raise InsufficientPrecision(
+            "insufficient precision: need %d coefficients of a weight-%d "
+            "candidate, have precision %s" % (d + margin, weight, y.prec))
     if y.is_zero():
         return MFPoly.zero(weight)
     if y.offset < 0 or y.offset.denominator != 1 or y.step_den != 1:
         raise ValueError(
             "not identifiable: series has negative or non-integral exponents")
-    d = dim_modular(weight)
     if d == 0:
         raise ValueError("not identifiable: no nonzero forms of weight %d" % weight)
-    if y.prec is not None and y.prec < d + margin:
-        raise ValueError(
-            "insufficient precision: need %d coefficients of a weight-%d "
-            "candidate, have precision %s" % (d + margin, weight, y.prec))
     window = Fraction(d + margin) if y.prec is None else y.prec
     basis = _weight_basis(weight)
     basis_q = [to_qseries(b, window) for b in basis]

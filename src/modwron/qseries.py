@@ -4,6 +4,15 @@ A series is q^offset * sum_n (nums[n]/den) * q^(n/step_den), with coefficients
 known exactly for every exponent < prec.  prec is a rational bound (prec=None
 means the series is exact at all orders, e.g. an integer polynomial in q).
 All arithmetic is exact rational; nothing here ever touches floating point.
+
+Two integer kernels carry every product and quotient.  _conv_trunc is the
+truncated product of coefficient lists; lists of at least PACK_MIN Python
+ints are packed into one integer each, a fixed number of bytes per slot,
+and multiplied once (Kronecker substitution).  _solve is the exact
+triangular solve behind _divexact and _euler_product; a run of 2*PACK_MIN
+slots or more splits in half, and the left half reaches the right through
+one _conv_trunc (a relaxed product), so every step divides the same integer
+as the row-by-row loop and an inexact step still raises.
 """
 
 from fractions import Fraction
@@ -12,6 +21,9 @@ from operator import mul as _mul_op
 
 LATTICE_CAP = 120     # largest allowed exponent-lattice denominator
 DEFAULT_PREC = 100    # truncation order used when fully exact inputs need one
+# shortest int operands that _conv_trunc packs into one integer product:
+# below 200 slots, 200-3000-bit determinant entries multiply faster by the loop
+PACK_MIN = 200
 
 
 def _as_frac(x):
@@ -46,14 +58,51 @@ def _add_prec(p, v):
     return None if p is None else p + v
 
 
+def _int_bits(xs):
+    """Largest bit length in xs, or None unless every entry is a Python int."""
+    for x in xs:
+        if type(x) is not int:
+            return None
+    return max(map(int.bit_length, xs))
+
+
+def _pack(xs, nbytes):
+    """xs as one integer, nbytes little-endian bytes per slot; the positive
+    and the negative parts are packed apart and subtracted."""
+    z = bytes(nbytes)
+    pos = b"".join([x.to_bytes(nbytes, "little") if x > 0 else z for x in xs])
+    neg = b"".join([(-x).to_bytes(nbytes, "little") if x < 0 else z for x in xs])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def _conv_trunc(a, b, n=None):
     """First n coefficients (all when n is None) of the product of the
-    coefficient lists a and b."""
+    coefficient lists a and b.
+
+    Long lists of Python ints are multiplied as two packed integers
+    (Kronecker substitution); every other call runs the schoolbook loop.
+    """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     if n is None or n > la + lb - 1:
         n = la + lb - 1
+    if min(la, lb, n) >= PACK_MIN:
+        ta, tb = a[:n], b[:n]
+        ba, bb = _int_bits(ta), _int_bits(tb)
+        if ba is not None and bb is not None:
+            # |slot| < min(len) * 2^(ba+bb), plus one bit for the sign
+            nbytes = (ba + bb + min(len(ta), len(tb)).bit_length() + 8) // 8
+            size = nbytes * n
+            half = 1 << (8 * nbytes - 1)
+            bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+            # each biased slot lies in [0, 2^(8 nbytes)), so none borrows
+            # from the next, and the mask keeps the first n slots
+            mask = (1 << (8 * size)) - 1
+            packed = (_pack(ta, nbytes) * _pack(tb, nbytes) + bias) & mask
+            buf = packed.to_bytes(size, "little")
+            return [int.from_bytes(buf[i:i + nbytes], "little") - half
+                    for i in range(0, size, nbytes)]
     rb = b[::-1]
     out = []
     for t in range(n):
@@ -68,6 +117,36 @@ def _conv_trunc(a, b, n=None):
     return out
 
 
+def _solve(acc, t, div, out, lo, hi, what):
+    """Fill out[lo:hi] with x_i = (acc_i + sum_{j>=1} t[j-1] x_{i-j}) / div[i].
+
+    acc[lo:hi] must already hold the terms from out[:lo].  Every step must
+    divide exactly, and an inexact step raises ArithmeticError(what).
+    Long int runs split in half (a relaxed product): the left half is
+    solved, its terms reach acc[mid:hi] through one _conv_trunc, and the
+    right half is solved, so each acc_i is the same integer as in the loop.
+    """
+    if hi - lo >= 2 * PACK_MIN and len(t) >= PACK_MIN and _int_bits(t) is not None:
+        mid = (lo + hi) // 2
+        _solve(acc, t, div, out, lo, mid, what)
+        cross = _conv_trunc(out[lo:mid], t[:hi - lo - 1], hi - lo - 1)
+        for i, c in enumerate(cross[mid - lo - 1:], mid):
+            acc[i] += c
+        _solve(acc, t, div, out, mid, hi, what)
+        return
+    lt = len(t)
+    for i in range(lo, hi):
+        x = acc[i]
+        jm = min(lt, i - lo)
+        if jm:
+            x += sum(map(_mul_op, t[:jm], out[i - jm:i][::-1]))
+        if x:
+            q, r = divmod(x, div[i])
+            if r:
+                raise ArithmeticError(what)
+            out[i] = q
+
+
 def _divexact(u, v, w):
     """Exact quotient u/v of integer slot vectors, known to w - val(v) slots.
 
@@ -77,23 +156,14 @@ def _divexact(u, v, w):
     v0 = 0
     while not v[v0]:
         v0 += 1
-    lead = v[v0]
-    tail = v[v0 + 1:]
-    lu = len(u)
-    out = []
-    for n in range(w - v0):
-        acc = u[n + v0] if n + v0 < lu else 0
-        jm = min(len(tail), n)
-        if jm:
-            acc -= sum(map(_mul_op, tail[:jm], out[n - jm:n][::-1]))
-        if acc:
-            q, r = divmod(acc, lead)
-            if r:
-                raise ArithmeticError(
-                    "inexact division in fraction-free elimination")
-            out.append(q)
-        else:
-            out.append(0)
+    n = w - v0
+    if n <= 0:
+        return []
+    acc = u[v0:v0 + n]
+    acc += [0] * (n - len(acc))
+    out = [0] * n
+    _solve(acc, [-c for c in v[v0 + 1:]], [v[v0]] * n, out, 0, n,
+           "inexact division in fraction-free elimination")
     return out
 
 
@@ -101,9 +171,9 @@ def _euler_product(w, n):
     """First n coefficients of prod_{d>=1} (1 - q^d)^w[d] (w[0] unused).
 
     The one product kernel: the log-derivative recurrence
-    k c_k = sum_{j<=k} s_j c_{k-j}, with s_j = -sum_{d|j} d w[d], costs
-    about n^2/2 multiplications whatever the exponents are.  Every step
-    must divide exactly by k, and an inexact step raises.
+    k c_k = sum_{j<=k} s_j c_{k-j}, with s_j = -sum_{d|j} d w[d], solved by
+    the triangular solve whatever the exponents are.  Every step must
+    divide exactly by k, and an inexact step raises.
     """
     if n <= 0:
         return []
@@ -113,13 +183,11 @@ def _euler_product(w, n):
             dw = d * w[d]
             for j in range(d, n, d):
                 s[j] -= dw
-    c = [1]
-    for k in range(1, n):
-        acc = sum(map(_mul_op, s[1:k + 1], c[::-1]))
-        q, r = divmod(acc, k)
-        if r:
-            raise ArithmeticError("inexact step in the Euler-product recurrence")
-        c.append(q)
+    # c_0 = 1 puts s_k into slot k before the solve
+    c = [0] * n
+    c[0] = 1
+    _solve(s, s[1:], range(n), c, 1, n,
+           "inexact step in the Euler-product recurrence")
     return c
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .modpoly import MFPoly, identify
+from .modpoly import identify
 from .qseries import (QSeries, _ceil, _check_cap, _conv_trunc, _divexact,
                       _min_prec, _upsample, first_mismatch)
 
@@ -262,8 +262,9 @@ def quotient_form(family, expect_weight):
 
     W is the Wronskian of the family and W' the Wronskian of its termwise
     derivatives.  If W' vanishes identically to the working precision the
-    zero form is returned; a vanishing W raises instead, since the
-    quotient is then undefined.
+    zero form is returned when W'/W is known through the identify window,
+    and InsufficientPrecision is raised otherwise; a vanishing W raises
+    instead, since the quotient is then undefined.
     """
     return identify_quotient(*wronskians(family), expect_weight)
 
@@ -273,8 +274,6 @@ def identify_quotient(w, wd, expect_weight):
     if w.is_zero():
         raise ValueError(
             "Wronskian vanishes to working precision; the quotient is undefined")
-    if wd.is_zero():
-        return MFPoly.zero(expect_weight)
     return identify(wd / w, expect_weight)
 
 

@@ -253,6 +253,27 @@ def test_bad_m_or_prec_is_a_configuration_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, ids", [
+    # W' is zero to this precision: the zero form is not certified
+    (("symcheck", "--m", "3", "--prec", "1"), ["sym_weber_m3"]),
+    (("symcheck", "--m", "1", "--prec", "2"), ["sym_weber_m1"]),
+    (("run-all", "--prec", "8", "--primes", "5"),
+     ["sym_weber_m%d" % m for m in range(1, 13)]),
+])
+def test_too_small_prec_is_an_insufficient_precision_row(capsys, argv, ids):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    rows = payload if isinstance(payload, list) else [payload]
+    short = [d["identity"] for d in rows
+             if d["status"] == "insufficient-precision"]
+    assert short == ids
+    assert all(d["status"] == "pass" for d in rows if d["identity"] not in ids)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "insufficient-precision" in out and "need 11 coefficients" in out
+
+
 def test_nonpositive_prec_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("MODWRON_PREC", "0")
     code, out, err = run_cli(capsys, "symcheck", "--m", "1")

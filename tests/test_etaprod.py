@@ -297,11 +297,11 @@ def test_eta_precision_soundness(scale, N, more):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(NAMES), st.sampled_from([None, "theta"]),
-       st.fractions(min_value=0, max_value=20, max_denominator=12),
+       st.fractions(min_value=-2, max_value=20, max_denominator=12),
        st.fractions(min_value=F(1, 120), max_value=4, max_denominator=120))
 def test_named_series_precision_soundness(name, route, N, more):
     """A larger N never changes a coefficient of a named series below the
-    precision reported at N, on either construction route."""
+    precision reported at N, on either construction route, N < 0 too."""
     if route and name not in ("ch1", "ch2"):
         route = None
     lo = named_series(name, N, route)

@@ -16,6 +16,7 @@ from modwron.modpoly import (
     E6,
     G4,
     G6,
+    InsufficientPrecision,
     MFPoly,
     _weight_basis,
     _weight_shape,
@@ -194,7 +195,11 @@ def test_identify_insufficient_precision():
 
 
 def test_identify_zero_series():
-    assert identify(QSeries.zero(10), 8).is_zero()
+    # the zero series is a form only when it is known through dim + margin
+    assert identify(QSeries.zero(11), 8).is_zero()
+    assert identify(QSeries.zero(), 8).is_zero()
+    with pytest.raises(InsufficientPrecision, match="need 11 coefficients"):
+        identify(QSeries.zero(10), 8)
 
 
 def test_decompose_simple_cases():

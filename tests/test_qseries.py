@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron.qseries import QSeries, first_mismatch, LATTICE_CAP, _euler_product
+from modwron.qseries import (QSeries, first_mismatch, LATTICE_CAP, PACK_MIN,
+                             _conv_trunc, _divexact, _euler_product)
 
 
 # ---- construction and normal form -------------------------------------
@@ -343,6 +346,182 @@ def euler_product_by_passes(w, n):
                 for k in range(d, n):
                     c[k] += c[k - d]
     return c
+
+
+def conv_by_loop(a, b, n=None):
+    """Reference: the schoolbook truncated product."""
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        return []
+    if n is None or n > la + lb - 1:
+        n = la + lb - 1
+    rb = b[::-1]
+    out = []
+    for t in range(n):
+        lo = max(t - lb + 1, 0)
+        hi = min(t, la - 1)
+        out.append(sum(map(mul, a[lo:hi + 1], rb[lb - 1 - t + lo:lb - t + hi]))
+                   if hi >= lo else 0)
+    return out
+
+
+def divexact_by_loop(u, v, w):
+    """Reference: the row-by-row exact triangular solve."""
+    v0 = 0
+    while not v[v0]:
+        v0 += 1
+    lead, tail = v[v0], v[v0 + 1:]
+    out = []
+    for n in range(w - v0):
+        acc = u[n + v0] if n + v0 < len(u) else 0
+        jm = min(len(tail), n)
+        if jm:
+            acc -= sum(map(mul, tail[:jm], out[n - jm:n][::-1]))
+        q, r = divmod(acc, lead)
+        if r:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        out.append(q)
+    return out
+
+
+# lengths on both sides of the packing cut-off and of the split length
+_lengths = st.one_of(
+    st.integers(0, 1200),
+    st.sampled_from([PACK_MIN - 1, PACK_MIN, PACK_MIN + 1,
+                     2 * PACK_MIN - 1, 2 * PACK_MIN, 2 * PACK_MIN + 1]))
+
+
+@st.composite
+def int_vectors(draw, max_bits=3000):
+    """A signed int list: one sign pattern, one magnitude pattern, and runs
+    of zeros, expanded from a drawn seed so that long lists stay cheap."""
+    n = draw(_lengths)
+    # the loop reference costs n^2 big-int products: long lists get
+    # narrower entries
+    bits = draw(st.integers(0, max_bits if n <= 400 else min(max_bits, 600)))
+    sign = draw(st.sampled_from(["+", "-", "+-"]))
+    size = draw(st.sampled_from(["max", "uniform", "mixed"]))
+    zeros = draw(st.sampled_from([0, 0.3, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    out = []
+    while len(out) < n:
+        if zeros and rng.random() < zeros:
+            out += [0] * rng.randint(1, 60)
+            continue
+        b = bits if size != "mixed" else rng.randint(0, bits)
+        x = (1 << b) - 1 if size == "max" else rng.getrandbits(b) if b else 0
+        negative = sign == "-" or (sign == "+-" and rng.random() < 0.5)
+        out.append(-x if negative else x)
+    return out[:n]
+
+
+def _cut(draw, la, lb):
+    """None, a truncation inside the full product, or one past it."""
+    full = la + lb - 1
+    return draw(st.one_of(st.none(), st.integers(0, max(full, 0)),
+                          st.integers(full + 1, full + 50)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_vectors(), int_vectors(), st.data())
+def test_conv_trunc_matches_loop(a, b, data):
+    n = _cut(data.draw, len(a), len(b))
+    assert _conv_trunc(a, b, n) == conv_by_loop(a, b, n)
+
+
+@pytest.mark.parametrize("bits", range(0, 34))
+def test_conv_trunc_slot_width_worst_case(bits):
+    # equal-signed maximal entries put the largest slot right at the bound
+    for sign in (1, -1):
+        a = [sign * ((1 << bits) - 1)] * 256
+        b = [(1 << (bits + 3)) - 1] * 300
+        assert _conv_trunc(a, b) == conv_by_loop(a, b)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(PACK_MIN, PACK_MIN + 60), st.integers(0, 2 ** 32), st.data())
+def test_conv_trunc_fraction_entries_stay_exact(la, seed, data):
+    rng = random.Random(seed)
+    a = [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(la)]
+    lb = data.draw(st.integers(PACK_MIN, 300))
+    b = [rng.randint(-99, 99) for _ in range(lb)]
+    b[rng.randrange(len(b))] = F(1, 3)
+    n = _cut(data.draw, la, len(b))
+    assert _conv_trunc(a, b, n) == conv_by_loop(a, b, n)
+    assert _conv_trunc(b, b, PACK_MIN) == conv_by_loop(b, b, PACK_MIN)
+
+
+def _val(v):
+    return next(i for i, c in enumerate(v) if c)
+
+
+@st.composite
+def divisors(draw):
+    """A slot vector with v0 leading zeros and a unit or non-unit lead."""
+    v0 = draw(st.integers(0, 3))
+    lead = draw(st.sampled_from([1, -1, 2, -3, 7, 2 ** 61 - 1]))
+    return [0] * v0 + [lead] + draw(int_vectors(max_bits=200))
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except ArithmeticError as e:
+        return str(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(divisors(), int_vectors(max_bits=200), st.data())
+def test_divexact_matches_loop(v, x, data):
+    v0 = _val(v)
+    w = v0 + len(x)
+    u = conv_by_loop(v, x, w)
+    assert _divexact(u, v, w) == divexact_by_loop(u, v, w) == x
+    # a dividend shorter than the window: exact for a unit lead, and for
+    # another lead both solves stop at the same inexact step
+    short = u[:data.draw(st.integers(0, len(u)))]
+    assert (_outcome(_divexact, short, v, w)
+            == _outcome(divexact_by_loop, short, v, w))
+
+
+@settings(max_examples=20, deadline=None)
+@given(divisors(), st.integers(2 * PACK_MIN + 1, 1200), st.integers(0, 2 ** 32))
+def test_divexact_inexact_step_past_the_split_raises(v, n, seed):
+    rng = random.Random(seed)
+    v0 = _val(v)
+    if v[v0] in (1, -1):
+        v[v0] *= 3
+    x = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+    u = conv_by_loop(v, x, v0 + n)
+    u[v0 + rng.randint(2 * PACK_MIN, n - 1)] += 1
+    for solve in (_divexact, divexact_by_loop):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            solve(u, v, v0 + n)
+
+
+@st.composite
+def euler_weights(draw):
+    """Sparse small exponents: the passes reference costs sum |w| * n."""
+    n = draw(_lengths)
+    density = draw(st.sampled_from([0.005, 0.05, 0.3]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(euler_weights(), _lengths)
+def test_euler_product_matches_passes_past_the_cut_off(w, n):
+    assert _euler_product(w, n) == euler_product_by_passes(w, n)
+
+
+def test_euler_product_inexact_step_past_the_cut_off_raises():
+    # s_j gains -401/2 at multiples of 401, so step 401 is not an integer;
+    # the Fraction entries keep the solve on the loop
+    w = [0, -1] + [0] * 399 + [F(1, 2)]
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _euler_product(w, 900)
+    # below step 401 every slot is an int, and the split solve runs
+    assert _euler_product(w, 401) == euler_product_by_passes(w[:401], 401)
 
 
 def test_euler_product_small_cases():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modwron.etaprod import eta, named_series
-from modwron.modpoly import E4, G4, MFPoly
+from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
 from modwron.qseries import QSeries, first_mismatch
+from modwron.symmpow import sym_basis
 from modwron.wronskian import (ModularBasis, echelonize, identify_quotient,
                                normalize, quotient_form, vanishing_check,
                                wronskian, wronskian_derived, wronskians)
@@ -271,6 +272,16 @@ def test_truncated_beyond_valuation_is_zero(rr12):
     assert wronskian(short).is_zero()    # the determinant starts at q^13
     with pytest.raises(ValueError, match="Wronskian vanishes"):
         quotient_form(short, 26)
+
+
+def test_zero_derived_wronskian_needs_the_identify_window():
+    # Sym^3 of the Weber pair has W' = 0; at prec 1 the quotient is known
+    # through 2/3 only, short of the 11 coefficients a weight-8 form needs
+    pair = [named_series(name, 1) for name in ("weber8_1", "weber8_2")]
+    w, wd = wronskians(sym_basis(*pair, 3))
+    assert wd.is_zero()
+    with pytest.raises(InsufficientPrecision, match="need 11 coefficients"):
+        identify_quotient(w, wd, 8)
 
 
 def test_empty_family_rejected():
