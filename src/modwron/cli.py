@@ -4,8 +4,9 @@ checks, with machine-readable JSON output.
 
 Every verification expands both sides of an identity independently and
 compares coefficient-by-coefficient, so a failure localizes to an
-exponent.  Exit codes: 0 all pass, 1 any fail (or a reader of stdout that
-closed early), 2 configuration error.
+exponent.  Exit codes: 0 all pass, 1 any fail, a series too short to
+decide (InsufficientPrecision), or a reader of stdout that closed early,
+2 configuration error.
 """
 
 import argparse
@@ -624,6 +625,10 @@ def main(argv=None):
         status = _COMMANDS[args.command](args, prec)
         sys.stdout.flush()
         return status
+    except InsufficientPrecision as e:
+        # too short a series is a result of the check, not a bad argument
+        print("error: %s" % e, file=sys.stderr)
+        return 1
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -16,15 +16,26 @@ from .qseries import DEFAULT_PREC, QSeries, _ceil
 
 @lru_cache(maxsize=None)
 def bernoulli(n):
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention).
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the tangent numbers
+    T_1..T_k from Brent and Harvey's integer recurrence (2011).
+    """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    k = n // 2
+    t = [0, 1]
+    for i in range(2, k + 1):
+        t.append((i - 1) * t[-1])
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    b = Fraction(n * t[k], 4 ** k * (4 ** k - 1))
+    return b if k % 2 else -b
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,16 @@ All arithmetic is exact rational; nothing here ever touches floating point.
 
 Two integer kernels carry every product and quotient.  _conv_trunc is the
 truncated product of coefficient lists; lists of at least PACK_MIN Python
-ints are packed into one integer each, a fixed number of bytes per slot,
-and multiplied once (Kronecker substitution).  _solve is the exact
-triangular solve behind _divexact and _euler_product; a run of 2*PACK_MIN
-slots or more splits in half, and the left half reaches the right through
-one _conv_trunc (a relaxed product), so every step divides the same integer
-as the row-by-row loop and an inexact step still raises.
+ints go to _kron, which packs each into one integer, a fixed number of
+bytes per slot, and multiplies once (Kronecker substitution).  _solve is
+the exact triangular solve behind _divexact and _euler_product, scheduled
+by its taps.  Sparse taps (eta, theta sums, upsampled divisors) run the
+recurrence over the nonzero taps only, in O(n * nnz).  Dense int taps split
+long runs in half, and the left half reaches the right through one product
+(a relaxed product): taps of at most SMALL_TAP_BITS bits down to
+SMALL_LEAF slots through _kron, wider ones down to PACK_MIN slots through
+_conv_trunc.  Every step divides the same integer as the row-by-row loop,
+so an inexact step still raises.
 """
 
 from fractions import Fraction
@@ -24,6 +28,11 @@ DEFAULT_PREC = 100    # truncation order used when fully exact inputs need one
 # shortest int operands that _conv_trunc packs into one integer product:
 # below 200 slots, 200-3000-bit determinant entries multiply faster by the loop
 PACK_MIN = 200
+# _solve: taps with fewer than 1/SPARSE_DENSITY nonzero entries run tap by
+# tap; int taps of at most SMALL_TAP_BITS bits split down to SMALL_LEAF slots
+SPARSE_DENSITY = 4
+SMALL_TAP_BITS = 32
+SMALL_LEAF = 32
 
 
 def _as_frac(x):
@@ -58,12 +67,9 @@ def _add_prec(p, v):
     return None if p is None else p + v
 
 
-def _int_bits(xs):
-    """Largest bit length in xs, or None unless every entry is a Python int."""
-    for x in xs:
-        if type(x) is not int:
-            return None
-    return max(map(int.bit_length, xs))
+def _all_ints(xs):
+    """True when every entry of xs is a Python int."""
+    return set(map(type, xs)) <= {int}
 
 
 def _pack(xs, nbytes):
@@ -75,34 +81,41 @@ def _pack(xs, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _kron(a, b, n):
+    """First n coefficients of the product of the nonempty int lists a and
+    b, as one product of two packed integers (Kronecker substitution)."""
+    n = min(n, len(a) + len(b) - 1)
+    a, b = a[:n], b[:n]
+    # |slot| < min(len) * 2^(bits(a) + bits(b)), plus one bit for the sign
+    nbytes = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+              + min(len(a), len(b)).bit_length() + 8) // 8
+    size = nbytes * n
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    # each biased slot lies in [0, 2^(8 nbytes)), so none borrows from the
+    # next, and the mask keeps the first n slots
+    mask = (1 << (8 * size)) - 1
+    packed = (_pack(a, nbytes) * _pack(b, nbytes) + bias) & mask
+    buf = packed.to_bytes(size, "little")
+    return [int.from_bytes(buf[i:i + nbytes], "little") - half
+            for i in range(0, size, nbytes)]
+
+
 def _conv_trunc(a, b, n=None):
     """First n coefficients (all when n is None) of the product of the
     coefficient lists a and b.
 
-    Long lists of Python ints are multiplied as two packed integers
-    (Kronecker substitution); every other call runs the schoolbook loop.
+    Long lists of Python ints are multiplied by _kron; every other call
+    runs the schoolbook loop.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     if n is None or n > la + lb - 1:
         n = la + lb - 1
-    if min(la, lb, n) >= PACK_MIN:
-        ta, tb = a[:n], b[:n]
-        ba, bb = _int_bits(ta), _int_bits(tb)
-        if ba is not None and bb is not None:
-            # |slot| < min(len) * 2^(ba+bb), plus one bit for the sign
-            nbytes = (ba + bb + min(len(ta), len(tb)).bit_length() + 8) // 8
-            size = nbytes * n
-            half = 1 << (8 * nbytes - 1)
-            bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
-            # each biased slot lies in [0, 2^(8 nbytes)), so none borrows
-            # from the next, and the mask keeps the first n slots
-            mask = (1 << (8 * size)) - 1
-            packed = (_pack(ta, nbytes) * _pack(tb, nbytes) + bias) & mask
-            buf = packed.to_bytes(size, "little")
-            return [int.from_bytes(buf[i:i + nbytes], "little") - half
-                    for i in range(0, size, nbytes)]
+    if (min(la, lb, n) >= PACK_MIN and _all_ints(a[:n])
+            and _all_ints(b[:n])):
+        return _kron(a, b, n)
     rb = b[::-1]
     out = []
     for t in range(n):
@@ -121,25 +134,57 @@ def _solve(acc, t, div, out, lo, hi, what):
     """Fill out[lo:hi] with x_i = (acc_i + sum_{j>=1} t[j-1] x_{i-j}) / div[i].
 
     acc[lo:hi] must already hold the terms from out[:lo].  Every step must
-    divide exactly, and an inexact step raises ArithmeticError(what).
-    Long int runs split in half (a relaxed product): the left half is
-    solved, its terms reach acc[mid:hi] through one _conv_trunc, and the
-    right half is solved, so each acc_i is the same integer as in the loop.
+    divide exactly, and an inexact step raises ArithmeticError(what).  The
+    taps choose the schedule (see the module docstring), and each acc_i is
+    the same integer as in the row-by-row loop.
     """
-    if hi - lo >= 2 * PACK_MIN and len(t) >= PACK_MIN and _int_bits(t) is not None:
-        mid = (lo + hi) // 2
-        _solve(acc, t, div, out, lo, mid, what)
-        cross = _conv_trunc(out[lo:mid], t[:hi - lo - 1], hi - lo - 1)
-        for i, c in enumerate(cross[mid - lo - 1:], mid):
-            acc[i] += c
-        _solve(acc, t, div, out, mid, hi, what)
-        return
     lt = len(t)
+    if SPARSE_DENSITY * (lt - t.count(0)) < lt:
+        taps = [(j, c) for j, c in enumerate(t, 1) if c]
+        k, live = 0, []
+        for i in range(lo, hi):
+            # live holds the taps j <= i - lo, which reach back into
+            # out[lo:i]; each step adds at most one
+            if k < len(taps) and taps[k][0] <= i - lo:
+                k += 1
+                live = taps[:k]
+            x = acc[i]
+            if live:
+                x += sum([c * out[i - j] for j, c in live])
+            if x:
+                q, r = divmod(x, div[i])
+                if r:
+                    raise ArithmeticError(what)
+                out[i] = q
+        return
+    if not lt or not _all_ints(t):
+        leaf, cross = 0, None
+    elif max(map(int.bit_length, t)) <= SMALL_TAP_BITS and _all_ints(acc[lo:hi]):
+        # int taps and an int acc solve to ints, which _kron can pack
+        leaf, cross = SMALL_LEAF, _kron
+    else:
+        leaf, cross = PACK_MIN, _conv_trunc
+    _relaxed(acc, t, t[::-1], div, out, lo, hi, what, leaf, cross)
+
+
+def _relaxed(acc, t, rt, div, out, lo, hi, what, leaf, cross):
+    """_solve on dense taps t (rt is t reversed).  A run of 2 * leaf slots
+    or more splits in half, and the solved left half reaches acc[mid:hi]
+    through one cross product; shorter runs loop."""
+    lt = len(t)
+    if cross and hi - lo >= 2 * leaf and lt >= leaf:
+        mid = (lo + hi) // 2
+        _relaxed(acc, t, rt, div, out, lo, mid, what, leaf, cross)
+        c = cross(out[lo:mid], t[:hi - lo - 1], hi - lo - 1)
+        for i, x in enumerate(c[mid - lo - 1:], mid):
+            acc[i] += x
+        _relaxed(acc, t, rt, div, out, mid, hi, what, leaf, cross)
+        return
     for i in range(lo, hi):
         x = acc[i]
         jm = min(lt, i - lo)
         if jm:
-            x += sum(map(_mul_op, t[:jm], out[i - jm:i][::-1]))
+            x += sum(map(_mul_op, rt[lt - jm:], out[i - jm:i]))
         if x:
             q, r = divmod(x, div[i])
             if r:
@@ -581,13 +626,18 @@ def _long_div(u, v, prec=None):
         return QSeries.zero(out_prec)
     a = u.nums if u.step_den == L else _upsample(u.nums, L // u.step_den)
     b = v.nums if v.step_den == L else _upsample(v.nums, L // v.step_den)
+    # the divisor's content g goes into the denominator, so that b0 is as
+    # small as it can be
+    g = gcd(*b)
+    if g > 1:
+        b = [x // g for x in b]
     # slot n of a/b has a denominator dividing b0^(n+1), so scaling the
     # dividend by b0^n_out makes every step of the solve exact; v.den
     # rides along in the same scale
     scale = b[0] ** n_out
     factor = scale * v.den
     qs = _divexact([x * factor for x in a[:n_out]], b, n_out)
-    return QSeries(offset, qs, L, u.den * scale, out_prec)
+    return QSeries(offset, qs, L, u.den * scale * g, out_prec)
 
 
 def first_mismatch(a, b):

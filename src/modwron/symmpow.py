@@ -17,7 +17,7 @@ coefficient homogeneous.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .etaprod import eta
 from .modpoly import E4, MFPoly, theta_derivation, theta_h, to_qseries
@@ -53,11 +53,19 @@ def _rational_roots(p):
     for x in c:
         den = lcm(den, x.denominator)
     ints = [int(x * den) for x in c]
+    n = len(ints) - 1
     for nu in _divisors(abs(ints[0])):
         for de in _divisors(abs(ints[-1])):
-            for cand in (Fraction(nu, de), Fraction(-nu, de)):
-                if cand not in roots and p(cand) == 0:
-                    roots.add(cand)
+            if gcd(nu, de) > 1:
+                continue
+            # de^n p(x/de) = sum_i ints[i] x^i de^(n-i), by homogeneous Horner
+            for x in (nu, -nu):
+                h, dp = ints[n], 1
+                for ci in reversed(ints[:n]):
+                    dp *= de
+                    h = h * x + ci * dp
+                if not h:
+                    roots.add(Fraction(x, de))
     return roots
 
 

@@ -274,6 +274,26 @@ def test_too_small_prec_is_an_insufficient_precision_row(capsys, argv, ids):
     assert "insufficient-precision" in out and "need 11 coefficients" in out
 
 
+@pytest.mark.parametrize("command", ["identify", "divpoly"])
+def test_short_stdin_series_is_a_result_not_a_configuration_error(
+        capsys, monkeypatch, command):
+    from modwron.modpoly import eisenstein
+    blob = json.dumps(eisenstein(12, "E", 3).to_json())
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+    code, out, err = run_cli(capsys, command, "--weight", "12")
+    assert code == 1 and out == ""
+    assert err.startswith("error: insufficient precision: need ")
+    assert err.count("\n") == 1
+
+
+def test_short_wronskian_identify_is_a_result_not_a_configuration_error(capsys):
+    code, out, err = run_cli(capsys, "wronskian", "--basis", "sym:weber:3",
+                             "--derived", "--prec", "1", "--identify", "8")
+    assert code == 1 and out == ""
+    assert err == ("error: insufficient precision: need 11 coefficients of a "
+                   "weight-8 candidate, have precision 5/3\n")
+
+
 def test_nonpositive_prec_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("MODWRON_PREC", "0")
     code, out, err = run_cli(capsys, "symcheck", "--m", "1")

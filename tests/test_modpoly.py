@@ -5,6 +5,7 @@ implementation.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,18 @@ def test_bernoulli_table():
         assert bernoulli(n) == b
     for n in (3, 5, 7, 9, 11, 13):
         assert bernoulli(n) == 0
+
+
+def bernoulli_by_recurrence(upto):
+    """Reference: B_n = -sum_{j<n} C(n+1, j) B_j / (n + 1), in Fractions."""
+    b = [Fraction(1)]
+    for n in range(1, upto + 1):
+        b.append(-sum(comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b
+
+
+def test_bernoulli_matches_the_recurrence():
+    assert [bernoulli(n) for n in range(301)] == bernoulli_by_recurrence(300)
 
 
 @pytest.mark.parametrize("k,prefix", [(4, E4_PREFIX), (6, E6_PREFIX), (2, E2_PREFIX)])

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron.qseries import (QSeries, first_mismatch, LATTICE_CAP, PACK_MIN,
-                             _conv_trunc, _divexact, _euler_product)
+import modwron.qseries as qs
+from modwron.etaprod import THETAS, eta, theta_sum
+from modwron.qseries import (QSeries, first_mismatch, DEFAULT_PREC, LATTICE_CAP,
+                             PACK_MIN, SMALL_LEAF, SMALL_TAP_BITS, _add_prec,
+                             _ceil, _conv_trunc, _divexact, _euler_product,
+                             _min_prec, _upsample)
 
 
 # ---- construction and normal form -------------------------------------
@@ -542,3 +547,247 @@ def test_euler_product_non_integral_step_raises():
     # (1 - q)^(1/2) = 1 - q/2 - ...: the first step is not an integer
     with pytest.raises(ArithmeticError, match="inexact"):
         _euler_product([0, F(1, 2)], 3)
+
+
+# ---- the structure-aware solve ------------------------------------------------
+
+def euler_product_by_loop(w, n):
+    """Reference: the log-derivative recurrence k c_k = sum s_j c_{k-j},
+    row by row."""
+    if n <= 0:
+        return []
+    s = [0] * n
+    for d in range(1, min(len(w), n)):
+        for j in range(d, n, d):
+            s[j] -= d * w[d]
+    c = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        x = sum(map(mul, s[1:k + 1], c[k - 1::-1]))
+        q, r = divmod(x, k)
+        if r:
+            raise ArithmeticError("inexact step in the Euler-product recurrence")
+        c[k] = q
+    return c
+
+
+def _sparse(tail):
+    """True when _solve runs tap by tap on this tail."""
+    return 4 * (len(tail) - tail.count(0)) < len(tail)
+
+
+class _KronCounter:
+    """Counts the packed products of a solve."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = qs._kron
+
+        def counted(a, b, n):
+            self.calls += 1
+            return real(a, b, n)
+        monkeypatch.setattr(qs, "_kron", counted)
+
+
+def _round_trip(v, x):
+    """u = v * x, then both solves must give x back."""
+    w = _val(v) + len(x)
+    u = conv_by_loop(v, x, w)
+    assert _divexact(u, v, w) == divexact_by_loop(u, v, w) == x
+
+
+def _inexact_at(v, x, pos):
+    """v * x with 1 added at slot pos of the quotient window: both solves
+    must stop there (v's lead is not a unit)."""
+    v0 = _val(v)
+    u = conv_by_loop(v, x, v0 + len(x))
+    u[v0 + pos] += 1
+    for solve in (_divexact, divexact_by_loop):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            solve(u, v, v0 + len(x))
+
+
+# lengths on both sides of the leaf, the small-tap split and the wide split
+_solve_lengths = st.one_of(
+    st.integers(0, 900),
+    st.sampled_from([SMALL_LEAF - 1, SMALL_LEAF, SMALL_LEAF + 1,
+                     2 * SMALL_LEAF - 1, 2 * SMALL_LEAF, 2 * SMALL_LEAF + 1,
+                     2 * PACK_MIN - 1, 2 * PACK_MIN, 2 * PACK_MIN + 1]))
+
+
+def _real_divisor(name, n):
+    if name == "eta":
+        return eta(1, n).nums[:n]
+    if name == "theta":
+        # the a1_f2 theta sum: content 2, lead 2, taps at n(n+1)
+        return theta_sum(THETAS["a1_f2"][0], n).nums[:n]
+    # eta(5 tau) on the 1/5 lattice, as rw1 divides by it
+    return _upsample(eta(5, n).nums, 5)[:n]
+
+
+@pytest.mark.parametrize("name", ["eta", "theta", "eta5"])
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 399, 400, 401, 900])
+def test_divexact_by_eta_and_theta_divisors(name, n):
+    v = _real_divisor(name, n)
+    if n >= 400:
+        assert _sparse(v[1:])
+    rng = random.Random(n)
+    _round_trip(v, [rng.randint(-2 ** 40, 2 ** 40) for _ in range(n)])
+    _round_trip(v, [rng.randint(-9, 9) for _ in range(n)])
+
+
+@st.composite
+def tails(draw, above=False):
+    """A divisor tail with at most a quarter nonzero taps (the sparse path),
+    or, with above, the fewest taps that keep it dense."""
+    m = draw(_solve_lengths)
+    most = -(-m // 4)          # the fewest taps with 4 * nnz >= m
+    k = most if above else draw(st.integers(0, max(most - 1, 0)))
+    bits = draw(st.sampled_from([1, 8, SMALL_TAP_BITS, SMALL_TAP_BITS + 1, 200]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    tail = [0] * m
+    for j in rng.sample(range(m), min(k, m)):
+        tail[j] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits - 1)
+    return tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(tails(), st.sampled_from([1, -1, 2, -3, 7]), st.integers(0, 2),
+       st.integers(0, 2 ** 32))
+def test_divexact_sparse_tails_match_loop(tail, lead, v0, seed):
+    assert _sparse(tail) or not tail
+    rng = random.Random(seed)
+    x = [rng.randint(-2 ** 30, 2 ** 30) for _ in range(len(tail) + 1)]
+    _round_trip([0] * v0 + [lead] + tail, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tails(above=True), st.sampled_from([1, -1, 2, -3, 7]),
+       st.integers(0, 2 ** 32))
+def test_divexact_just_dense_tails_match_loop(tail, lead, seed):
+    assert not _sparse(tail)
+    rng = random.Random(seed)
+    x = [rng.randint(-2 ** 30, 2 ** 30) for _ in range(len(tail) + 1)]
+    _round_trip([lead] + tail, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_solve_lengths, st.integers(0, SMALL_TAP_BITS + 1),
+       st.sampled_from([1, -1, 3, -5]), st.integers(0, 2 ** 32))
+def test_divexact_small_taps_match_loop(n, bits, lead, seed):
+    # dense taps of at most 32 bits split down to 32-slot leaves
+    rng = random.Random(seed)
+    tail = [rng.choice([-1, 1]) * rng.randint(1, 2 ** max(bits, 1) - 1)
+            for _ in range(n)]
+    x = [rng.randint(-2 ** 60, 2 ** 60) for _ in range(n + 1)]
+    _round_trip([lead] + tail, x)
+
+
+def test_small_tap_solve_packs_its_cross_products(monkeypatch):
+    counter = _KronCounter(monkeypatch)
+    rng = random.Random(5)
+    _round_trip([1] + [rng.randint(-9, 9) or 1 for _ in range(127)],
+                [rng.randint(-99, 99) for _ in range(128)])
+    assert counter.calls == 3      # 128 -> 2 x 64 -> 4 x 32 slots
+    # a wide tap or a sparse tail never reaches _kron below PACK_MIN
+    counter.calls = 0
+    _round_trip([1, 2 ** 40] + [1] * 127, list(range(128)))
+    _round_trip([1] + [0] * 60 + [5] + [0] * 60, list(range(128)))
+    assert counter.calls == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.1, 0.24]))
+def test_divexact_inexact_step_in_a_sparse_solve_raises(seed, density):
+    rng = random.Random(seed)
+    n = rng.randint(10, 700)
+    tail = [rng.randint(-99, 99) if rng.random() < density else 0
+            for _ in range(n)]
+    if not _sparse(tail):
+        tail = [0] * n
+    _inexact_at([3] + tail, [rng.randint(-99, 99) for _ in range(n)],
+                rng.randrange(1, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_divexact_inexact_step_in_a_small_leaf_raises(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2 * SMALL_LEAF, 300)
+    tail = [rng.randint(1, 2 ** 20) for _ in range(n)]
+    # past the first split, inside a 32-slot leaf
+    _inexact_at([-3] + tail, [rng.randint(-99, 99) for _ in range(n)],
+                rng.randrange(SMALL_LEAF + 1, n))
+
+
+@st.composite
+def euler_weights_by_width(draw):
+    """Dense weights whose sums s_j are small (at most 32 bits) or wide."""
+    n = draw(_solve_lengths)
+    if n > 500:
+        n //= 2
+    wide = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    top = 2 ** 40 if wide else 5
+    return [0] + [rng.randint(-top, top) if rng.random() < 0.5 else 0
+                  for _ in range(n)], n
+
+
+@settings(max_examples=30, deadline=None)
+@given(euler_weights_by_width())
+def test_euler_product_small_and_wide_taps_match_loop(wn):
+    w, n = wn
+    c = _euler_product(w, n)
+    assert c == euler_product_by_loop(w, n)
+    # prod (1 - q^d)^w[d] times prod (1 - q^d)^(-w[d]) is 1
+    inverse = _euler_product([-x for x in w], n)
+    assert _conv_trunc(c, inverse, n) == [1] + [0] * (n - 1) if n else c == []
+
+
+def test_euler_product_inexact_step_in_a_sparse_solve_raises():
+    # a weight at 10 alone sets one tap in ten; s_10 = -5 divides by 10
+    # inexactly
+    w = [0] * 10 + [F(1, 2)] + [0] * 100
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _euler_product(w, 100)
+    # one tap in five, all exact
+    w = [0, 0, 0, 0, 0, 1] + [0] * 400
+    assert _euler_product(w, 400) == euler_product_by_passes(w, 400)
+
+
+# ---- long division by a divisor with content -------------------------------------
+
+def long_div_keeping_content(u, v, prec=None):
+    """Reference: _long_div before it divided out the divisor's content."""
+    out_prec = _min_prec(_add_prec(u.prec, -v.offset),
+                         _add_prec(v.prec, u.offset - 2 * v.offset))
+    if out_prec is None:
+        out_prec = F(prec if prec is not None else DEFAULT_PREC)
+    offset = u.offset - v.offset
+    L = lcm(u.step_den, v.step_den)
+    n_out = max(_ceil((out_prec - offset) * L), 0)
+    if n_out == 0:
+        return QSeries.zero(out_prec)
+    a = u.nums if u.step_den == L else _upsample(u.nums, L // u.step_den)
+    b = v.nums if v.step_den == L else _upsample(v.nums, L // v.step_den)
+    scale = b[0] ** n_out
+    q = divexact_by_loop([x * scale * v.den for x in a[:n_out]], b, n_out)
+    return QSeries(offset, q, L, u.den * scale, out_prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(qseries_strategy(nonzero=True), st.integers(0, 2 ** 32),
+       st.sampled_from([2, 3, 4, 6, 12, 2 ** 20]),
+       st.sampled_from([1, -1, 5, -7]))
+def test_division_by_a_divisor_with_content(u, seed, g, lead):
+    rng = random.Random(seed)
+    tail = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(rng.randint(0, 40))]
+    # a primitive vector lead, tail[...]; its multiple by g has content g
+    tail.append(1)
+    off = F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+    # a denominator prime to g keeps the content in the numerators
+    v = QSeries(off, [g * lead] + [g * c for c in tail], rng.choice([1, 2, 5]),
+                rng.choice([1, 5, 7]),
+                rng.choice([None, off + F(rng.randint(1, 60), 2)]))
+    assert v.nums[0] == g * lead and gcd(*v.nums) > 1
+    for num in (u, QSeries.one()):
+        assert (num / v).to_json() == long_div_keeping_content(num, v).to_json()

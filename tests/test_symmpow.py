@@ -1,15 +1,17 @@
 """Tests for symmetric-power bases, operators, and closed forms."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, E6, G4, MFPoly, theta_derivation
 from modwron.poly import Poly
 from modwron.qseries import QSeries
-from modwron.symmpow import (SymWronskianMismatch, apply, d_operator,
+from modwron.symmpow import (SymWronskianMismatch, _divisors, _rational_roots,
+                             apply, d_operator,
                              kz_coeff, r12_vanishing_roots, r_recursion,
                              sym_basis, sym_quotient_closed_form,
                              sym_wronskian_check)
@@ -259,3 +261,40 @@ def test_r12_symbolic_coefficient_degrees():
     q = MFPoly.monomial(lam * F(1, 720), 1, 0)
     r12 = r_recursion(q, 12)[-1]
     assert all(p.degree() <= 6 for p in r12.terms.values())
+
+
+def rational_roots_by_fractions(p):
+    """Reference: every candidate nu/de evaluated as a Fraction."""
+    roots = set()
+    c = list(p.coeffs)
+    while c and not c[0]:
+        c.pop(0)
+        roots.add(F(0))
+    if len(c) <= 1:
+        return roots
+    den = 1
+    for x in c:
+        den = lcm(den, x.denominator)
+    ints = [int(x * den) for x in c]
+    for nu in _divisors(abs(ints[0])):
+        for de in _divisors(abs(ints[-1])):
+            for cand in (F(nu, de), F(-nu, de)):
+                if cand not in roots and p(cand) == 0:
+                    roots.add(cand)
+    return roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), max_size=3),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+       st.integers(0, 2), st.sampled_from([1, 3, F(1, 2), F(-5, 6)]))
+def test_rational_roots_match_fraction_evaluation(planted, cofactor, zeros, scale):
+    if not any(cofactor):
+        cofactor[-1] = 1
+    p = Poly((scale,)) * Poly([0] * zeros + [1]) * Poly(cofactor)
+    for nu, de in planted:
+        p = p * Poly((-nu, de))          # the root nu/de
+    roots = _rational_roots(p)
+    assert roots == rational_roots_by_fractions(p)
+    assert {F(nu, de) for nu, de in planted} <= roots
+    assert all(p(r) == 0 for r in roots)
