@@ -4,7 +4,8 @@ The named series used throughout are data in two tables, one of product
 specs and one of theta sums over eta: the Rogers-Ramanujan characters ch1/ch2
 (in both tables), the continued fraction R(q), the weight-0 pair attached to
 level-2 theta functions, and the eighth powers of the two half-integral Weber
-functions.
+functions.  named_series keeps the longest expansion of each name and route
+built so far and serves shorter precisions as its truncation.
 """
 
 from fractions import Fraction
@@ -137,13 +138,17 @@ THETAS = {
 
 NAMES = tuple(sorted(set(PRODUCTS) | set(THETAS)))
 
+# (name, theta route?) -> the longest expansion built so far, at most nine
+_BUILT = {}
+
 
 def named_series(name, N, route=None):
     """Build one of the named weight-0 series to absolute precision N.
 
     ch1 and ch2, the names in both tables, admit route="product" (default)
     or route="theta"; the two constructions agree by the Jacobi triple
-    product.
+    product.  Both are prefix-stable, so truncating the longest expansion
+    kept equals a fresh build.
     """
     if name not in NAMES:
         raise ValueError("unknown series %r (choose from %s)" % (name, ", ".join(NAMES)))
@@ -152,11 +157,19 @@ def named_series(name, N, route=None):
     if route not in (None, "product", "theta"):
         raise ValueError("route must be 'product' or 'theta'")
     N = Fraction(N)
-    if name in PRODUCTS and route != "theta":
+    theta = route == "theta" or name not in PRODUCTS
+    built = _BUILT.get((name, theta))
+    if built is not None and N <= built.prec:
+        return built.truncate(N)
+    if not theta:
         spec, step = PRODUCTS[name]
-        return product_series(spec, N / step).rescale(step)
-    spec, prefactor = THETAS[name]
-    t = theta_sum(spec, N + 1)
-    # eta is known through its leading term even when N + 1 <= 1/24
-    d = eta(1, max(N + 1, 1))
-    return (QSeries.monomial(1, prefactor) * t / d).truncate(N)
+        out = product_series(spec, N / step).rescale(step)
+    else:
+        spec, prefactor = THETAS[name]
+        t = theta_sum(spec, N + 1)
+        # eta is known through its leading term even when N + 1 <= 1/24
+        d = eta(1, max(N + 1, 1))
+        out = (QSeries.monomial(1, prefactor) * t / d).truncate(N)
+    if out.prec == N:
+        _BUILT[(name, theta)] = out
+    return out

@@ -2,16 +2,20 @@
 
 Provides Eisenstein q-expansions, the weight-raising theta derivation (both
 on the polynomial ring and on q-series), identification of q-series as
-modular forms, and divisor polynomials on the j-line.
+modular forms, and divisor polynomials on the j-line.  q-expansion and
+identification work on integer slot lists over one denominator: a form is
+summed term by term into one list, and identify back-substitutes in
+integers against the Delta-ladder basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add, sub
 
 from .poly import Poly
-from .qseries import DEFAULT_PREC, QSeries, _ceil
+from .qseries import DEFAULT_PREC, QSeries, _ceil, _conv_trunc, _euler_product
 
 
 @lru_cache(maxsize=None)
@@ -231,14 +235,27 @@ def _gen_pow(k, e, slots):
     return _gen_pow(k, e - 1, slots) * _eis_e(k, slots)
 
 
+def _monomial_slots(a, b, slots):
+    """E4^a E6^b as a list of at most `slots` integer slots (E4 and E6 have
+    integer coefficients)."""
+    x = _gen_pow(4, a, slots).nums
+    y = _gen_pow(6, b, slots).nums
+    return _conv_trunc(x, y, slots) if a and b else (y if not a else x)
+
+
 def to_qseries(p, N=DEFAULT_PREC):
-    """q-expansion of an MFPoly with rational coefficients, precision N."""
+    """q-expansion of an MFPoly with rational coefficients, precision N,
+    summed in integer slots over the coefficients' common denominator."""
     N = Fraction(N)
     slots = max(_ceil(N), 1)
-    out = QSeries.zero(N)
-    for (a, b), c in sorted(p.terms.items()):
-        out = out + Fraction(c) * (_gen_pow(4, a, slots) * _gen_pow(6, b, slots))
-    return out.truncate(N)
+    terms = [(ab, Fraction(c)) for ab, c in p.terms.items()]
+    den = lcm(*[c.denominator for _, c in terms])
+    acc = [0] * slots
+    for (a, b), c in terms:
+        k = c.numerator * (den // c.denominator)
+        x = _monomial_slots(a, b, slots)
+        acc[:len(x)] = map(add, acc, map(k.__mul__, x))
+    return QSeries(0, acc, 1, den, N)
 
 
 def delta_std(N=DEFAULT_PREC):
@@ -319,7 +336,12 @@ def identify(y, weight, margin=10):
     every known coefficient of y matches — a full-residual check, not just
     enough coefficients to pin the solution down.  y must be known through
     dim + margin coefficients, the zero series too, or InsufficientPrecision
-    is raised.
+    is raised.  An exact y (prec=None) is checked through its last term, and
+    a nonzero one is no form of positive weight: y^(k/2)|f| is invariant
+    under SL2(Z), yet a q-polynomial's tends to 0 as Im tau -> 0.
+
+    Basis element i, Delta^i E4^(delta+3(t-i)) E6^epsilon, is integer slots
+    with slot 1 at exponent i, so c_i is the residual's slot i over y.den.
     """
     d = dim_modular(weight)
     if y.prec is not None and y.prec < d + margin:
@@ -333,20 +355,36 @@ def identify(y, weight, margin=10):
             "not identifiable: series has negative or non-integral exponents")
     if d == 0:
         raise ValueError("not identifiable: no nonzero forms of weight %d" % weight)
-    window = Fraction(d + margin) if y.prec is None else y.prec
+    off = int(y.offset)
+    if y.prec is None:
+        if weight:
+            raise ValueError(
+                "not identifiable: a nonzero exact q-series is no form of "
+                "weight %d" % weight)
+        n = max(d + margin, off + len(y.nums))
+    else:
+        n = _ceil(y.prec)
+    residual = [0] * off + y.nums
+    residual += [0] * (n - len(residual))
+    delta, eps, t = _weight_shape(weight)
+    tail = _euler_product([0] + [24] * (n - 2), n - 1)    # Delta / q
+    power = _gen_pow(6, eps, n).nums          # (Delta / q)^i E6^epsilon
     basis = _weight_basis(weight)
-    basis_q = [to_qseries(b, window) for b in basis]
-    residual = y.truncate(window)
     solution = MFPoly.zero(weight)
     for i in range(d):
-        c = residual.coeff_at(i)
-        if c:
-            residual = residual - c * basis_q[i]
+        if i:
+            power = _conv_trunc(power, tail, n - i)
+        k = residual[i]
+        if k:
+            col = _conv_trunc(power, _gen_pow(4, delta + 3 * (t - i), n).nums,
+                              n - i)
+            residual[i:i + len(col)] = map(sub, residual[i:], map(k.__mul__, col))
+            c = Fraction(k, y.den)
             solution = solution + basis[i].map_coeffs(lambda x, c=c: c * x)
-    if not residual.is_zero():
-        raise ValueError(
-            "not identifiable: residual is nonzero at exponent %s"
-            % residual.valuation())
+    for e, k in enumerate(residual):
+        if k:
+            raise ValueError(
+                "not identifiable: residual is nonzero at exponent %d" % e)
     return solution
 
 
@@ -383,8 +421,9 @@ def decompose(p):
         s = (b - eps) // 2
         assert a - delta == 3 * i and b - eps == 2 * s and i + s == t
         # E4^a E6^b = E4^delta E6^eps (E4^3)^i (E4^3 - 1728*Delta)^s
+        c = Fraction(c)
         for r in range(s + 1):
-            ftilde[i + r] += Fraction(c) * comb(s, r) * Fraction(-1728) ** (s - r)
+            ftilde[i + r] += c * (comb(s, r) * (-1728) ** (s - r))
     ftilde = Poly(ftilde)
     return DivisorData(w, t, delta, eps, ftilde, h_poly(w) * ftilde)
 

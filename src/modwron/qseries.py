@@ -12,11 +12,11 @@ bytes per slot, and multiplies once (Kronecker substitution).  _solve is
 the exact triangular solve behind _divexact and _euler_product, scheduled
 by its taps.  Sparse taps (eta, theta sums, upsampled divisors) run the
 recurrence over the nonzero taps only, in O(n * nnz).  Dense int taps split
-long runs in half, and the left half reaches the right through one product
-(a relaxed product): taps of at most SMALL_TAP_BITS bits down to
-SMALL_LEAF slots through _kron, wider ones down to PACK_MIN slots through
-_conv_trunc.  Every step divides the same integer as the row-by-row loop,
-so an inexact step still raises.
+long runs in half, and the left half reaches the right through one middle
+product, which unpacks or sums only the slots the right half needs: taps of
+at most SMALL_TAP_BITS bits down to SMALL_LEAF slots through _kron, wider
+ones down to PACK_MIN slots through _conv_trunc.  Every step divides the
+same integer as the row-by-row loop, so an inexact step still raises.
 """
 
 from fractions import Fraction
@@ -81,28 +81,29 @@ def _pack(xs, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _kron(a, b, n):
-    """First n coefficients of the product of the nonempty int lists a and
-    b, as one product of two packed integers (Kronecker substitution)."""
+def _kron(a, b, n, start=0):
+    """Coefficients start..n-1 of the product of the nonempty int lists a
+    and b, as one product of two packed integers (Kronecker substitution)."""
     n = min(n, len(a) + len(b) - 1)
     a, b = a[:n], b[:n]
     # |slot| < min(len) * 2^(bits(a) + bits(b)), plus one bit for the sign
     nbytes = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
               + min(len(a), len(b)).bit_length() + 8) // 8
-    size = nbytes * n
+    size = nbytes * max(n - start, 0)
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
     # each biased slot lies in [0, 2^(8 nbytes)), so none borrows from the
-    # next, and the mask keeps the first n slots
-    mask = (1 << (8 * size)) - 1
-    packed = (_pack(a, nbytes) * _pack(b, nbytes) + bias) & mask
+    # next; the shift drops the first start slots and the mask keeps the
+    # slots up to n
+    packed = (((_pack(a, nbytes) * _pack(b, nbytes) + bias)
+               >> (8 * nbytes * start)) & ((1 << (8 * size)) - 1))
     buf = packed.to_bytes(size, "little")
     return [int.from_bytes(buf[i:i + nbytes], "little") - half
             for i in range(0, size, nbytes)]
 
 
-def _conv_trunc(a, b, n=None):
-    """First n coefficients (all when n is None) of the product of the
+def _conv_trunc(a, b, n=None, start=0):
+    """Coefficients start..n-1 (n = all when None) of the product of the
     coefficient lists a and b.
 
     Long lists of Python ints are multiplied by _kron; every other call
@@ -115,10 +116,10 @@ def _conv_trunc(a, b, n=None):
         n = la + lb - 1
     if (min(la, lb, n) >= PACK_MIN and _all_ints(a[:n])
             and _all_ints(b[:n])):
-        return _kron(a, b, n)
+        return _kron(a, b, n, start)
     rb = b[::-1]
     out = []
-    for t in range(n):
+    for t in range(start, n):
         lo = t - lb + 1
         if lo < 0:
             lo = 0
@@ -170,13 +171,14 @@ def _solve(acc, t, div, out, lo, hi, what):
 def _relaxed(acc, t, rt, div, out, lo, hi, what, leaf, cross):
     """_solve on dense taps t (rt is t reversed).  A run of 2 * leaf slots
     or more splits in half, and the solved left half reaches acc[mid:hi]
-    through one cross product; shorter runs loop."""
+    through one middle product (the slots mid - lo - 1 .. hi - lo - 2 of
+    the cross product); shorter runs loop."""
     lt = len(t)
     if cross and hi - lo >= 2 * leaf and lt >= leaf:
         mid = (lo + hi) // 2
         _relaxed(acc, t, rt, div, out, lo, mid, what, leaf, cross)
-        c = cross(out[lo:mid], t[:hi - lo - 1], hi - lo - 1)
-        for i, x in enumerate(c[mid - lo - 1:], mid):
+        c = cross(out[lo:mid], t[:hi - lo - 1], hi - lo - 1, mid - lo - 1)
+        for i, x in enumerate(c, mid):
             acc[i] += x
         _relaxed(acc, t, rt, div, out, mid, hi, what, leaf, cross)
         return

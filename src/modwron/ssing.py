@@ -182,19 +182,18 @@ def congruence_constant_check(p, upto=50):
     check_prime(p)
     m = (p - 3) // 2
     series = to_qseries(sym_quotient_closed_form(m), Fraction(upto + 1))
-    constant = None
-    vanish = True
-    for e, c in series.coeffs():
-        if c.denominator % p == 0:
-            raise ValueError(
-                "coefficient at exponent %s has denominator divisible by %d"
-                % (e, p))
-        r = c.numerator * pow(c.denominator, -1, p) % p
-        if e == 0:
-            constant = r
-        elif r:
-            vanish = False
-    constant = 0 if constant is None else constant
+    if series.den % p == 0:
+        # den is the lcm of the reduced denominators: name the first one
+        for e, c in series.coeffs():
+            if c.denominator % p == 0:
+                raise ValueError(
+                    "coefficient at exponent %s has denominator divisible by %d"
+                    % (e, p))
+    inv = pow(series.den, -1, p)
+    residues = [c * inv % p for c in series.nums]
+    # to_qseries starts at exponent 0 and strips leading zero slots
+    constant = residues.pop(0) if residues and series.offset == 0 else 0
+    vanish = not any(residues)
     half = (p - 1) // 2
     expected = ((-1) ** half * legendre_symbol(2, p) * factorial(half)) % p
     return CongruenceReport(p=p, constant=constant, expected=expected,

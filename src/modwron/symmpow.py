@@ -247,13 +247,6 @@ def apply(op, y):
 
 # ---- coefficient extraction from (1 - 3 E4 x^4 + 2 E6 x^6)^alpha ------------
 
-def _falling(alpha, n):
-    out = Fraction(1)
-    for t in range(n):
-        out *= alpha - t
-    return out
-
-
 def kz_coeff(l, alpha, variant="closed"):
     """Coefficient of x^(2l) in (1 - 3 E4 x^4 + 2 E6 x^6)^alpha.
 
@@ -266,13 +259,17 @@ def kz_coeff(l, alpha, variant="closed"):
         raise ValueError("l must be a nonnegative integer")
     alpha = Fraction(alpha)
     if variant == "closed":
+        # falling[n] = alpha (alpha - 1) ... (alpha - n + 1), n <= l / 2
+        falling = [Fraction(1)]
+        for n in range(l // 2):
+            falling.append(falling[-1] * (alpha - n))
         terms = {}
         for s in range(l // 3 + 1):
             rem = l - 3 * s
             if rem % 2:
                 continue
             r = rem // 2
-            c = (_falling(alpha, r + s)
+            c = (falling[r + s]
                  / (factorial(r) * factorial(s)) * ((-3) ** r * 2 ** s))
             if c:
                 terms[(r, s)] = c

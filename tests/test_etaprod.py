@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modwron.etaprod as etaprod
 from modwron.etaprod import (
     NAMES,
     ProductSpec,
@@ -308,6 +309,41 @@ def test_named_series_precision_soundness(name, route, N, more):
     hi = named_series(name, N + more, route)
     assert first_mismatch(lo, hi) is None
     assert lo.prec <= hi.prec
+
+
+def _fresh(name, N, route):
+    """named_series built with an empty memo, which is restored after."""
+    kept = dict(etaprod._BUILT)
+    etaprod._BUILT.clear()
+    try:
+        return named_series(name, N, route)
+    finally:
+        etaprod._BUILT.clear()
+        etaprod._BUILT.update(kept)
+
+
+_requests = st.lists(
+    st.tuples(st.sampled_from(NAMES),
+              st.sampled_from([None, "product", "theta"]),
+              st.fractions(min_value=-3, max_value=40, max_denominator=12)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_requests, st.booleans())
+def test_named_series_memo_matches_a_fresh_build(requests, decreasing):
+    """A request served from the longest expansion kept equals a fresh
+    build, precision included, for N <= 0, fractional N and N that falls."""
+    if decreasing:
+        requests = sorted(requests, key=lambda r: r[2], reverse=True)
+    etaprod._BUILT.clear()
+    for name, route, N in requests:
+        if name not in ("ch1", "ch2"):
+            route = None
+        got = named_series(name, N, route)
+        assert got == _fresh(name, N, route)
+        assert got.prec == N
+    assert len(etaprod._BUILT) <= 9
 
 
 def test_theta_spec_validation():

@@ -19,6 +19,7 @@ from modwron.modpoly import (
     G6,
     InsufficientPrecision,
     MFPoly,
+    _gen_pow,
     _weight_basis,
     _weight_shape,
     bernoulli,
@@ -36,7 +37,8 @@ from modwron.modpoly import (
     to_qseries,
 )
 from modwron.poly import Poly
-from modwron.qseries import QSeries, first_mismatch
+from modwron.qseries import QSeries, _ceil, first_mismatch
+from modwron.symmpow import sym_quotient_closed_form
 
 F = Fraction
 
@@ -215,6 +217,137 @@ def test_identify_zero_series():
         identify(QSeries.zero(10), 8)
 
 
+def test_identify_exact_input():
+    # no q-polynomial is a form of positive weight, however many terms
+    # match: an exact 11-term truncation of E4 is not E4
+    e4 = to_qseries(E4, 11)
+    with pytest.raises(ValueError, match="not identifiable: a nonzero exact"):
+        identify(QSeries(0, e4.nums, 1, e4.den), 4)
+    # an exact constant is a form of weight 0, and every term is checked
+    assert identify(QSeries.constant(F(-3, 2)), 0) == MFPoly.constant(F(-3, 2))
+    with pytest.raises(ValueError, match="nonzero at exponent 40"):
+        identify(QSeries(0, [1] + [0] * 39 + [5]), 0)
+    assert identify(QSeries.zero(), 0).is_zero()
+
+
+# ---- the Fraction-per-term layer, kept as the reference -------------------------
+
+def to_qseries_by_terms(p, N):
+    """Reference: one Fraction times QSeries and one QSeries sum per term."""
+    N = F(N)
+    slots = max(_ceil(N), 1)
+    out = QSeries.zero(N)
+    for (a, b), c in sorted(p.terms.items()):
+        out = out + F(c) * (_gen_pow(4, a, slots) * _gen_pow(6, b, slots))
+    return out.truncate(N)
+
+
+def identify_by_fractions(y, weight, margin=10):
+    """Reference: back-substitution over QSeries of the expanded basis, for
+    an input of finite precision."""
+    d = dim_modular(weight)
+    if y.prec < d + margin:
+        raise InsufficientPrecision(
+            "insufficient precision: need %d coefficients of a weight-%d "
+            "candidate, have precision %s" % (d + margin, weight, y.prec))
+    if y.is_zero():
+        return MFPoly.zero(weight)
+    if y.offset < 0 or y.offset.denominator != 1 or y.step_den != 1:
+        raise ValueError(
+            "not identifiable: series has negative or non-integral exponents")
+    if d == 0:
+        raise ValueError("not identifiable: no nonzero forms of weight %d" % weight)
+    basis = _weight_basis(weight)
+    basis_q = [to_qseries_by_terms(b, y.prec) for b in basis]
+    residual = y
+    solution = MFPoly.zero(weight)
+    for i in range(d):
+        c = residual.coeff_at(i)
+        if c:
+            residual = residual - c * basis_q[i]
+            solution = solution + basis[i].map_coeffs(lambda x, c=c: c * x)
+    if not residual.is_zero():
+        raise ValueError(
+            "not identifiable: residual is nonzero at exponent %s"
+            % residual.valuation())
+    return solution
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _same_as_reference(form, w, N):
+    y = to_qseries(form, N)
+    assert y == to_qseries_by_terms(form, N)
+    got = _outcome(identify, y, w)
+    assert got == _outcome(identify_by_fractions, y, w)
+    # one more term off the form: the residual names the same exponent
+    bumped = y + QSeries.monomial(F(1, 7), _ceil(F(N)) - 1)
+    assert (_outcome(identify, bumped, w)
+            == _outcome(identify_by_fractions, bumped, w))
+    return got
+
+
+def test_integer_slot_layer_matches_fractions_on_every_weight():
+    for w in range(-4, 101):
+        d = dim_modular(w)
+        for N in (d + 10, d + F(37, 3)):
+            if d == 0:
+                y = eisenstein(4, "E", N) + QSeries.monomial(1, 2, N)
+                assert (_outcome(identify, y, w)
+                        == _outcome(identify_by_fractions, y, w))
+                continue
+            form = MFPoly.zero(w)
+            for i, b in enumerate(_weight_basis(w)):
+                form = form + b.map_coeffs(
+                    lambda x, c=F((-1) ** i * (i + 2), 2 * i + 3): c * x)
+            assert _same_as_reference(form, w, N) == form
+            assert _same_as_reference(form, w, N - 3)[0] is InsufficientPrecision
+
+
+def test_integer_slot_layer_matches_fractions_on_the_closed_forms():
+    for m in range(1, 48):
+        form = sym_quotient_closed_form(m)
+        w = form.weight
+        for N in (dim_modular(w) + 10, dim_modular(w) + F(25, 2)):
+            assert _same_as_reference(form, w, N) == form
+
+
+@st.composite
+def forms(draw):
+    """A form of weight 4..40 with rational coefficients on the monomials."""
+    w = draw(st.sampled_from(range(4, 41, 2)))
+    monos = [(a, (w - 4 * a) // 6) for a in range(w // 4 + 1)
+             if (w - 4 * a) % 6 == 0]
+    cs = draw(st.lists(st.fractions(min_value=-50, max_value=50,
+                                    max_denominator=30),
+                       min_size=len(monos), max_size=len(monos)))
+    return MFPoly(w, dict(zip(monos, cs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms(), st.sampled_from([-2, -1, F(-1, 2), 0, F(1, 3), 1, 9]))
+def test_identify_returns_the_form_or_asks_for_more(form, shift):
+    w = form.weight
+    need = dim_modular(w) + 10
+    y = to_qseries(form, need + shift)
+    try:
+        got = identify(y, w)
+    except InsufficientPrecision:
+        assert shift < 0
+    else:
+        assert shift >= 0
+        assert got == form
+        assert got.is_zero() == form.is_zero()
+    if not form.is_zero():
+        with pytest.raises(ValueError, match="not identifiable"):
+            identify(QSeries(y.offset, y.nums, 1, y.den), w)
+
+
 def test_decompose_simple_cases():
     d = decompose(E4)
     assert (d.t, d.delta, d.epsilon, d.f_tilde.coeffs) == (0, 1, 0, (F(1),))
@@ -249,6 +382,24 @@ def test_decompose_reassembly():
                                      * E4 ** d.delta * E6 ** d.epsilon)
         assert rebuilt == p
         assert d.f_tilde.degree() <= d.t
+
+
+def decompose_by_fraction_powers(p):
+    """Reference: f_tilde with a Fraction(-1728) power per (term, r)."""
+    delta, eps, t = _weight_shape(p.weight)
+    ftilde = [F(0)] * (t + 1)
+    for (a, b), c in p.terms.items():
+        i, s = (a - delta) // 3, (b - eps) // 2
+        for r in range(s + 1):
+            ftilde[i + r] += F(c) * comb(s, r) * F(-1728) ** (s - r)
+    return Poly(ftilde)
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms())
+def test_decompose_matches_fraction_powers(form):
+    if not form.is_zero():
+        assert decompose(form).f_tilde == decompose_by_fraction_powers(form)
 
 
 def test_decompose_zero_rejected():

@@ -11,7 +11,7 @@ from modwron.etaprod import THETAS, eta, theta_sum
 from modwron.qseries import (QSeries, first_mismatch, DEFAULT_PREC, LATTICE_CAP,
                              PACK_MIN, SMALL_LEAF, SMALL_TAP_BITS, _add_prec,
                              _ceil, _conv_trunc, _divexact, _euler_product,
-                             _min_prec, _upsample)
+                             _kron, _min_prec, _upsample)
 
 
 # ---- construction and normal form -------------------------------------
@@ -582,9 +582,9 @@ class _KronCounter:
         self.calls = 0
         real = qs._kron
 
-        def counted(a, b, n):
+        def counted(a, b, n, start=0):
             self.calls += 1
-            return real(a, b, n)
+            return real(a, b, n, start)
         monkeypatch.setattr(qs, "_kron", counted)
 
 
@@ -752,6 +752,64 @@ def test_euler_product_inexact_step_in_a_sparse_solve_raises():
     # one tap in five, all exact
     w = [0, 0, 0, 0, 0, 1] + [0] * 400
     assert _euler_product(w, 400) == euler_product_by_passes(w, 400)
+
+
+# ---- the middle product of the split solve -----------------------------------
+
+# run lengths on both sides of a small-tap leaf pair, of two such pairs, and
+# of the wide split
+_straddle = st.sampled_from([SMALL_LEAF - 1, SMALL_LEAF, SMALL_LEAF + 1,
+                             2 * SMALL_LEAF - 1, 2 * SMALL_LEAF,
+                             2 * SMALL_LEAF + 1, 2 * PACK_MIN - 1,
+                             2 * PACK_MIN, 2 * PACK_MIN + 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_straddle, _straddle, st.integers(0, 80), st.sampled_from([1, 8, 40]),
+       st.integers(0, 2 ** 32), st.data())
+def test_middle_product_is_a_window_of_the_product(la, lb, extra, bits, seed,
+                                                   data):
+    rng = random.Random(seed)
+    a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(la)]
+    b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(lb)]
+    n = data.draw(st.integers(1, la + lb + extra))
+    start = data.draw(st.sampled_from([0, la - 1, n // 2, n - 1, n]))
+    start = min(start, n)
+    full = conv_by_loop(a, b, n)
+    assert _kron(a, b, n, start) == full[start:]
+    assert _conv_trunc(a, b, n, start) == full[start:]
+    # Fraction entries keep the schoolbook loop, which starts at the window
+    fa = [F(x, 3) for x in a]
+    assert _conv_trunc(fa, b, n, start) == [F(x, 3) for x in full[start:]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_straddle, st.sampled_from([1, SMALL_TAP_BITS, SMALL_TAP_BITS + 1, 200]),
+       st.sampled_from([1, -1, 3, -5]), st.integers(0, 2 ** 32))
+def test_split_solve_on_straddling_lengths_matches_loop(n, bits, lead, seed):
+    # small taps split at 32-slot leaves, wide taps at 200-slot leaves; both
+    # cross products are middle products
+    rng = random.Random(seed)
+    tail = [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits - 1)
+            for _ in range(n)]
+    v = [lead] + tail
+    x = [rng.randint(-2 ** 60, 2 ** 60) for _ in range(n + 1)]
+    _round_trip(v, x)
+    # a dividend off by one at a slot past the first split: both solves stop
+    # at the same step, or both succeed when the lead is a unit
+    u = conv_by_loop(v, x, n + 1)
+    u[rng.randint(min(n, n // 2 + 1), n)] += 1
+    assert (_outcome(_divexact, u, v, n + 1)
+            == _outcome(divexact_by_loop, u, v, n + 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_straddle, st.booleans(), st.integers(0, 2 ** 32))
+def test_euler_product_on_straddling_lengths_matches_loop(n, wide, seed):
+    rng = random.Random(seed)
+    top = 2 ** 40 if wide else 5
+    w = [0] + [rng.randint(-top, top) for _ in range(n)]
+    assert _euler_product(w, n) == euler_product_by_loop(w, n)
 
 
 # ---- long division by a divisor with content -------------------------------------

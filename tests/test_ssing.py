@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron.modpoly import h_poly, to_qseries
+import modwron.ssing as ssing
+from modwron.modpoly import DELTA, E4, E6, MFPoly, h_poly, to_qseries
 from modwron.poly import Poly
 from modwron.ssing import (CongruenceReport, congruence_constant_check,
                            epsilon_factors, hasse_oracle, legendre_symbol,
@@ -336,6 +337,53 @@ def test_congruence_constant_all_primes(p):
     r = congruence_constant_check(p, upto=50)
     assert isinstance(r, CongruenceReport)
     assert r.ok, (r.constant, r.expected, r.nonconstant_vanish)
+
+
+def congruence_by_fractions(p, upto=50):
+    """Reference: (constant, nonconstant_vanish) from one Fraction per
+    coefficient."""
+    m = (p - 3) // 2
+    series = to_qseries(ssing.sym_quotient_closed_form(m), F(upto + 1))
+    constant, vanish = 0, True
+    for e, c in series.coeffs():
+        if c.denominator % p == 0:
+            raise ValueError(
+                "coefficient at exponent %s has denominator divisible by %d"
+                % (e, p))
+        r = c.numerator * pow(c.denominator, -1, p) % p
+        if e == 0:
+            constant = r
+        elif r:
+            vanish = False
+    return constant, vanish
+
+
+def _congruence_outcome(check, p):
+    try:
+        r = check(p)
+    except ValueError as e:
+        return str(e)
+    return (r.constant, r.nonconstant_vanish) if isinstance(r, CongruenceReport) else r
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 53, 97, 101, 151])
+@pytest.mark.parametrize("upto", [0, 1, 50])
+def test_congruence_matches_fractions(p, upto):
+    r = congruence_constant_check(p, upto)
+    assert (r.constant, r.nonconstant_vanish) == congruence_by_fractions(p, upto)
+
+
+@pytest.mark.parametrize("form", [
+    MFPoly(4, {(1, 0): F(1, 7)}),           # a 7 in every denominator
+    DELTA * F(1, 7) + E4 ** 3,              # in none at exponent 0
+    3 * E6,
+    DELTA,                                  # no constant term
+    MFPoly.zero(10),
+])
+def test_congruence_matches_fractions_on_other_forms(form, monkeypatch):
+    monkeypatch.setattr(ssing, "sym_quotient_closed_form", lambda m: form)
+    assert (_congruence_outcome(congruence_constant_check, 7)
+            == _congruence_outcome(congruence_by_fractions, 7))
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -212,6 +212,29 @@ def test_kz_variants_agree(m):
         assert kz_coeff(l, F(m, 3)) == kz_coeff(l, F(m, 3), "recursion")
 
 
+def kz_closed_by_falling_per_term(l, alpha):
+    """Reference: the closed double sum, one falling factorial per (r, s)."""
+    terms = {}
+    for s in range(l // 3 + 1):
+        if (l - 3 * s) % 2:
+            continue
+        r = (l - 3 * s) // 2
+        fall = F(1)
+        for t in range(r + s):
+            fall *= alpha - t
+        c = fall / (factorial(r) * factorial(s)) * ((-3) ** r * 2 ** s)
+        if c:
+            terms[(r, s)] = c
+    return MFPoly(2 * l, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 60), st.fractions(min_value=-20, max_value=20,
+                                        max_denominator=12))
+def test_kz_closed_matches_falling_per_term(l, alpha):
+    assert kz_coeff(l, alpha) == kz_closed_by_falling_per_term(l, alpha)
+
+
 def test_kz_rejects_bad_variant():
     with pytest.raises(ValueError, match="variant"):
         kz_coeff(2, F(1, 3), "symbolic")
