@@ -6,7 +6,7 @@ Every verification expands both sides of an identity independently and
 compares coefficient-by-coefficient, so a failure localizes to an
 exponent.  Exit codes: 0 all pass, 1 any fail, a series too short to
 decide (InsufficientPrecision), or a reader of stdout that closed early,
-2 configuration error.
+2 configuration error, a precision too large for memory included.
 """
 
 import argparse
@@ -22,7 +22,8 @@ from .modpoly import (InsufficientPrecision, identify, divisor_polynomial,
                       to_qseries, G4)
 from .partitions import verify_recurrences
 from .qseries import DEFAULT_PREC, QSeries, _min_prec, first_mismatch
-from .ssing import congruence_constant_check, supersingular_report
+from .ssing import (congruence_constant_check, hasse_oracle, ss_poly_deligne,
+                    ss_poly_wronskian, supersingular_report)
 from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
                       r12_vanishing_roots, r_recursion, sym_basis,
                       sym_quotient_closed_form, sym_wronskian_check)
@@ -63,9 +64,15 @@ def default_precision():
     return _positive_prec(prec, PREC_ENV_VAR)
 
 
+_TOO_LARGE = "precision %s is too large: its series do not fit in memory"
+
+
 def _positive_prec(prec, source):
     if prec <= 0:
         raise ValueError("%s must be positive, got %s" % (source, prec))
+    if prec > sys.maxsize:
+        # no list holds that many slots; refused before any series is built
+        raise ValueError(_TOO_LARGE % prec)
     return prec
 
 
@@ -517,13 +524,11 @@ def _cmd_kz(args, prec):
 def _cmd_ssing(args, prec):
     p = args.p
     if args.route == "oracle":
-        from .ssing import hasse_oracle
         roots = sorted(hasse_oracle(p))
         _emit(args, {"p": p, "fp_roots": roots},
               "p=%d supersingular j (oracle): %s" % (p, roots))
         return 0
     if args.route in ("deligne", "wronskian"):
-        from .ssing import ss_poly_deligne, ss_poly_wronskian
         poly = (ss_poly_deligne if args.route == "deligne"
                 else ss_poly_wronskian)(p)
         _emit(args, {"p": p, "route": args.route,
@@ -579,8 +584,17 @@ def _read_series_stdin():
         raise ValueError("could not parse a JSON q-series from stdin: %s" % e)
 
 
+def _identify_stdin(weight):
+    """The form of the JSON series on stdin."""
+    y = _read_series_stdin()
+    try:
+        return identify(y, weight)
+    except (OverflowError, MemoryError):
+        raise ValueError(_TOO_LARGE % y.prec) from None
+
+
 def _cmd_divpoly(args, prec):
-    form = identify(_read_series_stdin(), args.weight)
+    form = _identify_stdin(args.weight)
     poly = divisor_polynomial(form)
     _emit(args, {"weight": args.weight,
                  "divisor_polynomial": [str(c) for c in poly.coeffs]},
@@ -589,7 +603,7 @@ def _cmd_divpoly(args, prec):
 
 
 def _cmd_identify(args, prec):
-    form = identify(_read_series_stdin(), args.weight)
+    form = _identify_stdin(args.weight)
     _emit(args, {"weight": args.weight, "terms": _terms(form)}, str(form))
     return 0
 
@@ -619,12 +633,17 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    prec = None
     try:
         prec = (_positive_prec(args.prec, "--prec") if args.prec is not None
                 else default_precision())
         status = _COMMANDS[args.command](args, prec)
         sys.stdout.flush()
         return status
+    except (OverflowError, MemoryError):
+        # a slot list of the length that prec sets could not be made
+        print("error: " + _TOO_LARGE % prec, file=sys.stderr)
+        return 2
     except InsufficientPrecision as e:
         # too short a series is a result of the check, not a bad argument
         print("error: %s" % e, file=sys.stderr)

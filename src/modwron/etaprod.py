@@ -9,7 +9,7 @@ built so far and serves shorter precisions as its truncation.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 from .qseries import QSeries, _ceil, _euler_product
 
@@ -92,17 +92,22 @@ def eta(scale, N):
 
 
 def theta_sum(spec, N):
-    """Expand a ThetaSpec exactly, to absolute precision N."""
+    """Expand a ThetaSpec exactly, to absolute precision N.
+
+    (A n^2 + B n)/2 < N exactly when (n - c)^2 < r2, with c = -B/(2A) and
+    r2 = (B^2 + 8AN)/(4A^2): no term when r2 <= 0."""
     N = Fraction(N)
     A, B = spec.A, spec.B
     alt = spec.sign == "alternating"
-    R = isqrt(int(2 * N / A) + 1) + 2
-    center = int(-B / (2 * A))
+    r2 = (B * B + 8 * A * N) / (4 * A * A)
     terms = {}
-    for n in range(center - R - 2, center + R + 3):
-        e = (A * n * n + B * n) / 2
-        if e < N:
-            terms[e] = terms.get(e, 0) + (-1 if alt and n % 2 else 1)
+    if r2 > 0:
+        R = isqrt(floor(r2)) + 1            # R > sqrt(r2)
+        center = floor(-B / (2 * A))
+        for n in range(center - R, center + R + 1):
+            e = (A * n * n + B * n) / 2
+            if e < N:
+                terms[e] = terms.get(e, 0) + (-1 if alt and n % 2 else 1)
     if not terms:
         return QSeries.zero(N)
     den = 1

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .poly import Poly
-from .qseries import DEFAULT_PREC, QSeries, _ceil, _conv_trunc, _euler_product
+from .qseries import (DEFAULT_PREC, QSeries, _ceil, _conv_trunc, _euler_product,
+                      _power)
 
 
 @lru_cache(maxsize=None)
@@ -42,17 +43,31 @@ def bernoulli(n):
     return b if k % 2 else -b
 
 
-@lru_cache(maxsize=None)
-def _eis_e(k, slots):
-    """E_k to `slots` integer coefficients, E-normalized (constant term 1)."""
-    sig = [0] * slots
-    for d in range(1, slots):
-        dk = d ** (k - 1)
-        for n in range(d, slots, d):
-            sig[n] += dk
-    factor = Fraction(2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)] + [-factor * sig[n] for n in range(1, slots)]
-    return QSeries.from_fractions(0, coeffs, 1, slots)
+# (k, e) -> E_k^e at the most slots built so far
+_EIS_POW = {}
+
+
+def _gen_pow(k, e, slots):
+    """E_k^e to `slots` coefficients, E-normalized (constant term 1).  A
+    shorter one is the truncation of the longest kept, which equals a fresh
+    build: a truncated product is prefix-stable."""
+    built = _EIS_POW.get((k, e))
+    if built is None or built.prec < slots:
+        if e == 0:
+            built = QSeries.one(slots)
+        elif e > 1:
+            built = _gen_pow(k, e - 1, slots) * _gen_pow(k, 1, slots)
+        else:
+            sig = [0] * slots
+            for d in range(1, slots):
+                dk = d ** (k - 1)
+                for n in range(d, slots, d):
+                    sig[n] += dk
+            factor = Fraction(2 * k) / bernoulli(k)
+            coeffs = [Fraction(1)] + [-factor * sig[n] for n in range(1, slots)]
+            built = QSeries.from_fractions(0, coeffs, 1, slots)
+        _EIS_POW[(k, e)] = built
+    return built if built.prec == slots else built.truncate(slots)
 
 
 def eisenstein(k, normalization="E", N=DEFAULT_PREC):
@@ -67,7 +82,7 @@ def eisenstein(k, normalization="E", N=DEFAULT_PREC):
     if norm not in ("E", "G"):
         raise ValueError("normalization must be 'E' or 'G'")
     N = Fraction(N)
-    series = _eis_e(k, max(_ceil(N), 1)).truncate(N)
+    series = _gen_pow(k, 1, max(_ceil(N), 1)).truncate(N)
     if norm == "G":
         series = series * (-bernoulli(k) / factorial(k))
     return series
@@ -148,21 +163,12 @@ class MFPoly:
             return MFPoly(self.weight + other.weight, out)
         return MFPoly(self.weight, {k: c * other for k, c in self.terms.items()})
 
-    def __rmul__(self, other):
-        return MFPoly(self.weight, {k: other * c for k, c in self.terms.items()})
+    __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a ring element")
-        out = MFPoly.constant(Fraction(1))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _power(self, e, mul) if e else MFPoly.constant(Fraction(1))
 
     def __eq__(self, other):
         if not isinstance(other, MFPoly):
@@ -226,13 +232,6 @@ def theta_derivation(p):
             v = c * Fraction(-b, 2)
             out[k] = out[k] + v if k in out else v
     return MFPoly(p.weight + 2, out)
-
-
-@lru_cache(maxsize=None)
-def _gen_pow(k, e, slots):
-    if e == 0:
-        return QSeries.one(slots)
-    return _gen_pow(k, e - 1, slots) * _eis_e(k, slots)
 
 
 def _monomial_slots(a, b, slots):

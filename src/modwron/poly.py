@@ -10,8 +10,9 @@ shared.  Products use the same convolution kernel as the q-series.
 """
 
 from fractions import Fraction
+from operator import mul
 
-from .qseries import _conv_trunc
+from .qseries import _conv_trunc, _power
 
 
 def _is_prime(n):
@@ -148,15 +149,11 @@ class Poly:
         """self^e by square and multiply; pow(f, e, m) reduces mod m."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        step = (lambda f: f) if mod is None else (lambda f: f % mod)
-        out, base = step(self._new((1,))), step(self)
-        while e:
-            if e & 1:
-                out = step(out * base)
-            e >>= 1
-            if e:
-                base = step(base * base)
-        return out
+        if mod is None:
+            return _power(self, e, mul) if e else self._new((1,))
+        if not e:
+            return self._new((1,)) % mod
+        return _power(self % mod, e, lambda f, g: f * g % mod)
 
     def __divmod__(self, other):
         other = self._coerce(other)

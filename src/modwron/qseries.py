@@ -13,10 +13,10 @@ the exact triangular solve behind _divexact and _euler_product, scheduled
 by its taps.  Sparse taps (eta, theta sums, upsampled divisors) run the
 recurrence over the nonzero taps only, in O(n * nnz).  Dense int taps split
 long runs in half, and the left half reaches the right through one middle
-product, which unpacks or sums only the slots the right half needs: taps of
-at most SMALL_TAP_BITS bits down to SMALL_LEAF slots through _kron, wider
-ones down to PACK_MIN slots through _conv_trunc.  Every step divides the
-same integer as the row-by-row loop, so an inexact step still raises.
+product by _kron, which unpacks only the slots the right half needs: taps
+of at most SMALL_TAP_BITS bits split down to SMALL_LEAF slots, wider ones
+down to PACK_MIN slots.  Non-int taps run the row-by-row loop.  Every step
+divides the same integer as that loop, so an inexact step still raises.
 """
 
 from fractions import Fraction
@@ -102,12 +102,12 @@ def _kron(a, b, n, start=0):
             for i in range(0, size, nbytes)]
 
 
-def _conv_trunc(a, b, n=None, start=0):
-    """Coefficients start..n-1 (n = all when None) of the product of the
+def _conv_trunc(a, b, n=None):
+    """The first n coefficients (all when n is None) of the product of the
     coefficient lists a and b.
 
-    Long lists of Python ints are multiplied by _kron; every other call
-    runs the schoolbook loop.
+    Lists of at least PACK_MIN Python ints are multiplied by _kron; every
+    other call, Fraction entries included, runs the schoolbook loop.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
@@ -116,10 +116,10 @@ def _conv_trunc(a, b, n=None, start=0):
         n = la + lb - 1
     if (min(la, lb, n) >= PACK_MIN and _all_ints(a[:n])
             and _all_ints(b[:n])):
-        return _kron(a, b, n, start)
+        return _kron(a, b, n)
     rb = b[::-1]
     out = []
-    for t in range(start, n):
+    for t in range(n):
         lo = t - lb + 1
         if lo < 0:
             lo = 0
@@ -158,29 +158,30 @@ def _solve(acc, t, div, out, lo, hi, what):
                     raise ArithmeticError(what)
                 out[i] = q
         return
+    # the solved slots are ints (quotients of divmod by the int divisors),
+    # so int taps make a cross product that _kron can pack
     if not lt or not _all_ints(t):
-        leaf, cross = 0, None
-    elif max(map(int.bit_length, t)) <= SMALL_TAP_BITS and _all_ints(acc[lo:hi]):
-        # int taps and an int acc solve to ints, which _kron can pack
-        leaf, cross = SMALL_LEAF, _kron
+        leaf = 0
+    elif max(map(int.bit_length, t)) <= SMALL_TAP_BITS:
+        leaf = SMALL_LEAF
     else:
-        leaf, cross = PACK_MIN, _conv_trunc
-    _relaxed(acc, t, t[::-1], div, out, lo, hi, what, leaf, cross)
+        leaf = PACK_MIN
+    _relaxed(acc, t, t[::-1], div, out, lo, hi, what, leaf)
 
 
-def _relaxed(acc, t, rt, div, out, lo, hi, what, leaf, cross):
-    """_solve on dense taps t (rt is t reversed).  A run of 2 * leaf slots
-    or more splits in half, and the solved left half reaches acc[mid:hi]
-    through one middle product (the slots mid - lo - 1 .. hi - lo - 2 of
-    the cross product); shorter runs loop."""
+def _relaxed(acc, t, rt, div, out, lo, hi, what, leaf):
+    """_solve on dense taps t (rt is t reversed).  A run of 2 * leaf > 0
+    slots or more splits in half, and the solved left half reaches
+    acc[mid:hi] through one middle product by _kron (the slots mid - lo - 1
+    .. hi - lo - 2 of the cross product); other runs loop."""
     lt = len(t)
-    if cross and hi - lo >= 2 * leaf and lt >= leaf:
+    if leaf and hi - lo >= 2 * leaf and lt >= leaf:
         mid = (lo + hi) // 2
-        _relaxed(acc, t, rt, div, out, lo, mid, what, leaf, cross)
-        c = cross(out[lo:mid], t[:hi - lo - 1], hi - lo - 1, mid - lo - 1)
+        _relaxed(acc, t, rt, div, out, lo, mid, what, leaf)
+        c = _kron(out[lo:mid], t[:hi - lo - 1], hi - lo - 1, mid - lo - 1)
         for i, x in enumerate(c, mid):
             acc[i] += x
-        _relaxed(acc, t, rt, div, out, mid, hi, what, leaf, cross)
+        _relaxed(acc, t, rt, div, out, mid, hi, what, leaf)
         return
     for i in range(lo, hi):
         x = acc[i]
@@ -430,15 +431,14 @@ class QSeries:
                            self.step_den, self.den * c.denominator, self.prec)
         if not isinstance(other, QSeries):
             return NotImplemented
+        if (self.is_zero() and self.prec is None) or \
+           (other.is_zero() and other.prec is None):
+            return QSeries.zero()
         va = self.offset if self.nums else self.prec
         vb = other.offset if other.nums else other.prec
-        if self.is_zero() or other.is_zero():
-            if (self.is_zero() and self.prec is None) or \
-               (other.is_zero() and other.prec is None):
-                return QSeries.zero()
-            return QSeries.zero(_min_prec(_add_prec(self.prec, vb),
-                                          _add_prec(other.prec, va)))
         prec = _min_prec(_add_prec(self.prec, vb), _add_prec(other.prec, va))
+        if self.is_zero() or other.is_zero():
+            return QSeries.zero(prec)
         L = lcm(self.step_den, other.step_den)
         _check_cap(L)
         offset = self.offset + other.offset
@@ -465,16 +465,7 @@ class QSeries:
             return QSeries.one()
         if k < 0:
             return self.invert().pow_int(-k)
-        result = None
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, k, _mul_op)
 
     __pow__ = pow_int
 
@@ -599,6 +590,20 @@ def _fmt_term(coef, e, first):
     return sign + cs + "*" + qpart
 
 
+def _power(x, e, mul):
+    """x^e for an int e >= 1 by square and multiply with the product mul,
+    in one order for every ring: on truncated operands it decides the
+    precision of the result."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
+
 def _upsample(nums, stride):
     out = [0] * ((len(nums) - 1) * stride + 1)
     for i, c in enumerate(nums):
@@ -613,9 +618,7 @@ def _long_div(u, v, prec=None):
     if not v.nums:
         raise ValueError("series not invertible")
     if not u.nums:
-        if u.prec is None:
-            return QSeries.zero()
-        return QSeries.zero(u.prec - v.offset)
+        return QSeries.zero(_add_prec(u.prec, -v.offset))
     out_prec = _min_prec(_add_prec(u.prec, -v.offset),
                          _add_prec(v.prec, u.offset - 2 * v.offset))
     if out_prec is None:

@@ -34,12 +34,6 @@ from .modpoly import identify
 from .qseries import (QSeries, _ceil, _check_cap, _conv_trunc, _divexact,
                       _min_prec, _upsample, first_mismatch)
 
-try:
-    from gmpy2 import mpz as _big
-except ImportError:  # pragma: no cover - plain ints are a drop-in fallback
-    def _big(x):
-        return x
-
 
 # ---- echelon bases -------------------------------------------------------
 
@@ -120,8 +114,7 @@ def wronskian_derived(family):
 def wronskians(family):
     """(W, W') of a family, both from one elimination."""
     fs = _series_list(family)
-    w, wd = _bareiss(fs, (0, len(fs)))
-    return w, wd
+    return tuple(_bareiss(fs, (0, len(fs))))
 
 
 def _vec_val(v, w):
@@ -179,11 +172,10 @@ def _bareiss(fs, ends):
     denprod = 1
     for i, f in enumerate(fs):
         stride = Lv // f.step_den
-        run = f.nums if stride == 1 else _upsample(f.nums, stride)
-        run = [_big(v) for v in run[:window]]
+        run = (f.nums if stride == 1 else _upsample(f.nums, stride))[:window]
         denprod *= f.den
         hl = int(f.offset * L)
-        facs = [_big(hl + n * (L // Lv)) for n in range(len(run))]
+        facs = [hl + n * (L // Lv) for n in range(len(run))]
         for j in range(max(orders) + 1):
             if j:
                 run = [x * y for x, y in zip(run, facs)]
@@ -198,7 +190,7 @@ def _bareiss(fs, ends):
         # in full while no pivot valuation has been spent
         known = exact and wcur == window
         prec = None if known else base + _min_prec(bound, Fraction(w_end, Lv))
-        return QSeries(base, [int(x) for x in nums], Lv, den, prec)
+        return QSeries(base, nums, Lv, den, prec)
 
     sign = 1
     prev = None

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the identity registry."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -9,10 +10,13 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modwron import cli
 from modwron.cli import (IDENTITIES, _assess, default_precision, main,
                          symcheck_report, verify)
+from modwron.etaprod import NAMES
+from modwron.modpoly import E4, E6, to_qseries
 from modwron.poly import Poly
 from modwron.qseries import QSeries
 from modwron.symmpow import SymWronskianMismatch
@@ -499,3 +503,156 @@ def test_format_ratpoly_x():
     assert str(Poly((F(1),))) == "1"
     assert str(Poly((F(0),))) == "0"
     assert str(Poly((F(5, 2), F(0), F(-1)))) == "-x^2 + 5/2"
+
+
+# ---- precision too large, and the argv/stdin fuzz -----------------------------------
+
+HUGE = "1e400"
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "ch1"), ("series", "a1_f1"), ("verify", "chprod"),
+    ("kz", "--l", "2", "--alpha", "1/2"), ("symcheck", "--m", "1"),
+    ("wronskian", "--basis", "ch1,ch2"), ("run-all", "--primes", "5"),
+])
+def test_too_large_prec_is_a_configuration_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--prec", HUGE)
+    assert code == 2 and out == ""
+    assert err == "error: precision %d is too large: its series do not fit " \
+                  "in memory\n" % 10 ** 400
+
+
+def test_prec_out_of_memory_is_a_configuration_error(capsys, monkeypatch):
+    # --prec 1e12 passes the sys.maxsize check, and its slot list does not
+    # fit in memory; the allocation failure is simulated, so that nothing
+    # is allocated
+    def no_memory(name, prec):
+        raise MemoryError
+    monkeypatch.setattr(cli, "named_series", no_memory)
+    code, out, err = run_cli(capsys, "series", "ch1", "--prec", "1e12")
+    assert code == 2 and out == ""
+    assert err == "error: precision 1000000000000 is too large: its series " \
+                  "do not fit in memory\n"
+
+
+@pytest.mark.parametrize("command", ["identify", "divpoly"])
+def test_too_large_stdin_prec_is_a_configuration_error(capsys, monkeypatch,
+                                                       command):
+    blob = dict(to_qseries(E4, 20).to_json(), prec=HUGE)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = run_cli(capsys, command, "--weight", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: precision %d is too large" % 10 ** 400)
+    # a precision below sys.maxsize that still does not fit in memory; the
+    # allocation failure is simulated, so that nothing is allocated
+    def no_memory(y, weight):
+        raise MemoryError
+    monkeypatch.setattr(cli, "identify", no_memory)
+    blob["prec"] = "1e12"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+    code, out, err = run_cli(capsys, command, "--weight", "4")
+    assert code == 2 and out == ""
+    assert err == "error: precision 1000000000000 is too large: its series " \
+                  "do not fit in memory\n"
+
+
+# precisions a fuzzed run may ask for: small ones (at most 30), the
+# unexpandable 10^400, and malformed ones; never one that would really
+# allocate, such as 10^9
+_fuzz_precs = st.one_of(
+    st.fractions(min_value=-2, max_value=30, max_denominator=6).map(str),
+    st.sampled_from([HUGE, "0", "abc", "1/0", "1e-3"]))
+_fuzz_ints = st.integers(-2, 6).map(str)
+# mostly primes, so that the supersingular pipeline runs, and some non-primes
+_fuzz_primes = st.one_of(
+    st.sampled_from([p for p in range(5, 200) if all(p % d for d in range(2, p))]),
+    st.integers(-3, 200))
+
+
+@st.composite
+def _fuzz_stdin(draw):
+    """A JSON series on stdin: a form at precision at most 30 with its
+    precision redrawn, or a malformed document."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    series = to_qseries(E4 ** a * E6 ** b, draw(st.integers(1, 30)))
+    doc = series.to_json()
+    doc["prec"] = draw(st.one_of(st.none(), _fuzz_precs))
+    return draw(st.sampled_from([
+        json.dumps(doc), json.dumps([doc]), "{", '{"coeffs": 5}',
+        json.dumps(dict(doc, coeffs=["1/0"])),
+        json.dumps(dict(doc, offset=draw(st.sampled_from(["1/2", "-1", HUGE])))),
+    ]))
+
+
+@st.composite
+def _fuzz_run(draw):
+    """(argv, stdin) of one command, with bounded sizes: m and l at most 6,
+    p at most 200, precision at most 30 (at most 12 for run-all)."""
+    command = draw(st.sampled_from([
+        "series", "verify", "wronskian", "symcheck", "kz", "ssing",
+        "partitions", "identify", "divpoly", "run-all"]))
+    argv, stdin = [command], None
+    if command == "series":
+        argv.append(draw(st.sampled_from(NAMES + ("nope",))))
+    elif command == "verify":
+        argv += draw(st.lists(st.sampled_from(sorted(IDENTITIES) + ["nope"]),
+                              max_size=3))
+    elif command == "wronskian":
+        pair = draw(st.sampled_from(["weber", "rr", "a1", "nope"]))
+        argv += ["--basis", draw(st.sampled_from([
+            "sym:%s:%s" % (pair, draw(_fuzz_ints)), "sym:%s" % pair,
+            ",".join(draw(st.lists(st.sampled_from(NAMES), min_size=1,
+                                   max_size=3)))]))]
+        if draw(st.booleans()):
+            argv.append("--derived")
+        if draw(st.booleans()):
+            argv += ["--identify", str(draw(st.integers(-2, 30)))]
+    elif command == "symcheck":
+        argv += ["--m", draw(_fuzz_ints),
+                 "--pair", draw(st.sampled_from(["weber", "rr", "a1"]))]
+    elif command == "kz":
+        argv += ["--l", draw(_fuzz_ints), "--alpha=" + draw(_fuzz_precs),
+                 "--variant", draw(st.sampled_from(["closed", "recursion"]))]
+    elif command == "ssing":
+        argv += ["--p", str(draw(_fuzz_primes)), "--route",
+                 draw(st.sampled_from(["deligne", "wronskian", "oracle",
+                                       "all"]))]
+    elif command == "partitions":
+        argv += ["--check", draw(st.sampled_from(["ssss", "p27", "both"])),
+                 "--upto", str(draw(st.integers(-2, 60)))]
+    elif command == "run-all":
+        primes = draw(st.lists(_fuzz_primes, min_size=1, max_size=2))
+        argv += ["--primes=" + ",".join(map(str, primes)),
+                 "--prec=" + draw(st.one_of(st.integers(-1, 12).map(str),
+                                            st.just(HUGE)))]
+    else:
+        argv += ["--weight", str(draw(st.integers(-2, 30)))]
+        stdin = draw(_fuzz_stdin())
+    if command != "run-all" and draw(st.booleans()):
+        argv.append("--prec=" + draw(_fuzz_precs))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, stdin
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzz_run())
+def test_cli_fuzz_keeps_the_exit_code_contract(run):
+    """Exit 0, 1 or 2 for every bounded argv and stdin, never a traceback,
+    and --json output that parses."""
+    argv, stdin = run
+    out, err = io.StringIO(), io.StringIO()
+    kept = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:     # argparse rejects the arguments
+                code = e.code
+    finally:
+        sys.stdin = kept
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv and out.getvalue():
+        json.loads(out.getvalue())

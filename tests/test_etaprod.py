@@ -346,6 +346,14 @@ def test_named_series_memo_matches_a_fresh_build(requests, decreasing):
     assert len(etaprod._BUILT) <= 9
 
 
+@pytest.mark.parametrize("name, route", [("ch1", "theta"), ("ch2", "theta"),
+                                         ("a1_f1", None), ("a1_f2", None)])
+def test_named_series_theta_route_below_its_first_term(name, route):
+    """A fresh theta-route build at N = -3, where the theta sum is asked for
+    no term at all, is the empty series O(q^-3)."""
+    assert _fresh(name, -3, route) == QSeries.zero(-3)
+
+
 def test_theta_spec_validation():
     with pytest.raises(ValueError, match="positive"):
         ThetaSpec(0, 1)
@@ -373,18 +381,22 @@ def test_theta_sum_alternating_pentagonal():
     assert first_mismatch(t, eta(1, 16) / QSeries.monomial(1, F(1, 24))) is None
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    A=st.integers(min_value=1, max_value=6),
-    B=st.integers(min_value=-6, max_value=6),
-    N=st.integers(min_value=5, max_value=40),
-)
-def test_theta_sum_matches_brute_force(A, B, N):
-    t = theta_sum(ThetaSpec(A, B), N)
+@settings(max_examples=60, deadline=None)
+@given(A=st.fractions(min_value=F(1, 3), max_value=6, max_denominator=4),
+       B=st.fractions(min_value=-120, max_value=120, max_denominator=4),
+       N=st.fractions(min_value=-40, max_value=120, max_denominator=4),
+       sign=st.sampled_from(ThetaSpec.SIGNS))
+def test_theta_sum_matches_brute_force(A, B, N, sign):
+    """Every term below N, and only those, for rational A and B, a shift
+    -B/(2A) far from 0 and N of either sign."""
+    t = theta_sum(ThetaSpec(A, B, sign), N)
+    # for |n| >= M, (A n^2 + B n)/2 >= |n| (|B| + 2|N|)/2 >= |N|
+    M = int(2 * (abs(B) + abs(N)) / A) + 2
     brute = {}
-    for n in range(-200, 201):
-        e = F(A * n * n + B * n, 2)
+    for n in range(-M, M + 1):
+        e = (A * n * n + B * n) / 2
         if e < N:
-            brute[e] = brute.get(e, 0) + 1
-    for e, c in brute.items():
-        assert t.coeff_at(e) == c
+            c = -1 if sign == "alternating" and n % 2 else 1
+            brute[e] = brute.get(e, 0) + c
+    assert dict(t.coeffs()) == {e: c for e, c in brute.items() if c}
+    assert t.prec == N

@@ -10,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modwron.modpoly as modpoly
 from modwron.etaprod import eta
 from modwron.modpoly import (
     DELTA,
@@ -39,6 +40,7 @@ from modwron.modpoly import (
 from modwron.poly import Poly
 from modwron.qseries import QSeries, _ceil, first_mismatch
 from modwron.symmpow import sym_quotient_closed_form
+from test_qseries import truncated_and_completion
 
 F = Fraction
 
@@ -228,6 +230,38 @@ def test_identify_exact_input():
     with pytest.raises(ValueError, match="nonzero at exponent 40"):
         identify(QSeries(0, [1] + [0] * 39 + [5]), 0)
     assert identify(QSeries.zero(), 0).is_zero()
+
+
+def eisenstein_power_by_sums(k, e, slots):
+    """Reference: E_k^e to `slots` coefficients, from divisor sums and e
+    repeated products."""
+    sigma = [sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+             for n in range(slots)]
+    ek = QSeries.from_fractions(
+        0, [F(1)] + [-2 * k * sigma[n] / bernoulli(k) for n in range(1, slots)],
+        1, slots)
+    out = QSeries.one(slots)
+    for _ in range(e):
+        out = out * ek
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([2, 4, 6, 12, 22]), st.integers(0, 4),
+                          st.integers(1, 40)), min_size=1, max_size=8),
+       st.booleans())
+def test_eisenstein_memo_matches_a_fresh_build(requests, decreasing):
+    """Powers served from the longest expansion kept equal a fresh build,
+    for slot counts that rise and fall, and the memo holds one entry per
+    (k, e) built."""
+    if decreasing:
+        requests = sorted(requests, key=lambda r: r[2], reverse=True)
+    modpoly._EIS_POW.clear()
+    built = set()
+    for k, e, slots in requests:
+        assert _gen_pow(k, e, slots) == eisenstein_power_by_sums(k, e, slots)
+        built |= {(k, 0)} if e == 0 else {(k, j) for j in range(1, e + 1)}
+    assert set(modpoly._EIS_POW) == built
 
 
 # ---- the Fraction-per-term layer, kept as the reference -------------------------
@@ -472,6 +506,21 @@ def test_weight_table_matches_retired_encodings():
                         F(1), *gen_for_weight_reference(w - 12 * i))
                     for i in range(d)]
         assert _weight_basis(w) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(truncated_and_completion(), st.sampled_from([0, 2, 4, 12]),
+       st.integers(1, 3))
+def test_theta_h_and_theta_power_precision_soundness(fc, h, j):
+    """No completion of the input beyond its precision, with a term right
+    at it and one off its lattice, changes a coefficient of theta_h or
+    theta_power below the precision reported for it."""
+    f, full = fc
+    full = full + QSeries.monomial(1, f.prec + F(1, 5))
+    for lo, hi in ((theta_h(f, h), theta_h(full, h)),
+                   (theta_power(f, j), theta_power(full, j))):
+        assert first_mismatch(lo, hi) is None
+        assert lo.prec <= hi.prec
 
 
 def test_theta_power_composition():

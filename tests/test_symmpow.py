@@ -6,16 +6,18 @@ from math import factorial, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modwron.cli import PAIR_LAMBDA
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, E6, G4, MFPoly, theta_derivation
 from modwron.poly import Poly
-from modwron.qseries import QSeries
+from modwron.qseries import QSeries, first_mismatch
 from modwron.symmpow import (SymWronskianMismatch, _divisors, _rational_roots,
                              apply, d_operator,
                              kz_coeff, r12_vanishing_roots, r_recursion,
                              sym_basis, sym_quotient_closed_form,
                              sym_wronskian_check)
 from modwron.wronskian import normalize, quotient_form, wronskian
+from test_qseries import truncated_and_completion
 
 N = F(20)
 
@@ -321,3 +323,18 @@ def test_rational_roots_match_fraction_evaluation(planted, cofactor, zeros, scal
     assert roots == rational_roots_by_fractions(p)
     assert {F(nu, de) for nu, de in planted} <= roots
     assert all(p(r) == 0 for r in roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(truncated_and_completion(), st.sampled_from(sorted(PAIR_LAMBDA.values())),
+       st.integers(1, 3))
+def test_apply_precision_soundness(fc, lam, m):
+    """No completion of the input beyond its precision, with a term right
+    at it and one off its lattice, changes a coefficient of
+    apply(d_operator(lambda G4, m), y) below the precision reported for it."""
+    f, full = fc
+    full = full + QSeries.monomial(1, f.prec + F(1, 5))
+    op = d_operator(lam * G4, m)
+    lo, hi = apply(op, f), apply(op, full)
+    assert first_mismatch(lo, hi) is None
+    assert lo.prec <= hi.prec
