@@ -9,7 +9,7 @@ built so far and serves shorter precisions as its truncation.
 """
 
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, lcm
 
 from .qseries import QSeries, _ceil, _euler_product
 
@@ -94,30 +94,23 @@ def eta(scale, N):
 def theta_sum(spec, N):
     """Expand a ThetaSpec exactly, to absolute precision N.
 
-    (A n^2 + B n)/2 < N exactly when (n - c)^2 < r2, with c = -B/(2A) and
-    r2 = (B^2 + 8AN)/(4A^2): no term when r2 <= 0."""
+    The integer n0 nearest -B/(2A) has the lowest exponent e0, and
+    e(n0 + t) - e0 = A t(t-1)/2 + d t with d = e(n0 + 1) - e0: the slots
+    below N, on e0 + gcd(A, d) Z, are allocated before t walks out from 0."""
     N = Fraction(N)
     A, B = spec.A, spec.B
     alt = spec.sign == "alternating"
-    r2 = (B * B + 8 * A * N) / (4 * A * A)
-    terms = {}
-    if r2 > 0:
-        R = isqrt(floor(r2)) + 1            # R > sqrt(r2)
-        center = floor(-B / (2 * A))
-        for n in range(center - R, center + R + 1):
-            e = (A * n * n + B * n) / 2
-            if e < N:
-                terms[e] = terms.get(e, 0) + (-1 if alt and n % 2 else 1)
-    if not terms:
-        return QSeries.zero(N)
-    den = 1
-    for e in terms:
-        den = lcm(den, e.denominator)
-    offset = min(terms)
-    nums = [0] * (int((max(terms) - offset) * den) + 1)
-    for e, c in terms.items():
-        nums[int((e - offset) * den)] = c
-    return QSeries(offset, nums, den, 1, N)
+    n0 = floor(Fraction(1, 2) - B / (2 * A))
+    e0 = (A * n0 * n0 + B * n0) / 2
+    d = A * n0 + (A + B) / 2
+    step = lcm(A.denominator, d.denominator)
+    nums = [0] * max(_ceil((N - e0) * step), 0)
+    a, d = int(A * step), int(d * step)      # A and d in slots
+    for t, dt in ((0, 1), (-1, -1)):
+        while (s := a * t * (t - 1) // 2 + d * t) < len(nums):
+            nums[s] += -1 if alt and (n0 + t) % 2 else 1
+            t += dt
+    return QSeries(e0, nums, step, 1, N)
 
 
 # name -> (ProductSpec, lattice step): the spec's product in x = q^step.

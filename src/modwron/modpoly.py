@@ -328,25 +328,30 @@ class InsufficientPrecision(ValueError):
     """A series is known through too few coefficients to certify a form."""
 
 
-def identify(y, weight, margin=10):
+IDENTIFY_MARGIN = 10     # coefficients identify demands beyond dim M_weight
+
+
+def identify(y, weight):
     """Express a q-series as an MFPoly of the given weight, or fail loudly.
 
     Solves against the Delta-ladder basis of M_weight and then demands that
     every known coefficient of y matches — a full-residual check, not just
     enough coefficients to pin the solution down.  y must be known through
-    dim + margin coefficients, the zero series too, or InsufficientPrecision
-    is raised.  An exact y (prec=None) is checked through its last term, and
-    a nonzero one is no form of positive weight: y^(k/2)|f| is invariant
-    under SL2(Z), yet a q-polynomial's tends to 0 as Im tau -> 0.
+    dim + IDENTIFY_MARGIN coefficients, the zero series too, or
+    InsufficientPrecision is raised; no caller can lower this gate.  An
+    exact y (prec=None) is checked through its last term, and a nonzero one
+    is no form of positive weight: y^(k/2)|f| is invariant under SL2(Z),
+    yet a q-polynomial's tends to 0 as Im tau -> 0.
 
     Basis element i, Delta^i E4^(delta+3(t-i)) E6^epsilon, is integer slots
     with slot 1 at exponent i, so c_i is the residual's slot i over y.den.
     """
     d = dim_modular(weight)
-    if y.prec is not None and y.prec < d + margin:
+    need = d + IDENTIFY_MARGIN
+    if y.prec is not None and y.prec < need:
         raise InsufficientPrecision(
             "insufficient precision: need %d coefficients of a weight-%d "
-            "candidate, have precision %s" % (d + margin, weight, y.prec))
+            "candidate, have precision %s" % (need, weight, y.prec))
     if y.is_zero():
         return MFPoly.zero(weight)
     if y.offset < 0 or y.offset.denominator != 1 or y.step_den != 1:
@@ -360,7 +365,7 @@ def identify(y, weight, margin=10):
             raise ValueError(
                 "not identifiable: a nonzero exact q-series is no form of "
                 "weight %d" % weight)
-        n = max(d + margin, off + len(y.nums))
+        n = max(need, off + len(y.nums))
     else:
         n = _ceil(y.prec)
     residual = [0] * off + y.nums

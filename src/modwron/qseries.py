@@ -469,9 +469,10 @@ class QSeries:
 
     __pow__ = pow_int
 
-    def invert(self, prec=None):
-        """Multiplicative inverse, truncated; q^v*(c+...) -> q^(-v)*(1/c+...)."""
-        return _long_div(QSeries.one(), self, prec)
+    def invert(self):
+        """Multiplicative inverse, truncated; q^v*(c+...) -> q^(-v)*(1/c+...).
+        The precision follows the operand's; DEFAULT_PREC if it is exact."""
+        return _long_div(QSeries.one(), self)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -612,9 +613,9 @@ def _upsample(nums, stride):
     return out
 
 
-def _long_div(u, v, prec=None):
+def _long_div(u, v):
     """Exact long division u/v of truncated series, by one fraction-free
-    integer solve."""
+    integer solve; through DEFAULT_PREC when both are exact."""
     if not v.nums:
         raise ValueError("series not invertible")
     if not u.nums:
@@ -622,7 +623,7 @@ def _long_div(u, v, prec=None):
     out_prec = _min_prec(_add_prec(u.prec, -v.offset),
                          _add_prec(v.prec, u.offset - 2 * v.offset))
     if out_prec is None:
-        out_prec = _as_frac(prec if prec is not None else DEFAULT_PREC)
+        out_prec = Fraction(DEFAULT_PREC)
     offset = u.offset - v.offset
     L = lcm(u.step_den, v.step_den)
     _check_cap(L)

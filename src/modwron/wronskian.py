@@ -4,9 +4,10 @@ For series f_1, ..., f_k the Wronskian is the determinant of the k x k
 matrix whose (j, i) entry is D^j f_i with D = q d/dq; the derived
 Wronskian applies the same determinant to (D f_1, ..., D f_k).  On top of
 the raw determinants this module provides echelon bases ordered by leading
-exponent, monic normalization, identification of the quotient W'/W as a
-holomorphic form of prescribed weight, and a certificate that W'/W
-vanishes based on leading-exponent data alone.
+exponent, monic normalization, identification of the quotient W'/W of a
+k-member family as a holomorphic form of weight 2k, and a certificate that
+W'/W vanishes based on leading-exponent data alone: the exponents decide
+both the forcing pattern and the holomorphy of W'/W it rests on.
 
 Every determinant comes from one fraction-free (Bareiss) elimination on
 integer coefficient vectors.  Each column's leading exponent h_i and
@@ -26,8 +27,9 @@ prec_i - h_i, which bounds the effect of any change of an input beyond its
 precision.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .modpoly import identify
@@ -85,13 +87,10 @@ def echelonize(series):
 
 
 def _series_list(family):
-    if isinstance(family, ModularBasis):
-        return list(family.series)
-    out = []
-    for f in family:
+    out = list(family.series if isinstance(family, ModularBasis) else family)
+    for f in out:
         if not isinstance(f, QSeries):
             raise TypeError("expected QSeries members, got %r" % (f,))
-        out.append(f)
     if not out:
         raise ValueError("cannot take the Wronskian of an empty family")
     return out
@@ -249,24 +248,26 @@ def normalize(w):
     return w / w.leading_coefficient()
 
 
-def quotient_form(family, expect_weight):
-    """Identify W'/W as a holomorphic form of the given weight.
+def quotient_form(family):
+    """Identify W'/W as a holomorphic form of weight 2k, k the family size.
 
     W is the Wronskian of the family and W' the Wronskian of its termwise
-    derivatives.  If W' vanishes identically to the working precision the
-    zero form is returned when W'/W is known through the identify window,
-    and InsufficientPrecision is raised otherwise; a vanishing W raises
+    derivatives, whose k columns each carry one more D, of weight 2.  If W'
+    vanishes identically to the working precision the zero form is
+    returned when W'/W is known through the identify window, and
+    InsufficientPrecision is raised otherwise; a vanishing W raises
     instead, since the quotient is then undefined.
     """
-    return identify_quotient(*wronskians(family), expect_weight)
+    fs = _series_list(family)
+    return identify_quotient(*wronskians(fs), 2 * len(fs))
 
 
-def identify_quotient(w, wd, expect_weight):
-    """quotient_form for a W and W' already in hand."""
+def identify_quotient(w, wd, weight):
+    """quotient_form for a W and W' already in hand, which do not carry k."""
     if w.is_zero():
         raise ValueError(
             "Wronskian vanishes to working precision; the quotient is undefined")
-    return identify(wd / w, expect_weight)
+    return identify(wd / w, weight)
 
 
 # ---- vanishing certificate -----------------------------------------------
@@ -276,13 +277,13 @@ class VanishingReport:
     """Outcome of the leading-exponent test for W'/W = 0.
 
     forced_zero     -- True when the exponent pattern forces W'/W to vanish
+                       and W has no zero on the upper half-plane
     r               -- largest integer order reached (exponents run 0..r)
     integer_indices -- positions, in echelon order, of the members whose
                        leading exponent is an integer
     relation        -- coefficients (lambda_0, ..., lambda_r), lambda_0 = 1,
                        making sum_j lambda_j f_{i_j} constant, or None
     constant        -- the nonzero constant value of that combination
-    holomorphy      -- the caller's justification that W'/W is holomorphic
     precision       -- smallest known precision among the members
     diagnostic      -- human-readable explanation of the outcome
     """
@@ -292,22 +293,28 @@ class VanishingReport:
     integer_indices: tuple
     relation: object
     constant: object
-    holomorphy: object
     precision: object
     diagnostic: str
 
 
-def vanishing_check(family, holomorphy=None):
+def vanishing_check(family):
     """Test whether leading exponents alone force W'/W to vanish.
 
-    For an echelonized family of k series whose quotient W'/W is
-    holomorphic (attested by the caller through `holomorphy`): if members
-    with integer leading exponents 0, 1, ..., r all exist for some
+    The family is echelonized; its k members are weight-0 functions whose
+    span SL2(Z) maps to itself.  When W'/W is holomorphic and members with
+    integer leading exponents 0, 1, ..., r all exist for some
     r >= floor(k/6), then W'/W = 0.  If furthermore those are the only
     members with integer leading exponent, some combination
     lambda_0 f_{i_0} + ... + lambda_r f_{i_r} with lambda_0 = 1 is a
     nonzero constant; it is solved exponent by exponent and verified
     against the full known precision of the members.
+
+    Holomorphy is read off the exponents too, once they would force
+    W'/W = 0.  W has weight k(k-1) and a character of order dividing 12,
+    so by the valence formula for W^12 it has no zero on the upper
+    half-plane exactly when its order at the cusp, the exponent sum, is
+    k(k-1)/12.  The cusp needs no check: each D f_i leads no lower than
+    f_i, so W' vanishes there at least to the order of W.
     """
     basis = family if isinstance(family, ModularBasis) else echelonize(family)
     exps = basis.exponents
@@ -316,16 +323,9 @@ def vanishing_check(family, holomorphy=None):
     integer_ix = tuple(i for i, h in enumerate(exps) if h.denominator == 1)
     prec = _min_prec(*(f.prec for f in basis.series))
 
-    def report(**kw):
-        full = dict(forced_zero=False, r=None, integer_indices=integer_ix,
-                    relation=None, constant=None, holomorphy=holomorphy,
-                    precision=prec, diagnostic="")
-        full.update(kw)
-        return VanishingReport(**full)
+    report = partial(replace, VanishingReport(False, None, integer_ix, None,
+                                              None, prec, ""))
 
-    if holomorphy is None:
-        return report(diagnostic="holomorphy of W'/W was not attested; "
-                                 "pass a justification string")
     orders = {int(exps[i]) for i in integer_ix}
     if not orders:
         return report(diagnostic="no member has an integer leading exponent")
@@ -339,39 +339,37 @@ def vanishing_check(family, holomorphy=None):
     if r < floor_k6:
         return report(diagnostic="integer orders reach only %d, below the "
                                  "required floor(k/6) = %d" % (r, floor_k6))
+    val, need = sum(exps, Fraction(0)), Fraction(k * (k - 1), 12)
+    if val != need:
+        return report(diagnostic="leading exponents sum to %s, not k(k-1)/12 "
+                                 "= %s, so W'/W need not be holomorphic"
+                      % (val, need))
+    forced = "integer orders 0..%d force W'/W = 0, but " % r
     extra = sorted(orders - set(range(r + 1)))
     if extra:
         return report(forced_zero=True, r=r,
-                      diagnostic="integer orders 0..%d force W'/W = 0, but "
-                                 "further integer leading exponents (%s) rule "
-                                 "out the constant relation"
-                      % (r, ", ".join(str(h) for h in extra)))
+                      diagnostic=forced + "further integer leading exponents "
+                      "(%s) rule out the constant relation"
+                      % ", ".join(str(h) for h in extra))
     members = [basis.series[exps.index(Fraction(j))] for j in range(r + 1)]
     derived = [f.derive() for f in members]
     lam = [Fraction(1)]
     try:
         for e in range(1, r + 1):
-            acc = Fraction(0)
-            for j in range(e):
-                acc += lam[j] * derived[j].coeff_at(e)
-            lam.append(-acc / derived[e].coeff_at(e))
-        combo = QSeries.zero()
-        for lj, f in zip(lam, members):
-            combo = combo + lj * f
+            lam.append(-sum(lam[j] * derived[j].coeff_at(e) for j in range(e))
+                       / derived[e].coeff_at(e))
+        combo = sum((lj * f for lj, f in zip(lam, members)), QSeries.zero())
         c0 = combo.coeff_at(0)
     except ValueError as exc:
         return report(diagnostic="insufficient precision to solve the "
                                  "relation: %s" % exc)
     at = first_mismatch(combo, QSeries.constant(c0))
     if at is not None:
-        return report(forced_zero=True, r=r,
-                      diagnostic="integer orders 0..%d force W'/W = 0, but "
-                                 "the candidate relation fails first at "
-                                 "exponent %s" % (r, at))
+        return report(forced_zero=True, r=r, diagnostic=forced + "the "
+                      "candidate relation fails first at exponent %s" % at)
     if c0 == 0:
-        return report(forced_zero=True, r=r,
-                      diagnostic="integer orders 0..%d force W'/W = 0, but "
-                                 "the combination has zero constant term" % r)
+        return report(forced_zero=True, r=r, diagnostic=forced + "the "
+                      "combination has zero constant term")
     return report(forced_zero=True, r=r, relation=tuple(lam), constant=c0,
                   diagnostic="integer orders 0..%d with r >= floor(k/6) = %d "
                              "force W'/W = 0; relation verified to precision "

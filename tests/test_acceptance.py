@@ -68,7 +68,7 @@ def test_a05_three_routes_agree_for_all_m():
     q = F(-40) * G4
     # m = 1..14 covers m = (p-3)/2 for every default prime up to 31
     for m in range(1, 15):
-        determinant = quotient_form(sym_basis(f, g, m), 2 * m + 2)
+        determinant = quotient_form(sym_basis(f, g, m))
         last = r_recursion(q, m)[-1]
         recursion = last if m % 2 else -last
         closed = sym_quotient_closed_form(m)
@@ -130,19 +130,13 @@ def test_a09_vanishing_relations():
     t0 = perf_counter()
     f = named_series("ch1", F(25))
     g = named_series("ch2", F(25))
-    rep = vanishing_check(
-        sym_basis(f, g, 12),
-        holomorphy="W and W' span the same character space; normalize(W) "
-                   "is a power of the nonvanishing eta unit")
+    rep = vanishing_check(sym_basis(f, g, 12))
     assert rep.forced_zero and rep.r == 2
     assert rep.relation == (F(1), F(-11), F(-1))
     assert rep.constant == 1
     f = named_series("a1_f1", F(25))
     g = named_series("a1_f2", F(25))
-    rep = vanishing_check(
-        sym_basis(f, g, 6),
-        holomorphy="W and W' span the same character space; normalize(W) "
-                   "is a power of the nonvanishing eta unit")
+    rep = vanishing_check(sym_basis(f, g, 6))
     assert rep.forced_zero and rep.r == 1
     assert rep.relation == (F(1), F(-1))
     assert rep.constant == 2
@@ -206,7 +200,7 @@ def test_a11_property_suites():
         if a * d - b * c == 0:
             continue
         fam = [a * f + b * g, c * f + d * g]
-        assert quotient_form(fam, 4) == expected, (a, b, c, d)
+        assert quotient_form(fam) == expected, (a, b, c, d)
         done += 1
     # closed form and recursion for the x^(2l) coefficients agree
     for m in (2, 5, 12):

@@ -354,6 +354,16 @@ def test_named_series_theta_route_below_its_first_term(name, route):
     assert _fresh(name, -3, route) == QSeries.zero(-3)
 
 
+@pytest.mark.parametrize("name, route", [("a1_f1", None), ("a1_f2", None),
+                                         ("ch1", "theta")])
+def test_theta_route_too_large_for_memory_fails_at_once(name, route):
+    """The theta sum allocates its slot list before it enumerates a term,
+    so a precision no list can hold fails there, as eta and product_series
+    do, instead of walking ~sqrt(N) indices first."""
+    with pytest.raises(OverflowError):
+        named_series(name, 10**400, route)
+
+
 def test_theta_spec_validation():
     with pytest.raises(ValueError, match="positive"):
         ThetaSpec(0, 1)

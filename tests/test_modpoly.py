@@ -206,9 +206,10 @@ def test_identify_rejects_weight_with_no_forms():
 
 
 def test_identify_insufficient_precision():
+    # the margin is fixed at 10 beyond dim M_4 = 1
     with pytest.raises(ValueError, match="insufficient precision"):
-        identify(eisenstein(4, "E", 5), 4)
-    assert identify(eisenstein(4, "E", 5), 4, margin=3) == E4
+        identify(eisenstein(4, "E", 10), 4)
+    assert identify(eisenstein(4, "E", 11), 4) == E4
 
 
 def test_identify_zero_series():

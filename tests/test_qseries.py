@@ -94,9 +94,12 @@ def test_add_precision_rule():
 # ---- inversion and division ---------------------------------------------
 
 def test_invert_geometric():
-    a = QSeries(0, [1, -1])          # 1 - q, exact
-    inv = a.invert(8)
-    assert inv.nums == [1] * 8
+    a = QSeries(0, [1, -1], prec=F(8))   # 1 - q + O(q^8)
+    inv = a.invert()
+    assert inv.nums == [1] * 8 and inv.prec == F(8)
+    # an exact operand is inverted through DEFAULT_PREC
+    assert (QSeries(0, [1, -1]).invert()
+            == QSeries(0, [1] * DEFAULT_PREC, prec=F(DEFAULT_PREC)))
 
 
 def test_invert_monomial():

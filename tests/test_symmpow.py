@@ -264,7 +264,7 @@ def test_closed_form_vanishes_at_multiples_of_three(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_three_routes_agree(m, weber_pair):
     w1, w2 = weber_pair
-    route1 = quotient_form(sym_basis(w1, w2, m), 2 * m + 2)
+    route1 = quotient_form(sym_basis(w1, w2, m))
     rlast = r_recursion(F(-40) * G4, m)[-1]
     route2 = rlast if m % 2 else -rlast
     route3 = sym_quotient_closed_form(m)

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modwron.cli import IDENTITIES
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
 from modwron.qseries import QSeries, first_mismatch
@@ -199,7 +200,7 @@ def test_joint_ch_sym5_fine_offset_lattice():
 
 def test_identify_quotient_matches_quotient_form(weber_pair):
     fs = sym_family(*weber_pair, 2)
-    assert identify_quotient(*wronskians(fs), 6) == quotient_form(fs, 6)
+    assert identify_quotient(*wronskians(fs), 6) == quotient_form(fs)
 
 
 # ---- precision soundness ---------------------------------------------------
@@ -271,7 +272,7 @@ def test_truncated_beyond_valuation_is_zero(rr12):
     short = [f.truncate(2) for f in rr12]
     assert wronskian(short).is_zero()    # the determinant starts at q^13
     with pytest.raises(ValueError, match="Wronskian vanishes"):
-        quotient_form(short, 26)
+        quotient_form(short)
 
 
 def test_zero_derived_wronskian_needs_the_identify_window():
@@ -293,27 +294,27 @@ def test_empty_family_rejected():
 
 def test_quotient_form_ch_pair(ch_pair):
     ch1, ch2 = ch_pair
-    assert quotient_form([ch2, ch1], 4) == F(-11, 3600) * E4
-    assert quotient_form([ch2, ch1], 4) == F(-11, 5) * G4
+    assert quotient_form([ch2, ch1]) == F(-11, 3600) * E4
+    assert quotient_form([ch2, ch1]) == F(-11, 5) * G4
 
 
 def test_quotient_form_weber_pair(weber_pair):
-    assert quotient_form(list(weber_pair), 4) == F(-1, 18) * E4
+    assert quotient_form(list(weber_pair)) == F(-1, 18) * E4
 
 
 def test_quotient_form_a1_pair(a1_pair):
-    assert quotient_form(list(a1_pair), 4) == F(-25, 4) * G4
+    assert quotient_form(list(a1_pair)) == F(-25, 4) * G4
 
 
 def test_quotient_form_accepts_basis_and_ignores_order(ch_pair):
     ch1, ch2 = ch_pair
     expected = F(-11, 3600) * E4
-    assert quotient_form([ch1, ch2], 4) == expected
-    assert quotient_form(echelonize([ch1, ch2]), 4) == expected
+    assert quotient_form([ch1, ch2]) == expected
+    assert quotient_form(echelonize([ch1, ch2])) == expected
 
 
 def test_quotient_form_sym12_is_zero_form(rr12):
-    qf = quotient_form(rr12, 26)
+    qf = quotient_form(rr12)
     assert qf == MFPoly.zero(26)
     assert qf.weight == 26
 
@@ -327,7 +328,7 @@ def test_quotient_form_invariant_under_basis_change(weber_pair):
         a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
         if a * d - b * c == 0:
             continue
-        assert quotient_form([a * w1 + b * w2, c * w1 + d * w2], 4) == expected
+        assert quotient_form([a * w1 + b * w2, c * w1 + d * w2]) == expected
         done += 1
 
 
@@ -371,8 +372,7 @@ def test_echelonize_sym12_exponents(rr12):
 # ---- vanishing certificates ----------------------------------------------
 
 def test_vanishing_check_rr_sym12(rr12):
-    vc = vanishing_check(rr12, holomorphy="quotient identified as a "
-                                          "holomorphic form of weight 26")
+    vc = vanishing_check(rr12)
     assert vc.forced_zero
     assert vc.r == 2
     assert vc.integer_indices == (1, 6, 11)
@@ -382,9 +382,7 @@ def test_vanishing_check_rr_sym12(rr12):
 
 def test_vanishing_check_a1_sym6(a1_pair):
     f1, f2 = a1_pair
-    vc = vanishing_check(sym_family(f1, f2, 6),
-                         holomorphy="quotient identified as a holomorphic "
-                                    "form of weight 14")
+    vc = vanishing_check(sym_family(f1, f2, 6))
     assert vc.forced_zero
     assert vc.r == 1
     assert vc.integer_indices == (1, 5)
@@ -394,24 +392,58 @@ def test_vanishing_check_a1_sym6(a1_pair):
 
 def test_vanishing_check_weber_sym6_has_no_relation(weber_pair):
     w1, w2 = weber_pair
-    vc = vanishing_check(sym_family(w1, w2, 6),
-                         holomorphy="quotient identified as a holomorphic "
-                                    "form of weight 14")
+    vc = vanishing_check(sym_family(w1, w2, 6))
     assert vc.forced_zero
     assert vc.r == 2
     assert vc.relation is None
     assert "-1" in vc.diagnostic
 
 
-def test_vanishing_check_requires_attestation(rr12):
-    vc = vanishing_check(rr12)
+def test_vanishing_check_refuses_a_wrong_exponent_sum():
+    # exponents 0, 1 would force W'/W = 0, but W = q has order 1 at the
+    # cusp where a zero-free weight-2 Wronskian has order 2*1/12
+    vc = vanishing_check([QSeries.one(20), QSeries.monomial(1, 1, 20)])
     assert not vc.forced_zero
-    assert "not attested" in vc.diagnostic
+    assert vc.relation is None and vc.constant is None
+    assert "sum to 1, not k(k-1)/12 = 1/6" in vc.diagnostic
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12])
+@pytest.mark.parametrize("pair", ["ch", "weber", "a1"])
+def test_exponent_sum_matches_the_eta_power_of_w(ch_pair, weber_pair,
+                                                 a1_pair, pair, m):
+    """The premise vanishing_check reads off the exponents, checked on the
+    whole of W: a zero-free W of weight k(k-1) is a power of eta."""
+    f, g = {"ch": ch_pair, "weber": weber_pair, "a1": a1_pair}[pair]
+    basis = echelonize(sym_family(f, g, m))
+    k = m + 1
+    val = sum(basis.exponents)
+    assert val == F(k * (k - 1), 12)
+    w = normalize(wronskian(basis))
+    assert w == (eta(1, w.prec) ** int(24 * val)).truncate(w.prec)
+
+
+@pytest.mark.parametrize("name,pair,m", [("rw2_char", "ch", 12),
+                                         ("a1_const", "a1", 6)])
+def test_vanishing_relation_derives_the_registered_identity(
+        ch_pair, a1_pair, name, pair, m):
+    """The relation the theorem returns, applied to the echelon members,
+    is the left side of the registered identity."""
+    f, g = {"ch": ch_pair, "a1": a1_pair}[pair]
+    basis = echelonize(sym_family(f, g, m))
+    vc = vanishing_check(basis)
+    combo = sum((lam * basis.series[i]
+                 for lam, i in zip(vc.relation, vc.integer_indices)),
+                QSeries.zero())
+    assert combo.prec == vc.precision
+    (lhs, rhs), = IDENTITIES[name](vc.precision)
+    assert combo == lhs.truncate(combo.prec)
+    assert combo == vc.constant * QSeries.one(combo.prec) == rhs.truncate(combo.prec)
 
 
 def test_vanishing_check_without_integer_exponents(ch_pair):
     ch1, ch2 = ch_pair
-    vc = vanishing_check([ch2, ch1], holomorphy="irrelevant")
+    vc = vanishing_check([ch2, ch1])
     assert not vc.forced_zero
     assert "no member has an integer leading exponent" in vc.diagnostic
 
@@ -419,7 +451,7 @@ def test_vanishing_check_without_integer_exponents(ch_pair):
 def test_vanishing_check_below_floor():
     family = [QSeries.one(20)]
     family += [QSeries.monomial(1, F(j, 7), 20) for j in range(1, 6)]
-    vc = vanishing_check(family, holomorphy="irrelevant")
+    vc = vanishing_check(family)
     assert not vc.forced_zero
     assert "floor(k/6) = 1" in vc.diagnostic
 
@@ -427,7 +459,7 @@ def test_vanishing_check_below_floor():
 def test_vanishing_check_names_where_the_relation_fails():
     # 1 + q^2 leads at 0, so the relation is f itself, constant only to q^2
     family = [QSeries.from_fractions(0, [F(1), F(0), F(1)], 1, F(10))]
-    vc = vanishing_check(family, holomorphy="irrelevant")
+    vc = vanishing_check(family)
     assert vc.forced_zero and vc.r == 0 and vc.relation is None
     assert "fails first at exponent 2" in vc.diagnostic
 
@@ -435,6 +467,5 @@ def test_vanishing_check_names_where_the_relation_fails():
 def test_vanishing_report_precision(a1_pair):
     f1, f2 = a1_pair
     family = sym_family(f1, f2, 6)
-    vc = vanishing_check(family, holomorphy="irrelevant")
+    vc = vanishing_check(family)
     assert vc.precision == min(f.prec for f in family)
-    assert isinstance(vc, type(vanishing_check(family)))
