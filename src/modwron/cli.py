@@ -76,6 +76,14 @@ def _positive_prec(prec, source):
     return prec
 
 
+def _fits(n, source):
+    """n, refused before any work when no list could hold n entries."""
+    if n > sys.maxsize:
+        raise ValueError("%s %d is too large: its lists do not fit in memory"
+                         % (source, n))
+    return n
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one two-sided identity comparison.
@@ -373,6 +381,7 @@ def _parse_basis(spec, prec):
         except ValueError:
             raise ValueError("malformed basis spec %r; expected sym:<pair>:<m>"
                              % spec)
+        _fits(m, "basis m")
         if pair not in PAIR_NAMES:
             raise ValueError("unknown pair %r (choose from %s)"
                              % (pair, ", ".join(sorted(PAIR_NAMES))))
@@ -395,6 +404,8 @@ def _parse_primes(raw):
         raise ValueError("malformed --primes list %r" % raw)
     if not primes:
         raise ValueError("empty --primes list")
+    for p in primes:
+        _fits(p, "prime")
     return primes
 
 
@@ -499,13 +510,13 @@ def _cmd_wronskian(args, prec):
 
 
 def _cmd_symcheck(args, prec):
-    report = symcheck_report(args.pair, args.m, prec)
+    report = symcheck_report(args.pair, _fits(args.m, "--m"), prec)
     _emit(args, report.to_json(), report.line())
     return 0 if report.status == "pass" else 1
 
 
 def _cmd_kz(args, prec):
-    form = kz_coeff(args.l, args.alpha, args.variant)
+    form = kz_coeff(_fits(args.l, "--l"), args.alpha, args.variant)
     series = to_qseries(form, prec)
     payload = {
         "l": args.l,
@@ -522,7 +533,7 @@ def _cmd_kz(args, prec):
 
 
 def _cmd_ssing(args, prec):
-    p = args.p
+    p = _fits(args.p, "--p")
     if args.route == "oracle":
         roots = sorted(hasse_oracle(p))
         _emit(args, {"p": p, "fp_roots": roots},
@@ -555,7 +566,7 @@ def _cmd_ssing(args, prec):
 
 
 def _cmd_partitions(args, prec):
-    rec = verify_recurrences(args.upto)
+    rec = verify_recurrences(_fits(args.upto, "--upto"))
     sections = _recurrence_sections(rec)
     wanted = ("ssss", "p27") if args.check == "both" else (args.check,)
     ok = all(not sections[w][1] for w in wanted)

@@ -164,7 +164,7 @@ class CongruenceReport:
     expected  -- (-1)^((p-1)/2) (2/p) ((p-1)/2)! mod p
     nonconstant_vanish -- True when every q-coefficient above the constant
                           reduces to 0 through the checked window
-    checked_through    -- the exponent bound used
+    checked_through    -- the last exponent checked, at least Sturm's bound
     ok        -- both conditions hold
     """
 
@@ -178,8 +178,14 @@ class CongruenceReport:
 
 def congruence_constant_check(p, upto=50):
     """Check that the m = (p-3)/2 quotient reduces mod p to the constant
-    (-1)^((p-1)/2) (2/p) ((p-1)/2)! with all other coefficients 0."""
+    (-1)^((p-1)/2) (2/p) ((p-1)/2)! with all other coefficients 0.
+
+    The coefficients are checked through q^upto, and never through less
+    than Sturm's bound floor((p-1)/12): a form of weight p - 1 whose
+    reduction vanishes through that exponent vanishes mod p.
+    """
     check_prime(p)
+    upto = max(upto, (p - 1) // 12)
     m = (p - 3) // 2
     series = to_qseries(sym_quotient_closed_form(m), Fraction(upto + 1))
     if series.den % p == 0:

@@ -19,6 +19,18 @@ again minors of the integer matrix, and pivots are chosen with minimal
 q-valuation, so each division costs as little of the known coefficient
 window as possible.
 
+Each step works on whole rows (E. H. Bareiss, Math. Comp. 22, 1968, for
+the elimination).  Slot s of a row's remaining entries packs into one
+integer sum_c x_c 2^(w c) with balanced w-bit fields, so the numerator
+a_c * piv - mrt * b_c and the triangular division by the previous pivot
+cost three scalar-times-packed dot products per (row, slot), not per entry.
+w comes from a bound on the numerator fields, and a row is redone at twice
+the width whenever the accumulator bound could reach 2^(w-1).  Below that
+bound a balanced representation is unique: a packed accumulator that
+divides by the leading slot, with lead times every quotient field below
+2^(w-1) as well, divided exactly field by field, and any other outcome
+raises.
+
 W and W' share the derivative orders 1..k-1: the elimination runs on the
 stack of orders 1..k-1, 0 and k with pivots from orders 1..k-1 only, and
 after k-1 steps the two remaining entries are W and W' up to sign.  A
@@ -30,11 +42,15 @@ precision.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import chain, repeat
 from math import lcm
+from operator import mul as _mul_op
 
 from .modpoly import identify
-from .qseries import (QSeries, _ceil, _check_cap, _conv_trunc, _divexact,
-                      _min_prec, _upsample, first_mismatch)
+from .qseries import (QSeries, _ceil, _check_cap, _min_prec, _upsample,
+                      first_mismatch)
+
+_INEXACT = "inexact division in fraction-free elimination"
 
 
 # ---- echelon bases -------------------------------------------------------
@@ -124,15 +140,96 @@ def _vec_val(v, w):
     return None
 
 
-def _vec_sub(a, b):
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
+def _pack_slots(cols, n, w):
+    """Slots 0..n-1 of the int lists cols, each packed into one integer
+    sum_c cols[c][s] * 2^(w c); an entry past the end of its list is 0."""
+    out = [0] * n
+    for col in reversed(cols):
+        out = [(y << w) + x for y, x in zip(out, chain(col, repeat(0)))]
+    return out
+
+
+def _dots(x, ys, lo, hi):
+    """Slots lo..hi-1 of the product of the int list x and the list ys,
+    which holds at least hi slots."""
+    x0 = _vec_val(x, hi)
+    if x0 is None:
+        return [0] * (hi - lo)
+    x, yr = x[x0:hi], ys[hi - 1::-1]
+    # slot e pairs x[x0 + j] with ys[e - x0 - j]
+    return [sum(map(_mul_op, x, yr[hi - 1 - d:]))
+            for d in range(lo - x0, hi - x0)]
+
+
+def _height(cols):
+    return max(max(map(abs, c), default=0) for c in cols)
+
+
+def _row_step(a, mrt, piv, b, prev, wcur, w=None):
+    """One Bareiss step on one row: the lists (a_c * piv - mrt * b_c) / prev
+    over the columns c, known to wcur - val(prev) slots (to wcur slots, with
+    no division, when prev is None).
+
+    The row's slots pack into balanced w-bit fields (module docstring).  A
+    bound keeps every accumulator field below 2^(w-1), so a quotient with
+    lead times every field below 2^(w-1) too divided exactly field by
+    field; any other outcome raises ArithmeticError.  By default w leaves
+    room for x_0 = numerator / lead in every slot; whenever the bound could
+    reach 2^(w-1), w doubles and the row is redone.
+    """
+    v0 = 0 if prev is None else _vec_val(prev, wcur)
+    if wcur <= v0:
+        return [[] for _ in a]
+    if prev is None:
+        lead, t = 1, []
     else:
-        a = list(a)
-    for i, x in enumerate(b):
-        if x:
-            a[i] -= x
-    return a
+        lead, t = prev[v0], [-c for c in prev[v0 + 1:wcur]]
+    rt, lt, alead, taps = t[::-1], len(t), abs(lead), sum(map(abs, t))
+    # a numerator field is at most nb; an accumulator field is at most
+    # nb + taps * max|x| over the quotient fields solved before it
+    nb = (sum(map(abs, piv[:wcur])) * _height(a)
+          + sum(map(abs, mrt[:wcur])) * _height(b))
+    if w is None:
+        w = (nb + taps * (nb // alead)).bit_length() + 1
+    w = max(w, nb.bit_length() + 1)
+    while True:
+        half, top = 1 << (w - 1), w * (len(a) - 1)
+        mask, bias = (1 << w) - 1, sum(half << s for s in range(0, top + 1, w))
+        low = range(0, top, w)
+        num = [p - q for p, q in zip(
+            _dots(piv, _pack_slots(a, wcur, w), v0, wcur),
+            _dots(mrt, _pack_slots(b, wcur, w), v0, wcur))]
+        if prev is None:
+            # every field is a numerator field, below nb < half
+            return [list(col) for col in zip(*[
+                [((y >> s) & mask) - half for s in low] + [(y >> top) - half]
+                for y in [x + bias for x in num]])]
+        # below xlim the accumulator bound stays below half; fields of
+        # lead * x must stay below half too
+        xlim = (half - 1 - nb) // taps if taps else half
+        lim = min(xlim, (half - 1) // alead)
+        xs, rows = [], []
+        for i, x in enumerate(num):
+            jm = min(lt, i)
+            if jm:
+                x += sum(map(_mul_op, rt[lt - jm:], xs[i - jm:i]))
+            if x:
+                x, r = divmod(x, lead)
+                if r:
+                    raise ArithmeticError(_INEXACT)
+            yb = x + bias
+            fields = [((yb >> s) & mask) - half for s in low]
+            fields.append((yb >> top) - half)
+            big = max(max(fields), -min(fields))
+            if big > lim:
+                if big * alead >= half:
+                    raise ArithmeticError(_INEXACT)
+                break
+            xs.append(x)
+            rows.append(fields)
+        else:
+            return [list(col) for col in zip(*rows)]
+        w *= 2
 
 
 def _bareiss(fs, ends):
@@ -219,11 +316,8 @@ def _bareiss(fs, ends):
             sign = -sign
         piv = M[t][t]
         for r in range(t + 1, len(orders)):
-            mrt = M[r][t]
-            for c in range(t + 1, k):
-                num = _vec_sub(_conv_trunc(M[r][c], piv, wcur),
-                               _conv_trunc(mrt, M[t][c], wcur))
-                M[r][c] = num if prev is None else _divexact(num, prev, wcur)
+            M[r][t + 1:] = _row_step(M[r][t + 1:], M[r][t], piv, M[t][t + 1:],
+                                     prev, wcur)
             M[r][t] = None
         wcur -= prev_val
         prev = piv
@@ -286,6 +380,9 @@ class VanishingReport:
     constant        -- the nonzero constant value of that combination
     precision       -- smallest known precision among the members
     diagnostic      -- human-readable explanation of the outcome
+    checked         -- coefficients of the combination compared with the
+                       constant beyond q^0..q^r, which solve the relation:
+                       0 when none was, None when the members are exact
     """
 
     forced_zero: bool
@@ -295,6 +392,7 @@ class VanishingReport:
     constant: object
     precision: object
     diagnostic: str
+    checked: object = 0
 
 
 def vanishing_check(family):
@@ -306,8 +404,11 @@ def vanishing_check(family):
     r >= floor(k/6), then W'/W = 0.  If furthermore those are the only
     members with integer leading exponent, some combination
     lambda_0 f_{i_0} + ... + lambda_r f_{i_r} with lambda_0 = 1 is a
-    nonzero constant; it is solved exponent by exponent and verified
-    against the full known precision of the members.
+    nonzero constant; it is solved from the coefficients of q^0..q^r and
+    verified against every further coefficient known for the members.  The
+    report counts those further coefficients and claims a verification
+    only when there is at least one.  Forcing rests on the exponents alone,
+    so it is reported even when the relation cannot be solved.
 
     Holomorphy is read off the exponents too, once they would force
     W'/W = 0.  W has weight k(k-1) and a character of order dividing 12,
@@ -361,8 +462,8 @@ def vanishing_check(family):
         combo = sum((lj * f for lj, f in zip(lam, members)), QSeries.zero())
         c0 = combo.coeff_at(0)
     except ValueError as exc:
-        return report(diagnostic="insufficient precision to solve the "
-                                 "relation: %s" % exc)
+        return report(forced_zero=True, r=r, diagnostic=forced + "there is "
+                      "too little precision to solve the relation: %s" % exc)
     at = first_mismatch(combo, QSeries.constant(c0))
     if at is not None:
         return report(forced_zero=True, r=r, diagnostic=forced + "the "
@@ -370,7 +471,17 @@ def vanishing_check(family):
     if c0 == 0:
         return report(forced_zero=True, r=r, diagnostic=forced + "the "
                       "combination has zero constant term")
+    # the members lead at the integers 0..r, so the combination lives on
+    # the lattice of their steps; its slots below its precision were compared
+    checked = (None if combo.prec is None else
+               _ceil(combo.prec * lcm(*(f.step_den for f in members))) - r - 1)
+    if checked == 0:
+        outcome = "relation solved from q^0..q^%d, and no further " \
+                  "coefficient is known to verify it" % r
+    else:
+        outcome = "relation verified to precision %s on %s coefficients " \
+                  "beyond q^%d" % (combo.prec, checked or "all", r)
     return report(forced_zero=True, r=r, relation=tuple(lam), constant=c0,
+                  checked=checked,
                   diagnostic="integer orders 0..%d with r >= floor(k/6) = %d "
-                             "force W'/W = 0; relation verified to precision "
-                             "%s" % (r, floor_k6, prec))
+                             "force W'/W = 0; %s" % (r, floor_k6, outcome))

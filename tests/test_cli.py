@@ -522,6 +522,30 @@ def test_too_large_prec_is_a_configuration_error(capsys, argv):
                   "in memory\n" % 10 ** 400
 
 
+@pytest.mark.parametrize("argv,source", [
+    (("symcheck", "--m", "N"), "--m"),
+    (("kz", "--l", "N", "--alpha", "1/2", "--prec", "5"), "--l"),
+    (("partitions", "--upto", "N"), "--upto"),
+    (("ssing", "--p", "N"), "--p"),
+    (("wronskian", "--basis", "sym:weber:N"), "basis m"),
+    (("run-all", "--primes", "5,N"), "prime"),
+])
+def test_too_large_size_is_a_configuration_error(capsys, monkeypatch, argv,
+                                                  source):
+    # 10^20 exceeds sys.maxsize, so it is refused before any series is
+    # built: every library entry point below the CLI fails if it is reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started")
+    for name in ("named_series", "symcheck_report", "kz_coeff",
+                 "verify_recurrences", "supersingular_report", "run_all"):
+        monkeypatch.setattr(cli, name, unreachable)
+    n = 10 ** 20
+    code, out, err = run_cli(capsys, *(a.replace("N", str(n)) for a in argv))
+    assert code == 2 and out == ""
+    assert err == "error: %s %d is too large: its lists do not fit in " \
+                  "memory\n" % (source, n)
+
+
 def test_prec_out_of_memory_is_a_configuration_error(capsys, monkeypatch):
     # --prec 1e12 passes the sys.maxsize check, and its slot list does not
     # fit in memory; the allocation failure is simulated, so that nothing
@@ -562,7 +586,8 @@ def test_too_large_stdin_prec_is_a_configuration_error(capsys, monkeypatch,
 _fuzz_precs = st.one_of(
     st.fractions(min_value=-2, max_value=30, max_denominator=6).map(str),
     st.sampled_from([HUGE, "0", "abc", "1/0", "1e-3"]))
-_fuzz_ints = st.integers(-2, 6).map(str)
+# and 10^20, which no list holds, so it is refused before any work
+_fuzz_ints = st.one_of(st.integers(-2, 6), st.just(10 ** 20)).map(str)
 # mostly primes, so that the supersingular pipeline runs, and some non-primes
 _fuzz_primes = st.one_of(
     st.sampled_from([p for p in range(5, 200) if all(p % d for d in range(2, p))]),
@@ -586,8 +611,9 @@ def _fuzz_stdin(draw):
 
 @st.composite
 def _fuzz_run(draw):
-    """(argv, stdin) of one command, with bounded sizes: m and l at most 6,
-    p at most 200, precision at most 30 (at most 12 for run-all)."""
+    """(argv, stdin) of one command, with bounded sizes: m and l at most 6
+    or else 10^20, upto at most 60 or else 10^20, p at most 200, precision
+    at most 30 (at most 12 for run-all)."""
     command = draw(st.sampled_from([
         "series", "verify", "wronskian", "symcheck", "kz", "ssing",
         "partitions", "identify", "divpoly", "run-all"]))
@@ -619,7 +645,8 @@ def _fuzz_run(draw):
                                        "all"]))]
     elif command == "partitions":
         argv += ["--check", draw(st.sampled_from(["ssss", "p27", "both"])),
-                 "--upto", str(draw(st.integers(-2, 60)))]
+                 "--upto", str(draw(st.one_of(st.integers(-2, 60),
+                                              st.just(10 ** 20))))]
     elif command == "run-all":
         primes = draw(st.lists(_fuzz_primes, min_size=1, max_size=2))
         argv += ["--primes=" + ",".join(map(str, primes)),

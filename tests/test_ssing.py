@@ -370,7 +370,20 @@ def _congruence_outcome(check, p):
 @pytest.mark.parametrize("upto", [0, 1, 50])
 def test_congruence_matches_fractions(p, upto):
     r = congruence_constant_check(p, upto)
-    assert (r.constant, r.nonconstant_vanish) == congruence_by_fractions(p, upto)
+    assert r.checked_through == max(upto, (p - 1) // 12)
+    assert ((r.constant, r.nonconstant_vanish)
+            == congruence_by_fractions(p, r.checked_through))
+
+
+@pytest.mark.parametrize("p,through", [(5, 50), (601, 50), (607, 50),
+                                       (613, 51), (1009, 84)])
+def test_congruence_window_reaches_sturms_bound(p, through):
+    # weight p - 1: a form vanishing mod p through q^floor((p-1)/12)
+    # vanishes mod p, so the window never stops short of that exponent
+    r = congruence_constant_check(p)
+    assert r.checked_through == through and r.ok
+    assert congruence_constant_check(p, upto=0).checked_through == max(
+        0, (p - 1) // 12)
 
 
 @pytest.mark.parametrize("form", [

@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction as F
+from importlib import import_module
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from modwron.cli import IDENTITIES
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
-from modwron.qseries import QSeries, first_mismatch
+from modwron.qseries import QSeries, _conv_trunc, _divexact, first_mismatch
 from modwron.symmpow import sym_basis
 from modwron.wronskian import (ModularBasis, echelonize, identify_quotient,
                                normalize, quotient_form, vanishing_check,
@@ -441,6 +443,35 @@ def test_vanishing_relation_derives_the_registered_identity(
     assert combo == vc.constant * QSeries.one(combo.prec) == rhs.truncate(combo.prec)
 
 
+def test_vanishing_check_reports_forcing_when_the_solve_runs_short():
+    # at N = 1 the members are known below 19/24: the exponents force
+    # W'/W = 0, but the q^1 coefficient that solves lambda_1 is unknown
+    f1, f2 = named_series("a1_f1", 1), named_series("a1_f2", 1)
+    vc = vanishing_check(sym_basis(f1, f2, 6))
+    assert vc.forced_zero and vc.r == 1
+    assert vc.relation is None and vc.constant is None and vc.checked == 0
+    assert "too little precision to solve the relation" in vc.diagnostic
+    assert "verified" not in vc.diagnostic
+
+
+@pytest.mark.parametrize("n,checked", [(2, 0), (3, 1), (25, 23)])
+def test_vanishing_check_counts_the_coefficients_it_compared(n, checked):
+    # the members on the integer lattice are known below n - 5/24; q^0 and
+    # q^1 solve the relation, and only the slots past them check it
+    f1, f2 = named_series("a1_f1", n), named_series("a1_f2", n)
+    vc = vanishing_check(sym_basis(f1, f2, 6))
+    assert vc.forced_zero and vc.r == 1
+    assert vc.relation == (F(1), F(-1)) and vc.constant == 2
+    assert vc.checked == checked
+    assert ("verified" in vc.diagnostic) == (checked > 0)
+
+
+def test_vanishing_check_of_exact_members_checks_every_coefficient():
+    vc = vanishing_check([QSeries.one()])
+    assert vc.forced_zero and vc.relation == (F(1),) and vc.checked is None
+    assert "verified to precision None on all coefficients" in vc.diagnostic
+
+
 def test_vanishing_check_without_integer_exponents(ch_pair):
     ch1, ch2 = ch_pair
     vc = vanishing_check([ch2, ch1])
@@ -469,3 +500,130 @@ def test_vanishing_report_precision(a1_pair):
     family = sym_family(f1, f2, 6)
     vc = vanishing_check(family)
     assert vc.precision == min(f.prec for f in family)
+
+
+# ---- the per-entry elimination step, kept as the reference -----------------
+
+# the package binds the name `wronskian` to the function
+W_MOD = import_module("modwron.wronskian")
+
+
+def _vec_sub(a, b):
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    else:
+        a = list(a)
+    for i, x in enumerate(b):
+        if x:
+            a[i] -= x
+    return a
+
+
+def row_step_by_entry(a, mrt, piv, b, prev, wcur, w=None):
+    """The elimination step entry by entry: two truncated products, one
+    subtraction and one exact triangular division per (row, column)."""
+    out = []
+    for ac, bc in zip(a, b):
+        num = _vec_sub(_conv_trunc(ac, piv, wcur), _conv_trunc(mrt, bc, wcur))
+        out.append(num if prev is None else _divexact(num, prev, wcur))
+    return out
+
+
+def _minors(fs, ends):
+    try:
+        return [(s.offset, s.nums, s.step_den, s.den, s.prec)
+                for s in W_MOD._bareiss(fs, ends)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def bareiss_by_entry(fs, ends):
+    """_bareiss with the reference step: the same pivots and windows."""
+    with mock.patch.object(W_MOD, "_row_step", row_step_by_entry):
+        return _minors(fs, ends)
+
+
+@st.composite
+def integer_family(draw):
+    """Families on lattices up to 1/6, exact or truncated close to their
+    leading terms, with offsets that zero out derivative rows (so pivots
+    swap), entries up to 2^60, and an optional dependent last member."""
+    fs = []
+    for _ in range(draw(st.integers(1, 5))):
+        off = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+        bits = draw(st.sampled_from([3, 20, 60]))
+        nums = draw(st.lists(st.integers(-2 ** bits, 2 ** bits),
+                             min_size=1, max_size=9))
+        nums[0] = draw(st.sampled_from([1, -2, 3, 2 ** bits]))
+        step = draw(st.sampled_from([1, 2, 3]))
+        prec = draw(st.one_of(st.none(), st.builds(
+            lambda n, d: off + F(n, d), st.integers(0, 10),
+            st.sampled_from([1, 2, 3]))))
+        fs.append(QSeries(off, nums, step, draw(st.integers(1, 3)), prec))
+    if len(fs) > 2 and draw(st.booleans()):
+        fs[-1] = 2 * fs[0] - 3 * fs[1]
+    return fs
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_family())
+def test_packed_step_matches_the_per_entry_step(fs):
+    k = len(fs)
+    for ends in ((0,), (k,), (0, k)):
+        assert _minors(fs, ends) == bareiss_by_entry(fs, ends)
+
+
+def test_packed_step_matches_on_the_paper_families(ch_pair, weber_pair,
+                                                   a1_pair):
+    for pair in (ch_pair, weber_pair, a1_pair):
+        for m in (1, 4, 8):
+            fs = sym_family(*pair, m)
+            assert _minors(fs, (0, m + 1)) == bareiss_by_entry(fs, (0, m + 1))
+
+
+def _exact_row(seed, nf=3, n=12):
+    """A row whose numerator is x * prev for random columns x, so that the
+    quotients are x; prev's taps are large next to its lead, so x grows."""
+    rng = random.Random(seed)
+    prev = [rng.choice([1, -1, 2])] + [rng.randint(-90, 90) for _ in range(4)]
+    x = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(nf)]
+    a = [_conv_trunc(c, prev, n) for c in x]
+    return a, [0], [1], [[0]] * nf, prev, n, x
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_step_widens_a_narrow_width_and_agrees(seed):
+    a, mrt, piv, b, prev, n, x = _exact_row(seed)
+    widths = []
+
+    def spy(cols, n, w):
+        widths.append(w)
+        return pack(cols, n, w)
+
+    pack = W_MOD._pack_slots
+    narrow = max(abs(v) for c in a for v in c).bit_length() + 1
+    with mock.patch.object(W_MOD, "_pack_slots", spy):
+        got = W_MOD._row_step(a, mrt, piv, b, prev, n, narrow)
+    assert widths[0] == narrow and widths[-1] > narrow
+    assert got == x == W_MOD._row_step(a, mrt, piv, b, prev, n)
+    assert got == row_step_by_entry(a, mrt, piv, b, prev, n)
+
+
+@pytest.mark.parametrize("w", [None, 8])
+@pytest.mark.parametrize("fields", [(1, 0), (3, 1)])
+def test_row_step_raises_on_an_inexact_field(w, fields):
+    # 3 does not divide 1, nor the packed integer (1 or 3 + 2^w); the floor
+    # quotient of 1 by 3 is 0, whose fields pass the range check
+    a = [[f] for f in fields]
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        W_MOD._row_step(a, [0], [1], [[0], [0]], [3], 1, w)
+
+
+def test_row_step_raises_when_only_the_packed_integer_divides():
+    # fields (1, 2) at w = 8 pack to 513 = 3 * 171, but 3 divides neither
+    # field: 171 unpacks to (-85, 1), and 3 * 85 reaches 2^7
+    assert (1 + 2 * 2 ** 8) % 3 == 0
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        W_MOD._row_step([[1], [2]], [0], [1], [[0], [0]], [3], 1, 8)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        W_MOD._row_step([[1], [2]], [0], [1], [[0], [0]], [3], 1)
