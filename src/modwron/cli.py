@@ -496,6 +496,8 @@ def _cmd_verify(args, prec):
 
 
 def _cmd_wronskian(args, prec):
+    if args.identify is not None:
+        _fits(args.identify, "--identify")
     basis = _parse_basis(args.basis, prec)
     w = wronskian_derived(basis) if args.derived else wronskian(basis)
     payload = {"wronskian": w.to_json()}
@@ -605,7 +607,7 @@ def _identify_stdin(weight):
 
 
 def _cmd_divpoly(args, prec):
-    form = _identify_stdin(args.weight)
+    form = _identify_stdin(_fits(args.weight, "--weight"))
     poly = divisor_polynomial(form)
     _emit(args, {"weight": args.weight,
                  "divisor_polynomial": [str(c) for c in poly.coeffs]},
@@ -614,7 +616,7 @@ def _cmd_divpoly(args, prec):
 
 
 def _cmd_identify(args, prec):
-    form = _identify_stdin(args.weight)
+    form = _identify_stdin(_fits(args.weight, "--weight"))
     _emit(args, {"weight": args.weight, "terms": _terms(form)}, str(form))
     return 0
 

@@ -140,8 +140,11 @@ class Poly:
         if other is None:
             return NotImplemented
         # list slices in the kernel; tuple slices would pile up in the
-        # interpreter's tuple free lists and raise the peak memory
-        return self._new(_conv_trunc(list(self.coeffs), list(other.coeffs)))
+        # interpreter's tuple free lists and raise the peak memory; a square
+        # passes one list
+        a = list(self.coeffs)
+        return self._new(_conv_trunc(a, a if other is self else
+                                     list(other.coeffs)))
 
     __rmul__ = __mul__
 

@@ -6,33 +6,39 @@ means the series is exact at all orders, e.g. an integer polynomial in q).
 All arithmetic is exact rational; nothing here ever touches floating point.
 
 Two integer kernels carry every product and quotient.  _conv_trunc is the
-truncated product of coefficient lists; lists of at least PACK_MIN Python
-ints go to _kron, which packs each into one integer, a fixed number of
-bytes per slot, and multiplies once (Kronecker substitution).  _solve is
-the exact triangular solve behind _divexact and _euler_product, scheduled
-by its taps.  Sparse taps (eta, theta sums, upsampled divisors) run the
-recurrence over the nonzero taps only, in O(n * nnz).  Dense int taps split
-long runs in half, and the left half reaches the right through one middle
-product by _kron, which unpacks only the slots the right half needs: taps
-of at most SMALL_TAP_BITS bits split down to SMALL_LEAF slots, wider ones
-down to PACK_MIN slots.  Non-int taps run the row-by-row loop.  Every step
-divides the same integer as that loop, so an inexact step still raises.
+truncated product of coefficient lists: int lists go to _kron, which packs
+each into one integer at the slot width of the widest product below the
+truncation and multiplies once (Kronecker substitution), when the one cost
+function _packs prices that below the schoolbook loop, from the lengths,
+the bit widths, the truncation and whether both lists are the same (a
+square packs once; the loop halves its products).  _solve is the exact
+triangular solve behind _divexact and _euler_product.  Sparse taps (eta,
+theta sums) run the recurrence over the nonzero taps only, in O(n * nnz).
+Dense int taps split a run in half, and once the left half is solved,
+_packs chooses how it reaches the right half: one _kron middle product,
+which unpacks only the slots the right half needs, or the loop.  Non-int
+taps run the row-by-row loop.  Every step divides the same integer as that
+loop, so an inexact step still raises.  An operand on an s times coarser
+lattice meets the s residue classes of the other one by one (_by_class).
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
-from operator import mul as _mul_op
+from operator import add, mul as _mul_op
 
 LATTICE_CAP = 120     # largest allowed exponent-lattice denominator
 DEFAULT_PREC = 100    # truncation order used when fully exact inputs need one
-# shortest int operands that _conv_trunc packs into one integer product:
-# below 200 slots, 200-3000-bit determinant entries multiply faster by the loop
-PACK_MIN = 200
-# _solve: taps with fewer than 1/SPARSE_DENSITY nonzero entries run tap by
-# tap; int taps of at most SMALL_TAP_BITS bits split down to SMALL_LEAF slots
+# _solve: taps with fewer than 1/SPARSE_DENSITY nonzero entries run tap by tap
 SPARSE_DENSITY = 4
-SMALL_TAP_BITS = 32
-SMALL_LEAF = 32
+# _packs prices in 30-bit digit products (about 1 ns) the interpreter's
+# overhead per product of the loop, per slot _kron packs or unpacks and per
+# _kron call, fitted to timings of both on 4-1000 slots of 1-20000 bits;
+# CPython multiplies ints of KARATSUBA_CUTOFF digits or more by Karatsuba.
+LOOP_STEP = 70
+PACK_SLOT = 125
+PACK_CALL = 10000
+KARATSUBA_CUTOFF = 70
 
 
 def _as_frac(x):
@@ -72,6 +78,47 @@ def _all_ints(xs):
     return set(map(type, xs)) <= {int}
 
 
+def _width(xs):
+    """Bit length of the widest entry of the int list xs."""
+    return max(map(int.bit_length, xs), default=0)
+
+
+def _digit_work(x, y):
+    """Digit products in CPython's product of an x-digit and a y-digit int:
+    schoolbook below the Karatsuba cut-off, else Karatsuba on chunks of the
+    longer one as long as the shorter (3^log2(x/cut-off) base cases each)."""
+    if x > y:
+        x, y = y, x
+    if x < KARATSUBA_CUTOFF:
+        return x * y
+    return y * KARATSUBA_CUTOFF * (x / KARATSUBA_CUTOFF) ** 0.585
+
+
+def _pairs(la, lb, m):
+    """Products a_i b_j with i + j < m of lists of lengths la and lb: the
+    triangle below m, less the parts past either list (inclusion-exclusion)."""
+    a, b, c, d = m, max(m - la, 0), max(m - lb, 0), max(m - la - lb, 0)
+    return (a * (a + 1) - b * (b + 1) - c * (c + 1) + d * (d + 1)) // 2
+
+
+def _packs(la, lb, ba, bb, n, start=0, square=False):
+    """True when _kron forms slots start..n-1 of the product of int lists
+    of lengths la, lb <= n and bit widths ba, bb cheaper than the loop.
+
+    The one cost function of the kernels.  The loop pays LOOP_STEP and the
+    digit products of each a_i b_j; _kron pays PACK_CALL, PACK_SLOT per slot
+    and one product at the summed slot width, so it loses when one side is
+    much wider.  A square halves both and packs one list.
+    """
+    halve = 2 if square else 1
+    products = (_pairs(la, lb, n) - _pairs(la, lb, start)) / halve
+    slots = la + n - start + (0 if square else lb)
+    digits = (ba + bb + min(la, lb).bit_length() + 8) // 8 * 8 / 30
+    return (PACK_CALL + PACK_SLOT * slots
+            + _digit_work(la * digits, lb * digits) / halve
+            < products * (LOOP_STEP + _digit_work(-(-ba // 30), -(-bb // 30))))
+
+
 def _pack(xs, nbytes):
     """xs as one integer, nbytes little-endian bytes per slot; the positive
     and the negative parts are packed apart and subtracted."""
@@ -83,19 +130,34 @@ def _pack(xs, nbytes):
 
 def _kron(a, b, n, start=0):
     """Coefficients start..n-1 of the product of the nonempty int lists a
-    and b, as one product of two packed integers (Kronecker substitution)."""
+    and b, as one product of two packed integers (Kronecker substitution).
+    A square (b is a) packs once and squares the packed integer."""
     n = min(n, len(a) + len(b) - 1)
-    a, b = a[:n], b[:n]
-    # |slot| < min(len) * 2^(bits(a) + bits(b)), plus one bit for the sign
-    nbytes = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
-              + min(len(a), len(b)).bit_length() + 8) // 8
+    square = a is b
+    a = a[:n]
+    b = a if square else b[:n]
+    if start:
+        # a middle product meets the widest slots of a with the first of b:
+        # the summed widths are about as tight, and cheaper to find
+        top = _width(a) + _width(b)
+    else:
+        # the widest a_i b_j with i + j < n (b_j meets the widest of a_0 ..
+        # a_(n-1-j)): entries that widen along a truncated product get
+        # narrower slots
+        reach = list(accumulate(map(int.bit_length, a), max))
+        j0 = n - len(a)
+        top = max(_width(b[:j0]) + reach[-1], max(map(add, map(
+            int.bit_length, b[j0:]), reversed(reach[n - len(b):n - j0]))))
+    # every slot below n: |slot| < min(len) * 2^top, plus a sign bit
+    nbytes = (top + min(len(a), len(b)).bit_length() + 8) // 8
     size = nbytes * max(n - start, 0)
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    pa = _pack(a, nbytes)
     # each biased slot lies in [0, 2^(8 nbytes)), so none borrows from the
     # next; the shift drops the first start slots and the mask keeps the
     # slots up to n
-    packed = (((_pack(a, nbytes) * _pack(b, nbytes) + bias)
+    packed = (((pa * (pa if square else _pack(b, nbytes)) + bias)
                >> (8 * nbytes * start)) & ((1 << (8 * size)) - 1))
     buf = packed.to_bytes(size, "little")
     return [int.from_bytes(buf[i:i + nbytes], "little") - half
@@ -106,28 +168,53 @@ def _conv_trunc(a, b, n=None):
     """The first n coefficients (all when n is None) of the product of the
     coefficient lists a and b.
 
-    Lists of at least PACK_MIN Python ints are multiplied by _kron; every
-    other call, Fraction entries included, runs the schoolbook loop.
+    Int lists go to _kron when _packs prices it below the schoolbook loop;
+    every other call, Fraction entries included, runs the loop.  A square
+    (b is a) forms each product a_i a_j, i < j, once and doubles it.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     if n is None or n > la + lb - 1:
         n = la + lb - 1
-    if (min(la, lb, n) >= PACK_MIN and _all_ints(a[:n])
-            and _all_ints(b[:n])):
-        return _kron(a, b, n)
+    square = a is b
+    # products whose loop overhead is below _kron's own loop without a look
+    # at their entries
+    if _pairs(la, lb, n) * LOOP_STEP > PACK_CALL + PACK_SLOT * (la + lb + n):
+        a = a[:n]
+        b = a if square else b[:n]
+        la, lb = len(a), len(b)
+        if _all_ints(a) and (square or _all_ints(b)):
+            ba = _width(a)
+            if _packs(la, lb, ba, ba if square else _width(b), n, 0, square):
+                return _kron(a, b, n)
     rb = b[::-1]
     out = []
     for t in range(n):
         lo = t - lb + 1
         if lo < 0:
             lo = 0
+        if square:
+            # the pairs i < t - i, doubled, and the middle square
+            x = 2 * sum(map(_mul_op, a[lo:(t + 1) // 2], rb[lb - 1 - t + lo:]))
+            out.append(x if t & 1 else x + a[t // 2] * a[t // 2])
+            continue
         hi = t if t < la else la - 1
         if hi < lo:
             out.append(0)
         else:
             out.append(sum(map(_mul_op, a[lo:hi + 1], rb[lb - 1 - t + lo:lb - t + hi])))
+    return out
+
+
+def _by_class(f, s, n, kernel):
+    """The n slots whose residue class r mod s is kernel(f[r::s], n_r), n_r
+    the class's slots below n: a product or a quotient whose other operand
+    lies on a lattice s times coarser, formed class by class on it."""
+    out = [0] * n
+    for r in range(min(s, n)):
+        c = kernel(f[r::s], len(range(r, n, s)))
+        out[r:r + s * len(c):s] = c
     return out
 
 
@@ -160,30 +247,35 @@ def _solve(acc, t, div, out, lo, hi, what):
         return
     # the solved slots are ints (quotients of divmod by the int divisors),
     # so int taps make a cross product that _kron can pack
-    if not lt or not _all_ints(t):
-        leaf = 0
-    elif max(map(int.bit_length, t)) <= SMALL_TAP_BITS:
-        leaf = SMALL_LEAF
-    else:
-        leaf = PACK_MIN
-    _relaxed(acc, t, t[::-1], div, out, lo, hi, what, leaf)
+    bt = _width(t) if _all_ints(t) else None
+    _relaxed(acc, t, t[::-1], div, out, lo, hi, what, bt)
 
 
-def _relaxed(acc, t, rt, div, out, lo, hi, what, leaf):
-    """_solve on dense taps t (rt is t reversed).  A run of 2 * leaf > 0
-    slots or more splits in half, and the solved left half reaches
-    acc[mid:hi] through one middle product by _kron (the slots mid - lo - 1
-    .. hi - lo - 2 of the cross product); other runs loop."""
+def _relaxed(acc, t, rt, div, out, lo, hi, what, bt):
+    """_solve on dense taps t (rt is t reversed) of bit width bt, None
+    when some tap is not an int.
+
+    The left half of a run is solved first.  Its cross product with the
+    taps reaches acc[mid:hi] (slots h - 1 .. hi - lo - 2, h = mid - lo), and
+    _packs prices that middle product with the solved slots in hand:
+    packed, _kron carries it and the right half recurses; otherwise the
+    right half loops over the taps back to lo.  A run whose middle product
+    would not pack for slots as wide as the taps loops from the start.
+    """
     lt = len(t)
-    if leaf and hi - lo >= 2 * leaf and lt >= leaf:
-        mid = (lo + hi) // 2
-        _relaxed(acc, t, rt, div, out, lo, mid, what, leaf)
-        c = _kron(out[lo:mid], t[:hi - lo - 1], hi - lo - 1, mid - lo - 1)
-        for i, x in enumerate(c, mid):
-            acc[i] += x
-        _relaxed(acc, t, rt, div, out, mid, hi, what, leaf)
-        return
-    for i in range(lo, hi):
+    h = (hi - lo) // 2
+    mid, m = lo + h, min(lt, hi - lo - 1)
+    start = lo
+    if bt is not None and h and _packs(h, m, bt, bt, hi - lo - 1, h - 1):
+        _relaxed(acc, t, rt, div, out, lo, mid, what, bt)
+        solved = out[lo:mid]
+        if _packs(h, m, _width(solved), bt, hi - lo - 1, h - 1):
+            c = _kron(solved, t[:m], hi - lo - 1, h - 1)
+            acc[mid:mid + len(c)] = map(add, acc[mid:mid + len(c)], c)
+            _relaxed(acc, t, rt, div, out, mid, hi, what, bt)
+            return
+        start = mid
+    for i in range(start, hi):
         x = acc[i]
         jm = min(lt, i - lo)
         if jm:
@@ -442,17 +534,22 @@ class QSeries:
         L = lcm(self.step_den, other.step_den)
         _check_cap(L)
         offset = self.offset + other.offset
-        sa = L // self.step_den
-        sb = L // other.step_den
-        a = self.nums if sa == 1 else _upsample(self.nums, sa)
-        b = other.nums if sb == 1 else _upsample(other.nums, sb)
+        # a is the operand on the coarser lattice, s times coarser than L;
+        # b is upsampled to L, and a multiplies its s residue classes
+        a, b = self.nums, other.nums
+        s, sb = L // self.step_den, L // other.step_den
+        if s < sb:
+            a, b, s, sb = b, a, sb, s
+        if sb > 1:
+            b = _upsample(b, sb)
         if prec is None:
-            n_out = None
+            n_out = (len(a) - 1) * s + len(b)
         else:
             n_out = max(_ceil((prec - offset) * L), 0)
             if n_out == 0:
                 return QSeries.zero(prec)
-        out = _conv_trunc(a, b, n_out)
+        out = (_conv_trunc(a, b, n_out) if s == 1 else
+               _by_class(b, s, n_out, lambda f, n: _conv_trunc(a, f, n)))
         return QSeries(offset, out, L, self.den * other.den, prec)
 
     __rmul__ = __mul__
@@ -631,9 +728,12 @@ def _long_div(u, v):
     if n_out == 0:
         return QSeries.zero(out_prec)
     a = u.nums if u.step_den == L else _upsample(u.nums, L // u.step_den)
-    b = v.nums if v.step_den == L else _upsample(v.nums, L // v.step_den)
+    # the divisor stays on its own lattice, s times coarser than L, and
+    # divides each residue class mod s of the dividend
+    s = L // v.step_den
     # the divisor's content g goes into the denominator, so that b0 is as
     # small as it can be
+    b = v.nums
     g = gcd(*b)
     if g > 1:
         b = [x // g for x in b]
@@ -642,7 +742,9 @@ def _long_div(u, v):
     # rides along in the same scale
     scale = b[0] ** n_out
     factor = scale * v.den
-    qs = _divexact([x * factor for x in a[:n_out]], b, n_out)
+    a = [x * factor for x in a[:n_out]]
+    qs = (_divexact(a, b, n_out) if s == 1 else
+          _by_class(a, s, n_out, lambda f, n: _divexact(f, b, n)))
     return QSeries(offset, qs, L, u.den * scale * g, out_prec)
 
 

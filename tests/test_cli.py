@@ -529,15 +529,20 @@ def test_too_large_prec_is_a_configuration_error(capsys, argv):
     (("ssing", "--p", "N"), "--p"),
     (("wronskian", "--basis", "sym:weber:N"), "basis m"),
     (("run-all", "--primes", "5,N"), "prime"),
+    (("wronskian", "--basis", "ch1,ch2", "--identify", "N"), "--identify"),
+    (("identify", "--weight", "N"), "--weight"),
+    (("divpoly", "--weight", "N"), "--weight"),
 ])
 def test_too_large_size_is_a_configuration_error(capsys, monkeypatch, argv,
                                                   source):
     # 10^20 exceeds sys.maxsize, so it is refused before any series is
-    # built: every library entry point below the CLI fails if it is reached
+    # built: every library entry point below the CLI fails if it is
+    # reached, and so does reading a series from stdin
     def unreachable(*args, **kwargs):
         raise AssertionError("work started")
     for name in ("named_series", "symcheck_report", "kz_coeff",
-                 "verify_recurrences", "supersingular_report", "run_all"):
+                 "verify_recurrences", "supersingular_report", "run_all",
+                 "identify", "_read_series_stdin"):
         monkeypatch.setattr(cli, name, unreachable)
     n = 10 ** 20
     code, out, err = run_cli(capsys, *(a.replace("N", str(n)) for a in argv))
@@ -588,6 +593,8 @@ _fuzz_precs = st.one_of(
     st.sampled_from([HUGE, "0", "abc", "1/0", "1e-3"]))
 # and 10^20, which no list holds, so it is refused before any work
 _fuzz_ints = st.one_of(st.integers(-2, 6), st.just(10 ** 20)).map(str)
+# weights: small ones, and 10^20, which is refused like the sizes above
+_fuzz_weights = st.one_of(st.integers(-2, 30), st.just(10 ** 20)).map(str)
 # mostly primes, so that the supersingular pipeline runs, and some non-primes
 _fuzz_primes = st.one_of(
     st.sampled_from([p for p in range(5, 200) if all(p % d for d in range(2, p))]),
@@ -632,7 +639,7 @@ def _fuzz_run(draw):
         if draw(st.booleans()):
             argv.append("--derived")
         if draw(st.booleans()):
-            argv += ["--identify", str(draw(st.integers(-2, 30)))]
+            argv += ["--identify", draw(_fuzz_weights)]
     elif command == "symcheck":
         argv += ["--m", draw(_fuzz_ints),
                  "--pair", draw(st.sampled_from(["weber", "rr", "a1"]))]
@@ -653,7 +660,7 @@ def _fuzz_run(draw):
                  "--prec=" + draw(st.one_of(st.integers(-1, 12).map(str),
                                             st.just(HUGE)))]
     else:
-        argv += ["--weight", str(draw(st.integers(-2, 30)))]
+        argv += ["--weight", draw(_fuzz_weights)]
         stdin = draw(_fuzz_stdin())
     if command != "run-all" and draw(st.booleans()):
         argv.append("--prec=" + draw(_fuzz_precs))

@@ -1,7 +1,9 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction as F
 from math import gcd, lcm
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 import modwron.qseries as qs
 from modwron.etaprod import THETAS, eta, theta_sum
 from modwron.qseries import (QSeries, first_mismatch, DEFAULT_PREC, LATTICE_CAP,
-                             PACK_MIN, SMALL_LEAF, SMALL_TAP_BITS, _add_prec,
-                             _ceil, _conv_trunc, _divexact, _euler_product,
-                             _kron, _min_prec, _upsample)
+                             _add_prec, _ceil, _conv_trunc, _divexact,
+                             _euler_product, _kron, _min_prec, _packs,
+                             _upsample)
+
+# run lengths (and twice each) and a tap width that the draws below straddle
+SHORT, LONG, TAP_BITS = 32, 200, 32
 
 
 # ---- construction and normal form -------------------------------------
@@ -392,11 +397,11 @@ def divexact_by_loop(u, v, w):
     return out
 
 
-# lengths on both sides of the packing cut-off and of the split length
+# lengths on both sides of LONG and of 2 * LONG
 _lengths = st.one_of(
     st.integers(0, 1200),
-    st.sampled_from([PACK_MIN - 1, PACK_MIN, PACK_MIN + 1,
-                     2 * PACK_MIN - 1, 2 * PACK_MIN, 2 * PACK_MIN + 1]))
+    st.sampled_from([LONG - 1, LONG, LONG + 1,
+                     2 * LONG - 1, 2 * LONG, 2 * LONG + 1]))
 
 
 @st.composite
@@ -447,16 +452,16 @@ def test_conv_trunc_slot_width_worst_case(bits):
 
 
 @settings(max_examples=6, deadline=None)
-@given(st.integers(PACK_MIN, PACK_MIN + 60), st.integers(0, 2 ** 32), st.data())
+@given(st.integers(LONG, LONG + 60), st.integers(0, 2 ** 32), st.data())
 def test_conv_trunc_fraction_entries_stay_exact(la, seed, data):
     rng = random.Random(seed)
     a = [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(la)]
-    lb = data.draw(st.integers(PACK_MIN, 300))
+    lb = data.draw(st.integers(LONG, 300))
     b = [rng.randint(-99, 99) for _ in range(lb)]
     b[rng.randrange(len(b))] = F(1, 3)
     n = _cut(data.draw, la, len(b))
     assert _conv_trunc(a, b, n) == conv_by_loop(a, b, n)
-    assert _conv_trunc(b, b, PACK_MIN) == conv_by_loop(b, b, PACK_MIN)
+    assert _conv_trunc(b, b, LONG) == conv_by_loop(b, b, LONG)
 
 
 def _val(v):
@@ -493,7 +498,7 @@ def test_divexact_matches_loop(v, x, data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(divisors(), st.integers(2 * PACK_MIN + 1, 1200), st.integers(0, 2 ** 32))
+@given(divisors(), st.integers(2 * LONG + 1, 1200), st.integers(0, 2 ** 32))
 def test_divexact_inexact_step_past_the_split_raises(v, n, seed):
     rng = random.Random(seed)
     v0 = _val(v)
@@ -501,7 +506,7 @@ def test_divexact_inexact_step_past_the_split_raises(v, n, seed):
         v[v0] *= 3
     x = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
     u = conv_by_loop(v, x, v0 + n)
-    u[v0 + rng.randint(2 * PACK_MIN, n - 1)] += 1
+    u[v0 + rng.randint(2 * LONG, n - 1)] += 1
     for solve in (_divexact, divexact_by_loop):
         with pytest.raises(ArithmeticError, match="inexact division"):
             solve(u, v, v0 + n)
@@ -609,12 +614,12 @@ def _inexact_at(v, x, pos):
             solve(u, v, v0 + len(x))
 
 
-# lengths on both sides of the leaf, the small-tap split and the wide split
+# lengths on both sides of SHORT, 2 * SHORT and 2 * LONG
 _solve_lengths = st.one_of(
     st.integers(0, 900),
-    st.sampled_from([SMALL_LEAF - 1, SMALL_LEAF, SMALL_LEAF + 1,
-                     2 * SMALL_LEAF - 1, 2 * SMALL_LEAF, 2 * SMALL_LEAF + 1,
-                     2 * PACK_MIN - 1, 2 * PACK_MIN, 2 * PACK_MIN + 1]))
+    st.sampled_from([SHORT - 1, SHORT, SHORT + 1,
+                     2 * SHORT - 1, 2 * SHORT, 2 * SHORT + 1,
+                     2 * LONG - 1, 2 * LONG, 2 * LONG + 1]))
 
 
 def _real_divisor(name, n):
@@ -645,7 +650,7 @@ def tails(draw, above=False):
     m = draw(_solve_lengths)
     most = -(-m // 4)          # the fewest taps with 4 * nnz >= m
     k = most if above else draw(st.integers(0, max(most - 1, 0)))
-    bits = draw(st.sampled_from([1, 8, SMALL_TAP_BITS, SMALL_TAP_BITS + 1, 200]))
+    bits = draw(st.sampled_from([1, 8, TAP_BITS, TAP_BITS + 1, 200]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     tail = [0] * m
     for j in rng.sample(range(m), min(k, m)):
@@ -674,10 +679,10 @@ def test_divexact_just_dense_tails_match_loop(tail, lead, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(_solve_lengths, st.integers(0, SMALL_TAP_BITS + 1),
+@given(_solve_lengths, st.integers(0, TAP_BITS + 1),
        st.sampled_from([1, -1, 3, -5]), st.integers(0, 2 ** 32))
 def test_divexact_small_taps_match_loop(n, bits, lead, seed):
-    # dense taps of at most 32 bits split down to 32-slot leaves
+    # dense taps of at most 33 bits, on runs that split
     rng = random.Random(seed)
     tail = [rng.choice([-1, 1]) * rng.randint(1, 2 ** max(bits, 1) - 1)
             for _ in range(n)]
@@ -690,12 +695,16 @@ def test_small_tap_solve_packs_its_cross_products(monkeypatch):
     rng = random.Random(5)
     _round_trip([1] + [rng.randint(-9, 9) or 1 for _ in range(127)],
                 [rng.randint(-99, 99) for _ in range(128)])
-    assert counter.calls == 3      # 128 -> 2 x 64 -> 4 x 32 slots
-    # a wide tap or a sparse tail never reaches _kron below PACK_MIN
+    assert counter.calls >= 3      # 128 -> 2 x 64 -> 4 x 32 slots, or finer
+    # a quotient far wider than the taps (the width cliff) or a sparse tail
+    # never reaches _kron
     counter.calls = 0
-    _round_trip([1, 2 ** 40] + [1] * 127, list(range(128)))
+    _round_trip([1] * 128, [2 ** 3000 + i for i in range(128)])
     _round_trip([1] + [0] * 60 + [5] + [0] * 60, list(range(128)))
     assert counter.calls == 0
+    # a wide tap over narrow quotients packs or loops as priced; either way
+    # the round trip holds
+    _round_trip([1, 2 ** 40] + [1] * 127, list(range(128)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -715,11 +724,11 @@ def test_divexact_inexact_step_in_a_sparse_solve_raises(seed, density):
 @given(st.integers(0, 2 ** 32))
 def test_divexact_inexact_step_in_a_small_leaf_raises(seed):
     rng = random.Random(seed)
-    n = rng.randint(2 * SMALL_LEAF, 300)
+    n = rng.randint(2 * SHORT, 300)
     tail = [rng.randint(1, 2 ** 20) for _ in range(n)]
-    # past the first split, inside a 32-slot leaf
+    # past the first split
     _inexact_at([-3] + tail, [rng.randint(-99, 99) for _ in range(n)],
-                rng.randrange(SMALL_LEAF + 1, n))
+                rng.randrange(SHORT + 1, n))
 
 
 @st.composite
@@ -759,12 +768,11 @@ def test_euler_product_inexact_step_in_a_sparse_solve_raises():
 
 # ---- the middle product of the split solve -----------------------------------
 
-# run lengths on both sides of a small-tap leaf pair, of two such pairs, and
-# of the wide split
-_straddle = st.sampled_from([SMALL_LEAF - 1, SMALL_LEAF, SMALL_LEAF + 1,
-                             2 * SMALL_LEAF - 1, 2 * SMALL_LEAF,
-                             2 * SMALL_LEAF + 1, 2 * PACK_MIN - 1,
-                             2 * PACK_MIN, 2 * PACK_MIN + 1])
+# run lengths on both sides of SHORT, of two such runs, and of 2 * LONG
+_straddle = st.sampled_from([SHORT - 1, SHORT, SHORT + 1,
+                             2 * SHORT - 1, 2 * SHORT,
+                             2 * SHORT + 1, 2 * LONG - 1,
+                             2 * LONG, 2 * LONG + 1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -783,11 +791,11 @@ def test_middle_product_is_a_window_of_the_product(la, lb, extra, bits, seed,
 
 
 @settings(max_examples=30, deadline=None)
-@given(_straddle, st.sampled_from([1, SMALL_TAP_BITS, SMALL_TAP_BITS + 1, 200]),
+@given(_straddle, st.sampled_from([1, TAP_BITS, TAP_BITS + 1, 200]),
        st.sampled_from([1, -1, 3, -5]), st.integers(0, 2 ** 32))
 def test_split_solve_on_straddling_lengths_matches_loop(n, bits, lead, seed):
-    # small taps split at 32-slot leaves, wide taps at 200-slot leaves; both
-    # cross products are middle products
+    # small and wide taps split at the lengths the cost model picks; every
+    # cross product is a middle product
     rng = random.Random(seed)
     tail = [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits - 1)
             for _ in range(n)]
@@ -841,10 +849,192 @@ def test_division_by_a_divisor_with_content(u, seed, g, lead):
     # a primitive vector lead, tail[...]; its multiple by g has content g
     tail.append(1)
     off = F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
-    # a denominator prime to g keeps the content in the numerators
+    # a denominator prime to g and to the lead keeps the content in the
+    # numerators, also when prec keeps the lead alone
     v = QSeries(off, [g * lead] + [g * c for c in tail], rng.choice([1, 2, 5]),
-                rng.choice([1, 5, 7]),
+                rng.choice([d for d in (1, 5, 7) if gcd(d, lead) == 1]),
                 rng.choice([None, off + F(rng.randint(1, 60), 2)]))
     assert v.nums[0] == g * lead and gcd(*v.nums) > 1
     for num in (u, QSeries.one()):
         assert (num / v).to_json() == long_div_keeping_content(num, v).to_json()
+
+
+# ---- schedules chosen by the cost model ----------------------------------------
+
+def _forced(packs):
+    """The kernels with _packs answering packs for every product."""
+    return mock.patch.object(qs, "_packs", lambda *args: packs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_vectors(max_bits=600), st.data())
+def test_square_matches_the_product_with_a_copy(a, data):
+    # the same list on both sides is one packed square, or the loop that
+    # doubles each a_i a_j, i < j; a list equal to a but for one slot is a
+    # product.  Four loops per example: at most 2 * LONG + 1 slots
+    a = a[:2 * LONG + 1]
+    n = _cut(data.draw, len(a), len(a))
+    other = list(a)
+    if other:
+        other[data.draw(st.integers(0, len(a) - 1))] += 1
+    square, product = conv_by_loop(a, list(a), n), conv_by_loop(a, other, n)
+    for packs in (None, True, False):
+        with _forced(packs) if packs is not None else nullcontext():
+            assert _conv_trunc(a, a, n) == square
+            assert _conv_trunc(a, other, n) == product
+    if square:
+        assert _kron(a, a, len(square)) == square
+    fracs = [F(x, 3) for x in a[:60]]
+    assert _conv_trunc(fracs, fracs, n) == conv_by_loop(fracs, list(fracs), n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(int_vectors(max_bits=200), _offsets, st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 6]), st.integers(0, 2 ** 32))
+def test_series_square_and_power_match_copies(nums, off, sd, den, seed):
+    rng = random.Random(seed)
+    prec = rng.choice([None, off + F(rng.randint(0, 2 * len(nums) + 2), sd)])
+    x = QSeries(off, nums, sd, den, prec)
+    copy = QSeries(x.offset, x.nums, x.step_den, x.den, x.prec)
+    assert copy.nums is not x.nums
+    assert x * x == x * copy
+    if x.nums:
+        assert x ** 3 == (x * copy) * copy
+
+
+def mul_upsampled(x, y):
+    """Reference: the product with both operands upsampled to the common
+    lattice."""
+    prec = _min_prec(_add_prec(x.prec, y.offset), _add_prec(y.prec, x.offset))
+    L = lcm(x.step_den, y.step_den)
+    offset = x.offset + y.offset
+    n = None if prec is None else max(_ceil((prec - offset) * L), 0)
+    a = _upsample(x.nums, L // x.step_den)
+    b = _upsample(y.nums, L // y.step_den)
+    return QSeries(offset, conv_by_loop(a, b, n), L, x.den * y.den, prec)
+
+
+@st.composite
+def lattice_pair(draw, divisor=False):
+    """A series on a lattice s = 2..6 times coarser than the common lattice
+    of the pair, and one on that lattice or on another coarse one; long or
+    rational coefficients, offsets, exact or truncated, with a precision
+    on or off the lattice.  As a divisor, the coarse one has a small lead
+    and taps."""
+    s = draw(st.integers(2, 6))
+    c = draw(st.sampled_from([1, 2, 3]))
+    fine = draw(st.sampled_from([c * s, s]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bits = draw(st.sampled_from([1, 8, 60, 300]))
+
+    def series(step, n, small):
+        nums = [rng.randint(-9, 9) if small else
+                rng.choice([-1, 1]) * rng.getrandbits(bits) for _ in range(n)]
+        nums[0] = rng.choice([1, -1, 2, 3]) if small else nums[0] or 1
+        if n > 1 and not nums[1]:
+            nums[1] = 1        # keeps the series on its own lattice
+        off = F(rng.randint(-6, 6), rng.choice([1, 2, step]))
+        prec = rng.choice([
+            None,
+            off + F(rng.randint(small, n + 20), step),                 # on
+            off + F(rng.randint(small, n + 20), step) + F(1, 7 * step)])  # off
+        return QSeries(off, nums, step, rng.choice([1, 1, 6, 35]), prec)
+
+    lengths = st.sampled_from([1, 2, 7, 40, 150])
+    coarse = series(c, draw(lengths), divisor)
+    other = series(fine, draw(lengths), False)
+    if divisor and lcm(c, fine) > 6:
+        # an exact quotient runs to DEFAULT_PREC: keep the loop reference
+        # to a few hundred slots
+        other = other.truncate(other.offset + 30)
+    return coarse, other
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_pair())
+def test_coarse_lattice_product_matches_upsampled(pair):
+    coarse, other = pair
+    for x, y in ((coarse, other), (other, coarse)):
+        assert x * y == mul_upsampled(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_pair(divisor=True))
+def test_coarse_lattice_quotient_matches_upsampled(pair):
+    v, u = pair
+    assert u / v == long_div_keeping_content(u, v)
+    assert v.invert() == long_div_keeping_content(QSeries.one(), v)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300),
+       st.sampled_from([(20000, 40), (40, 20000), (3000, 1), (1, 3000)]),
+       st.integers(0, 2 ** 32), st.data())
+def test_conv_trunc_unequal_widths_match_loop(la, lb, widths, seed, data):
+    rng = random.Random(seed)
+    a, b = ([rng.choice([-1, 1]) * rng.getrandbits(w) for _ in range(k)]
+            for k, w in ((la, widths[0]), (lb, widths[1])))
+    n = _cut(data.draw, la, lb)
+    assert _conv_trunc(a, b, n) == conv_by_loop(a, b, n)
+
+
+def test_cost_model_loops_past_the_width_cliff():
+    # 1000 slots: 20000 x 40 bits loops either way round, 4000 x 4000 packs
+    assert not _packs(1000, 1000, 20000, 40, 1000)
+    assert not _packs(1000, 1000, 40, 20000, 1000)
+    assert _packs(1000, 1000, 4000, 4000, 1000)
+    # narrow lists pack from a few dozen slots on, and so do their squares
+    assert _packs(64, 64, 32, 32, 127) and _packs(64, 64, 32, 32, 127, 0, True)
+    assert not _packs(4, 4, 32, 32, 7)
+    # a middle product of a solve on 32-bit taps: 64 solved slots pack,
+    # 3000-bit ones do not
+    assert _packs(64, 127, 32, 32, 127, 63)
+    assert not _packs(64, 127, 3000, 32, 127, 63)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 200), st.integers(300, 700), st.sampled_from([1, 8, 40]),
+       st.integers(0, 2 ** 32))
+def test_divexact_short_dense_divisor_long_quotient(lt, n, bits, seed):
+    # taps far shorter than the run: a middle product has fewer slots than
+    # the right half it feeds
+    rng = random.Random(seed)
+    tail = [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits) for _ in range(lt)]
+    _round_trip([rng.choice([1, -1, 3])] + tail,
+                [rng.randint(-2 ** 20, 2 ** 20) for _ in range(n)])
+
+
+@pytest.mark.parametrize("step", [1, 5, 40])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kron_slot_width_worst_case_on_widening_entries(step, sign):
+    # equal-signed maximal entries widening along the lists: the widest
+    # slot below n is the one the field width is cut to
+    for la, lb in ((60, 60), (60, 25), (25, 60)):
+        a = [sign * ((1 << (1 + step * i)) - 1) for i in range(la)]
+        b = [(1 << (3 + step * j)) - 1 for j in range(lb)]
+        for n in (1, la // 2, la, la + lb - 1):
+            full = conv_by_loop(a, b, n)
+            assert _kron(a, b, n) == full
+            assert _kron(a, b, n, n // 2) == full[n // 2:]
+        assert _kron(a, a, la) == conv_by_loop(a, list(a), la)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_solve_lengths, st.integers(33, 128), st.sampled_from([8, 64, 600]),
+       st.sampled_from([3, -5]), st.integers(0, 2 ** 32))
+def test_divexact_wide_taps_match_loop(n, bits, xbits, lead, seed):
+    # taps of 33-128 bits and quotients narrower or far wider than them:
+    # the split solve packs a middle product or loops the right half
+    rng = random.Random(seed)
+    tail = [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits - 1)
+            for _ in range(n)]
+    v = [lead] + tail
+    x = [rng.choice([-1, 1]) * rng.getrandbits(xbits) for _ in range(n + 1)]
+    _round_trip(v, x)
+    # an inexact step in either half of the top split, and in the last slot
+    u = conv_by_loop(v, x, n + 1)
+    for pos in {n // 4, n // 2 + 1, n, rng.randint(0, n)} - {n + 1}:
+        u[pos] += 1
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            _divexact(u, v, n + 1)
+        u[pos] -= 1
