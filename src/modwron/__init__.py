@@ -8,23 +8,22 @@ from .poly import Poly
 from .etaprod import (ProductSpec, ThetaSpec, eta, named_series,
                       product_series, theta_sum)
 from .modpoly import (DivisorData, MFPoly, E4, E6, DELTA, G4, G6, bernoulli,
-                      decompose, delta_std, dim_modular, divisor_polynomial,
-                      eisenstein, identify, InsufficientPrecision, j_series,
-                      theta_derivation, theta_h, theta_power, to_qseries)
+                      decompose, dim_modular, divisor_polynomial, eisenstein,
+                      identify, InsufficientPrecision, theta_derivation,
+                      theta_h, to_qseries)
 from .wronskian import (ModularBasis, VanishingReport, echelonize,
                         identify_quotient, normalize, quotient_form,
                         vanishing_check, wronskian, wronskian_derived,
                         wronskians)
-from .symmpow import (SymWronskianMismatch, SymWronskianReport,
-                      ThetaOperator, apply, d_operator, kz_coeff,
-                      r12_vanishing_roots, r_recursion, sym_basis,
-                      sym_quotient_closed_form, sym_wronskian_check)
+from .symmpow import (SymWronskianMismatch, SymWronskianReport, apply,
+                      d_operator, kz_coeff, r12_vanishing_roots, r_recursion,
+                      sym_basis, sym_quotient_closed_form, sym_wronskian_check)
 from .ssing import (CongruenceReport, SupersingularReport,
                     congruence_constant_check, epsilon_factors, hasse_oracle,
                     legendre_symbol, linear_quadratic_split, ss_poly_deligne,
                     ss_poly_wronskian, ss_tilde, supersingular_report)
 from .partitions import (ColorSpec, RecurrenceReport, colored_count,
-                         pab_count, partition_function, verify_recurrences)
+                         pab_count, verify_recurrences)
 from .cli import VerificationReport, run_all, verify
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from time import perf_counter
 
@@ -142,9 +142,15 @@ def _assess(identity, pairs, target, t0):
 
 # ---- identity registry -------------------------------------------------------
 
+# Every builder expands its series this far past the bound n it is compared
+# through, so that each named series is built once per n whatever the order
+# of the checks.
+SERIES_MARGIN = 3
+
+
 def _rw1(n):
     """1/R - 1 - R = eta(tau/5)/eta(5 tau) on the step-1/5 lattice."""
-    m = n + 3
+    m = n + SERIES_MARGIN
     r = named_series("rr_cf", m)
     lhs = r.invert() - QSeries.one() - r
     rhs = eta(Fraction(1, 5), m) / eta(5, m)
@@ -153,7 +159,7 @@ def _rw1(n):
 
 def _rw2(n):
     """1/R^5 - 11 - R^5 = (eta(tau)/eta(5 tau))^6."""
-    m = n + 3
+    m = n + SERIES_MARGIN
     r5 = named_series("rr_cf", m) ** 5
     lhs = r5.invert() - 11 * QSeries.one() - r5
     rhs = (eta(1, m) / eta(5, m)) ** 6
@@ -162,7 +168,7 @@ def _rw2(n):
 
 def _rw2_char(n):
     """ch2^11 ch1 - 11 ch1^6 ch2^6 - ch1^11 ch2 = 1."""
-    m = n + 1
+    m = n + SERIES_MARGIN
     ch1 = named_series("ch1", m)
     ch2 = named_series("ch2", m)
     lhs = ch2 ** 11 * ch1 - 11 * ch1 ** 6 * ch2 ** 6 - ch1 ** 11 * ch2
@@ -171,7 +177,7 @@ def _rw2_char(n):
 
 def _a1_quot(n):
     """2 f1/f2 - 2 f2/f1 = (eta(tau/2)/eta(2 tau))^4."""
-    m = n + 3
+    m = n + SERIES_MARGIN
     f1 = named_series("a1_f1", m)
     f2 = named_series("a1_f2", m)
     lhs = 2 * (f1 / f2) - 2 * (f2 / f1)
@@ -181,7 +187,7 @@ def _a1_quot(n):
 
 def _a1_const(n):
     """f1^5 f2 - f2^5 f1 = 2."""
-    m = n + 2
+    m = n + SERIES_MARGIN
     f1 = named_series("a1_f1", m)
     f2 = named_series("a1_f2", m)
     lhs = f1 ** 5 * f2 - f2 ** 5 * f1
@@ -190,7 +196,7 @@ def _a1_const(n):
 
 def _weber_prod(n):
     """prod(1+q^(2n-1))^8 - 16q prod(1+q^(2n))^8 = prod(1-q^(2n-1))^8."""
-    m = n + 1
+    m = n + SERIES_MARGIN
     odd_plus = product_series(ProductSpec([(2, 4, 8), (1, 2, -8)]), m)
     even_plus = product_series(ProductSpec([(0, 4, 8), (0, 2, -8)]), m)
     odd_minus = product_series(ProductSpec([(1, 2, 8)]), m)
@@ -200,14 +206,14 @@ def _weber_prod(n):
 
 def _chprod(n):
     """ch1 ch2 = eta(5 tau)/eta(tau)."""
-    m = n + 2
+    m = n + SERIES_MARGIN
     lhs = named_series("ch1", m) * named_series("ch2", m)
     return [(lhs, eta(5, m) / eta(1, m))]
 
 
 def _f1f2(n):
     """f1 f2 = 2 (eta(2 tau)/eta(tau))^4."""
-    m = n + 2
+    m = n + SERIES_MARGIN
     lhs = named_series("a1_f1", m) * named_series("a1_f2", m)
     rhs = 2 * (eta(2, m) / eta(1, m)) ** 4
     return [(lhs, rhs)]
@@ -215,7 +221,7 @@ def _f1f2(n):
 
 def _ode(pair):
     def build(n):
-        m = n + 2
+        m = n + SERIES_MARGIN
         f, g = _pair(pair, m)
         op = d_operator(PAIR_LAMBDA[pair] * G4, 1)
         return [(apply(op, f), QSeries.zero(m)),
@@ -324,11 +330,12 @@ def _recurrences(upto):
     return ", ".join(label for label, bad in sections if bad)
 
 
-def _ssing(p):
-    rep = supersingular_report(p)
+def _ssing_failures(rep):
+    """The failed sub-checks of a prime's supersingular report and of its
+    congruence, "" when all pass: the verdict of `ssing` and of its row."""
     checks = (("routes disagree", rep.routes_agree),
               ("oracle differs", rep.oracle_match),
-              ("congruence fails", congruence_constant_check(p).ok))
+              ("congruence fails", congruence_constant_check(rep.p).ok))
     return ", ".join(name for name, ok in checks if not ok)
 
 
@@ -358,15 +365,27 @@ def run_all(prec, primes):
     """Every registered identity, the symmetric-power routes m = 1..12,
     the R_12 root set, the eta-power factorizations, the partition
     recurrences, and the supersingular pipeline."""
+    prec = Fraction(prec)
+
+    def capped(rows, cap):
+        # a row run below --prec says so in its human line only
+        note = "capped from --prec %s" % prec
+        return rows if prec <= cap else [
+            replace(r, detail="; ".join(filter(None, (r.detail, note))))
+            for r in rows]
+
     reports = [verify(name, prec) for name in sorted(IDENTITIES)]
-    det_prec = min(Fraction(prec), Fraction(60))
-    reports += [symcheck_report("weber", m, det_prec) for m in range(1, 13)]
+    det_prec = min(prec, Fraction(60))
+    reports += capped([symcheck_report("weber", m, det_prec)
+                       for m in range(1, 13)], det_prec)
     reports.append(_row("r12_roots", None, _r12_roots))
-    eta_prec = min(Fraction(prec), Fraction(45))
-    reports += [_row("eta_power_%s" % pair, eta_prec, _eta_powers, pair,
-                     eta_prec) for pair in ("rr", "weber")]
+    eta_prec = min(prec, Fraction(45))
+    reports += capped([_row("eta_power_%s" % pair, eta_prec, _eta_powers, pair,
+                            eta_prec) for pair in ("rr", "weber")], eta_prec)
     reports.append(_row("partition_recurrences", 50, _recurrences, 50))
-    reports += [_row("ssing_p%d" % p, None, _ssing, p) for p in primes]
+    reports += [_row("ssing_p%d" % p, None,
+                     lambda p: _ssing_failures(supersingular_report(p)), p)
+                for p in primes]
     return reports
 
 
@@ -558,13 +577,14 @@ def _cmd_ssing(args, prec):
         "oracle_match": rep.oracle_match,
         "epsilon": list(rep.epsilon),
     }
+    failed = _ssing_failures(rep)
     human = ("p=%d  S_p = %s\n  roots in F_p: %s\n  quadratic factors: %s\n"
              "  routes agree: %s   oracle match: %s   (eps_omega, eps_i) = %s"
              % (rep.p, rep.polynomial, list(rep.fp_roots),
                 [str(q) for q in rep.quadratic_factors] or "none",
                 rep.routes_agree, rep.oracle_match, rep.epsilon))
-    _emit(args, payload, human)
-    return 0 if rep.routes_agree and rep.oracle_match else 1
+    _emit(args, payload, human + "\n  FAIL: " + failed if failed else human)
+    return 1 if failed else 0
 
 
 def _cmd_partitions(args, prec):

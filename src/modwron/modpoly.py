@@ -16,7 +16,7 @@ from operator import add, mul, sub
 
 from .poly import Poly
 from .qseries import (DEFAULT_PREC, QSeries, _ceil, _conv_trunc, _euler_product,
-                      _power)
+                      _fmt_sum, _power)
 
 
 @lru_cache(maxsize=None)
@@ -180,33 +180,12 @@ class MFPoly:
     def __hash__(self):
         return hash((self.weight, tuple(sorted(self.terms.items()))))
 
-    def _fmt_term(self, a, b, c):
-        gens = []
-        if a:
-            gens.append("E4" if a == 1 else "E4^%d" % a)
-        if b:
-            gens.append("E6" if b == 1 else "E6^%d" % b)
-        if not gens:
-            return str(c)
-        if c == 1:
-            return "*".join(gens)
-        if c == -1:
-            return "-" + "*".join(gens)
-        return "*".join([str(c)] + gens)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms, key=lambda ab: (-ab[0], -ab[1])):
-            piece = self._fmt_term(a, b, self.terms[(a, b)])
-            if parts and not piece.startswith("-"):
-                parts.append("+ " + piece)
-            elif parts:
-                parts.append("- " + piece[1:])
-            else:
-                parts.append(piece)
-        return " ".join(parts)
+        def monomial(a, b):
+            return "*".join(g if e == 1 else "%s^%d" % (g, e)
+                            for g, e in (("E4", a), ("E6", b)) if e)
+        return _fmt_sum((self.terms[ab], monomial(*ab))
+                        for ab in sorted(self.terms, reverse=True))
 
     def __repr__(self):
         return "MFPoly(weight=%d: %s)" % (self.weight, self)
@@ -257,18 +236,6 @@ def to_qseries(p, N=DEFAULT_PREC):
     return QSeries(0, acc, 1, den, N)
 
 
-def delta_std(N=DEFAULT_PREC):
-    """The monic cusp form (E4^3 - E6^2)/1728 = q prod(1-q^n)^24."""
-    return to_qseries(DELTA, N)
-
-
-def j_series(N=DEFAULT_PREC):
-    """j = E4^3 / delta_std = q^-1 + 744 + 196884q + ..."""
-    N = Fraction(N)
-    num = to_qseries(E4 ** 3, N + 2)
-    return (num / delta_std(N + 2)).truncate(N)
-
-
 def theta_h(y, h, N=None):
     """Weight-h Serre-type derivative q d/dq + h*G2, acting on a q-series."""
     if y.is_zero():
@@ -283,14 +250,6 @@ def theta_h(y, h, N=None):
         g2 = eisenstein(2, "G", target - val + 1)
         out = out + h * (g2 * y)
     return out.truncate(target)
-
-
-def theta_power(y, j, N=None):
-    """Iterated theta on a weight-0 series: theta_{2(j-1)} o ... o theta_0."""
-    out = y
-    for i in range(j):
-        out = theta_h(out, 2 * i, N)
-    return out
 
 
 # w mod 12 -> (delta, epsilon): every form of even weight w is

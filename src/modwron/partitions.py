@@ -53,36 +53,19 @@ def colored_count(spec, n):
     return _count_array(spec.colors, n)[n]
 
 
+def _pab_array(a, b, n):
+    """Counts 0..n of partitions into parts not congruent to 0, +-b mod a."""
+    banned = {0, b, a - b}
+    return _count_array(lambda j: 0 if j % a in banned else 1, n)
+
+
 def pab_count(a, b, n):
     """Number of partitions of n into parts not congruent to 0, +-b mod a."""
     if not 0 < b < a:
         raise ValueError("need 0 < b < a")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    banned = {0, b % a, (a - b) % a}
-    return _count_array(lambda j: 0 if j % a in banned else 1, n)[n]
-
-
-def partition_function(n):
-    """Ordinary partition numbers p(0..n) by Euler's pentagonal recurrence."""
-    p = [0] * (n + 1)
-    p[0] = 1
-    for i in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            e1 = k * (3 * k - 1) // 2
-            e2 = k * (3 * k + 1) // 2
-            if e1 > i and e2 > i:
-                break
-            s = 1 if k % 2 else -1
-            if e1 <= i:
-                total += s * p[i - e1]
-            if e2 <= i:
-                total += s * p[i - e2]
-            k += 1
-        p[i] = total
-    return p
+    return _pab_array(a, b, n)[n]
 
 
 @dataclass(frozen=True)
@@ -108,25 +91,19 @@ def verify_recurrences(upto):
     """
     if upto < 2:
         raise ValueError("upto must be at least 2")
+
+    def bad(lhs, c, mid, rhs):
+        # the n where lhs(n) = c mid(n-1) + rhs(n-2) fails
+        return tuple((n, lhs[n], right) for n in range(2, upto + 1)
+                     if (right := c * mid[n - 1] + rhs[n - 2]) != lhs[n])
+
     lhs = _count_array(ColorSpec(5, (11, 1, 1, 11, 0)).colors, upto)
     mid = _count_array(ColorSpec(5, (6, 6, 6, 6, 0)).colors, upto)
     rhs = _count_array(ColorSpec(5, (1, 11, 11, 1, 0)).colors, upto)
-    colored_bad = []
-    for n in range(2, upto + 1):
-        left = lhs[n]
-        right = 11 * mid[n - 1] + rhs[n - 2]
-        if left != right:
-            colored_bad.append((n, left, right))
-    p12 = _count_array(lambda j: 0 if j % 27 in {0, 12, 15} else 1, upto)
-    p6 = _count_array(lambda j: 0 if j % 27 in {0, 6, 21} else 1, upto)
-    p3 = _count_array(lambda j: 0 if j % 27 in {0, 3, 24} else 1, upto)
-    restricted_bad = []
-    for n in range(2, upto + 1):
-        left = p12[n]
-        right = p6[n - 1] + p3[n - 2]
-        if left != right:
-            restricted_bad.append((n, left, right))
+    colored_bad = bad(lhs, 11, mid, rhs)
+    p12, p6, p3 = (_pab_array(27, b, upto) for b in (12, 6, 3))
+    restricted_bad = bad(p12, 1, p6, p3)
     return RecurrenceReport(upto=upto,
-                            colored_counterexamples=tuple(colored_bad),
-                            restricted_counterexamples=tuple(restricted_bad),
+                            colored_counterexamples=colored_bad,
+                            restricted_counterexamples=restricted_bad,
                             ok=not colored_bad and not restricted_bad)

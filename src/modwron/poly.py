@@ -12,7 +12,7 @@ shared.  Products use the same convolution kernel as the q-series.
 from fractions import Fraction
 from operator import mul
 
-from .qseries import _conv_trunc, _power
+from .qseries import _conv_trunc, _fmt_sum, _power
 
 
 def _is_prime(n):
@@ -226,25 +226,9 @@ class Poly:
         return hash((self.p, self.coeffs))
 
     def __str__(self):
-        out = ""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                x = "x" if i == 1 else "x^%d" % i
-                if mag != 1:
-                    cs = str(mag) if mag.denominator == 1 else "(%s)" % mag
-                    x = cs + "*" + x
-                body = x
-            if not out:
-                out = "-" + body if c < 0 else body
-            else:
-                out += (" - " if c < 0 else " + ") + body
-        return out or "0"
+        return _fmt_sum((c, "" if i == 0 else "x" if i == 1 else "x^%d" % i)
+                        for i, c in reversed(list(enumerate(self.coeffs)))
+                        if c)
 
     def __repr__(self):
         field = "" if self.p is None else ", p=%d" % self.p

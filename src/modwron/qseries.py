@@ -628,25 +628,21 @@ class QSeries:
                      self.prec))
 
     def __str__(self):
-        if not self.nums:
-            binder = "0" if self.prec is None else "O(q^(%s))" % self.prec
-            return binder
+        """The first eight terms, "..." when there are more, and O(q^prec)."""
         terms = []
-        shown = 0
         for n, c in enumerate(self.nums):
-            if not c:
-                continue
-            if shown == 8:
-                terms.append("...")
-                break
-            e = self.offset + Fraction(n, self.step_den)
-            coef = Fraction(c, self.den)
-            terms.append(_fmt_term(coef, e, not terms))
-            shown += 1
-        body = " ".join(terms)
-        if self.prec is not None:
-            body += " + O(q^(%s))" % self.prec
-        return body
+            if c:
+                e = self.offset + Fraction(n, self.step_den)
+                terms.append((Fraction(c, self.den),
+                              "" if e == 0 else "q" if e == 1 else
+                              "q^%s" % e if e.denominator == 1 and e > 0 else
+                              "q^(%s)" % e))
+                if len(terms) > 8:
+                    break
+        body = _fmt_sum(terms[:8]) + " ..." * (len(terms) > 8)
+        if self.prec is None:
+            return body
+        return (body + " + " if terms else "") + "O(q^(%s))" % self.prec
 
     __repr__ = __str__
 
@@ -668,24 +664,24 @@ class QSeries:
         return cls.from_fractions(offset, coeffs, int(d["step_den"]), prec)
 
 
-def _fmt_term(coef, e, first):
-    sign = "" if first else ("+ " if coef > 0 else "- ")
-    if not first and coef < 0:
-        coef = -coef
-    if e == 0:
-        return sign + str(coef)
-    if e == 1:
-        qpart = "q"
-    elif e.denominator == 1 and e >= 0:
-        qpart = "q^%s" % e
-    else:
-        qpart = "q^(%s)" % e
-    if coef == 1:
-        return sign + qpart
-    if coef == -1 and first:
-        return "-" + qpart
-    cs = str(coef) if coef.denominator == 1 else "(%s)" % coef
-    return sign + cs + "*" + qpart
+def _fmt_sum(terms):
+    """A sum of (coefficient, monomial) pairs as text, "" the monomial 1:
+    each sign stands outside its term, and a coefficient before a monomial
+    is parenthesized unless it is a whole number (x^2 - (1/2)*x, -(1/3)*E6,
+    5/2).  A coefficient that is not rational, such as the Poly coefficients
+    of an MFPoly over Q[lambda], has no sign and prints whole.  The empty
+    sum is "0"."""
+    out = []
+    for c, mono in terms:
+        neg = isinstance(c, (int, Fraction)) and c < 0
+        mag = -c if neg else c
+        text = str(mag)
+        if mono:
+            text = mono if mag == 1 else "%s*%s" % (
+                text if text.isdigit() else "(%s)" % text, mono)
+        sign = ("- " if neg else "+ ") if out else ("-" if neg else "")
+        out.append(sign + text)
+    return " ".join(out) or "0"
 
 
 def _power(x, e, mul):

@@ -176,16 +176,16 @@ class CongruenceReport:
     ok: bool
 
 
-def congruence_constant_check(p, upto=50):
+def congruence_constant_check(p):
     """Check that the m = (p-3)/2 quotient reduces mod p to the constant
     (-1)^((p-1)/2) (2/p) ((p-1)/2)! with all other coefficients 0.
 
-    The coefficients are checked through q^upto, and never through less
+    The coefficients are checked through q^50, and never through less
     than Sturm's bound floor((p-1)/12): a form of weight p - 1 whose
     reduction vanishes through that exponent vanishes mod p.
     """
     check_prime(p)
-    upto = max(upto, (p - 1) // 12)
+    upto = max(50, (p - 1) // 12)
     m = (p - 3) // 2
     series = to_qseries(sym_quotient_closed_form(m), Fraction(upto + 1))
     if series.den % p == 0:

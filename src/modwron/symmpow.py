@@ -187,24 +187,11 @@ def r12_vanishing_roots():
 
 # ---- the annihilating operator ---------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaOperator:
-    """Sum_j coeffs[j] * theta^j acting on weight-0 series.
-
-    coeffs[j] is an MFPoly of weight 2*(order - j); the leading
-    coefficient is the constant 1, so the operator is monic in theta.
-    """
-
-    coeffs: tuple
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-
 def d_operator(Q, m):
     """The monic order-(m+1) operator annihilating the m-th symmetric power
-    of the solution space of theta^2 y + Q y = 0.
+    of the solution space of theta^2 y + Q y = 0, as the tuple of its
+    coefficients: entry j, of weight 2(m+1-j), multiplies theta^j, and the
+    last is the constant 1.
 
     Built from D_0 = 1, D_1 = theta, D_{i+1} = theta D_i + i(m-i+1) Q
     D_{i-1}; the returned operator is D_{m+1} and its theta-free
@@ -228,17 +215,18 @@ def d_operator(Q, m):
                 c = c + i * (m - i + 1) * Q * prev[j]
             nxt.append(c)
         prev, cur = cur, nxt
-    return ThetaOperator(tuple(cur))
+    return tuple(cur)
 
 
 def apply(op, y):
-    """Evaluate (sum_j R_j theta^j) y for a weight-0 series y."""
+    """Evaluate (sum_j R_j theta^j) y for a weight-0 series y, op the
+    coefficient tuple (R_0, ..., R_order) of d_operator."""
     target = y.prec if y.prec is not None else Fraction(DEFAULT_PREC)
     ys = [y]
-    for j in range(op.order):
+    for j in range(len(op) - 1):
         ys.append(theta_h(ys[-1], 2 * j, target))
     out = QSeries.zero(target)
-    for c, yj in zip(op.coeffs, ys):
+    for c, yj in zip(op, ys):
         if c.is_zero():
             continue
         out = out + to_qseries(c, target) * yj

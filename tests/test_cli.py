@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron import cli
+from modwron import cli, etaprod
 from modwron.cli import (IDENTITIES, _assess, default_precision, main,
                          symcheck_report, verify)
 from modwron.etaprod import NAMES
@@ -348,6 +348,18 @@ def test_ssing_cli_routes(capsys):
     assert json.loads(out)["fp_roots"] == [6]
 
 
+def test_ssing_exit_follows_the_congruence(capsys, monkeypatch):
+    # ssing --p P certifies what the ssing_pP row of run-all certifies
+    _, golden, _ = run_cli(capsys, "ssing", "--p", "7", "--json")
+    real = cli.congruence_constant_check
+    monkeypatch.setattr(cli, "congruence_constant_check",
+                        lambda p: dataclasses.replace(real(p), ok=False))
+    code, out, _ = run_cli(capsys, "ssing", "--p", "7")
+    assert code == 1
+    assert out.splitlines()[-1] == "  FAIL: congruence fails"
+    assert run_cli(capsys, "ssing", "--p", "7", "--json") == (1, golden, "")
+
+
 def test_ssing_cli_bad_prime(capsys):
     code, _, err = run_cli(capsys, "ssing", "--p", "9")
     assert code == 2
@@ -450,7 +462,42 @@ def test_identify_human_line_uses_mfpoly_str(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(blob))
     code, out, _ = run_cli(capsys, "identify", "--weight", "12")
     assert code == 0
-    assert out == "E4^3 - 1/2*E6^2\n" == str(form) + "\n"
+    assert out == "E4^3 - (1/2)*E6^2\n" == str(form) + "\n"
+
+
+@pytest.mark.parametrize("prec,capped", [
+    (45, ()),
+    (46, ("eta_power_",)),
+    (60, ("eta_power_",)),
+    (61, ("eta_power_", "sym_weber_")),
+])
+def test_run_all_capped_rows_say_so(prec, capped, monkeypatch):
+    # the capped checks themselves are stubbed: only their rows are read
+    monkeypatch.setattr(cli, "symcheck_report", lambda pair, m, prec: cli._row(
+        "sym_%s_m%d" % (pair, m), prec, lambda: ""))
+    monkeypatch.setattr(cli, "_eta_powers", lambda pair, prec: "")
+    rows = {r.identity: r for r in cli.run_all(F(prec), (5,))}
+    note = "capped from --prec %d" % prec
+    for ident, row in rows.items():
+        assert row.status == "pass", ident
+        assert (note in row.line()) == ident.startswith(capped), ident
+        assert "capped" not in json.dumps(row.to_json())
+    assert rows["sym_weber_m1"].precision == min(prec, 60)
+    assert rows["eta_power_rr"].precision == min(prec, 45)
+
+
+@pytest.mark.parametrize("order", [False, True], ids=["sorted", "reversed"])
+def test_identity_sweep_expands_each_named_series_once(order, monkeypatch):
+    # every builder asks for the same margin, so no name is built twice
+    built = []
+    for fn in ("product_series", "theta_sum"):
+        real = getattr(etaprod, fn)
+        monkeypatch.setattr(etaprod, fn, lambda *a, real=real:
+                            built.append(a) or real(*a))
+    monkeypatch.setattr(etaprod, "_BUILT", {})
+    for name in sorted(IDENTITIES, reverse=order):
+        assert verify(name, 30).status == "pass", name
+    assert len(built) == len(etaprod._BUILT) == 7
 
 
 def test_run_all_cli_restricted(capsys):

@@ -25,16 +25,13 @@ from modwron.modpoly import (
     _weight_shape,
     bernoulli,
     decompose,
-    delta_std,
     dim_modular,
     divisor_polynomial,
     eisenstein,
     h_poly,
     identify,
-    j_series,
     theta_derivation,
     theta_h,
-    theta_power,
     to_qseries,
 )
 from modwron.poly import Poly
@@ -139,7 +136,7 @@ def test_theta_h_e4():
 
 
 def test_theta_h_kills_delta():
-    assert theta_h(delta_std(25), 12).is_zero()
+    assert theta_h(to_qseries(DELTA, 25), 12).is_zero()
 
 
 def test_commuting_square_all_monomials_to_weight_30():
@@ -155,13 +152,14 @@ def test_commuting_square_all_monomials_to_weight_30():
 
 
 def test_delta_std_is_eta_24():
-    assert first_mismatch(delta_std(18), eta(1, 18) ** 24) is None
-    d = delta_std(10)
+    assert first_mismatch(to_qseries(DELTA, 18), eta(1, 18) ** 24) is None
+    d = to_qseries(DELTA, 10)
     assert d.valuation() == 1 and d.leading_coefficient() == 1
 
 
 def test_j_series_prefix():
-    j = j_series(5)
+    # j = E4^3 / Delta, two orders short of its operands' precision
+    j = to_qseries(E4 ** 3, 7) / to_qseries(DELTA, 7)
     assert j.valuation() == -1
     assert [j.coeff_at(n) for n in range(-1, 5)] == [F(c) for c in J_PREFIX]
     assert j.prec == 5
@@ -509,13 +507,21 @@ def test_weight_table_matches_retired_encodings():
         assert _weight_basis(w) == expected
 
 
+def theta_power(y, j):
+    """theta_{2(j-1)} o ... o theta_0 on a weight-0 series, as symmpow.apply
+    iterates it."""
+    for i in range(j):
+        y = theta_h(y, 2 * i)
+    return y
+
+
 @settings(max_examples=60, deadline=None)
 @given(truncated_and_completion(), st.sampled_from([0, 2, 4, 12]),
        st.integers(1, 3))
 def test_theta_h_and_theta_power_precision_soundness(fc, h, j):
     """No completion of the input beyond its precision, with a term right
     at it and one off its lattice, changes a coefficient of theta_h or
-    theta_power below the precision reported for it."""
+    of its iterate below the precision reported for it."""
     f, full = fc
     full = full + QSeries.monomial(1, f.prec + F(1, 5))
     for lo, hi in ((theta_h(f, h), theta_h(full, h)),
@@ -542,7 +548,7 @@ def test_mfpoly_algebra_guards():
 
 
 def test_mfpoly_str():
-    assert str(theta_derivation(E4)) == "-1/3*E6"
+    assert str(theta_derivation(E4)) == "-(1/3)*E6"
     assert str(E4 ** 2 + E4 ** 2) == "2*E4^2"
     assert str(MFPoly.zero(8)) == "0"
 

@@ -7,8 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from modwron.etaprod import ProductSpec, named_series, product_series
 from modwron.partitions import (ColorSpec, RecurrenceReport, _count_array,
-                                colored_count, pab_count, partition_function,
-                                verify_recurrences)
+                                colored_count, pab_count, verify_recurrences)
+
+
+def partition_function(n):
+    """Ordinary partition numbers p(0..n) by Euler's pentagonal recurrence,
+    a reference independent of the Euler-product kernel."""
+    p = [1] + [0] * n
+    for i in range(1, n + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= i:
+            s = 1 if k % 2 else -1
+            p[i] += s * p[i - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= i:
+                p[i] += s * p[i - k * (3 * k + 1) // 2]
+            k += 1
+    return p
 
 
 def test_colorspec_validation():

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import modwron.qseries as qs
 from modwron.etaprod import THETAS, eta, theta_sum
+from modwron.modpoly import E4
+from modwron.poly import Poly
 from modwron.qseries import (QSeries, first_mismatch, DEFAULT_PREC, LATTICE_CAP,
                              _add_prec, _ceil, _conv_trunc, _divexact,
                              _euler_product, _kron, _min_prec, _packs,
@@ -821,10 +823,16 @@ def test_euler_product_on_straddling_lengths_matches_loop(n, wide, seed):
 
 # ---- long division by a divisor with content -------------------------------------
 
+def _series_val(x):
+    """Valuation of a series for precision bounds: a series known to be
+    zero below its precision has no term below it."""
+    return x.offset if x.nums else x.prec
+
+
 def long_div_keeping_content(u, v, prec=None):
     """Reference: _long_div before it divided out the divisor's content."""
     out_prec = _min_prec(_add_prec(u.prec, -v.offset),
-                         _add_prec(v.prec, u.offset - 2 * v.offset))
+                         _add_prec(v.prec, _series_val(u) - 2 * v.offset))
     if out_prec is None:
         out_prec = F(prec if prec is not None else DEFAULT_PREC)
     offset = u.offset - v.offset
@@ -905,7 +913,8 @@ def test_series_square_and_power_match_copies(nums, off, sd, den, seed):
 def mul_upsampled(x, y):
     """Reference: the product with both operands upsampled to the common
     lattice."""
-    prec = _min_prec(_add_prec(x.prec, y.offset), _add_prec(y.prec, x.offset))
+    prec = _min_prec(_add_prec(x.prec, _series_val(y)),
+                     _add_prec(y.prec, _series_val(x)))
     L = lcm(x.step_den, y.step_den)
     offset = x.offset + y.offset
     n = None if prec is None else max(_ceil((prec - offset) * L), 0)
@@ -1038,3 +1047,26 @@ def test_divexact_wide_taps_match_loop(n, bits, xbits, lead, seed):
         with pytest.raises(ArithmeticError, match="inexact division"):
             _divexact(u, v, n + 1)
         u[pos] -= 1
+
+
+# ---- printing -------------------------------------------------------------
+
+@pytest.mark.parametrize("terms,text", [
+    ([(F(-1, 3), "E6"), (F(1, 2), "")], "-(1/3)*E6 + 1/2"),
+    ([(F(1), "x^2"), (F(-1), "x")], "x^2 - x"),
+    ([(F(-1), "q"), (F(1), "q^2")], "-q + q^2"),
+    ([(F(-3), "E4^3*E6"), (F(-5, 2), "")], "-3*E4^3*E6 - 5/2"),
+    ([(F(-5, 2), "")], "-5/2"),
+    ([(F(0), "")], "0"),
+    ([], "0"),
+    # a polynomial coefficient, as in an MFPoly over Q[lambda]
+    ([(Poly((0, F(-1, 2))), "E4")], "(-(1/2)*x)*E4"),
+])
+def test_fmt_sum_table(terms, text):
+    assert qs._fmt_sum(terms) == text
+
+
+def test_leading_negative_fraction_prints_alike_in_every_ring():
+    assert str(QSeries.monomial(F(-1, 2), 1)) == "-(1/2)*q"
+    assert str(Poly((0, F(-1, 2)))) == "-(1/2)*x"
+    assert str(F(-1, 2) * E4) == "-(1/2)*E4"

@@ -334,7 +334,7 @@ def test_congruence_constant_p5():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_congruence_constant_all_primes(p):
-    r = congruence_constant_check(p, upto=50)
+    r = congruence_constant_check(p)
     assert isinstance(r, CongruenceReport)
     assert r.ok, (r.constant, r.expected, r.nonconstant_vanish)
 
@@ -369,10 +369,15 @@ def _congruence_outcome(check, p):
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 53, 97, 101, 151])
 @pytest.mark.parametrize("upto", [0, 1, 50])
 def test_congruence_matches_fractions(p, upto):
-    r = congruence_constant_check(p, upto)
-    assert r.checked_through == max(upto, (p - 1) // 12)
+    # the window is p's alone, and every shorter window is a prefix of it:
+    # the same constant, and vanishing there whenever it vanishes through
+    # the whole window
+    r = congruence_constant_check(p)
+    assert r.checked_through == max(50, (p - 1) // 12)
     assert ((r.constant, r.nonconstant_vanish)
             == congruence_by_fractions(p, r.checked_through))
+    constant, vanish = congruence_by_fractions(p, upto)
+    assert constant == r.constant and vanish >= r.nonconstant_vanish
 
 
 @pytest.mark.parametrize("p,through", [(5, 50), (601, 50), (607, 50),
@@ -382,8 +387,6 @@ def test_congruence_window_reaches_sturms_bound(p, through):
     # vanishes mod p, so the window never stops short of that exponent
     r = congruence_constant_check(p)
     assert r.checked_through == through and r.ok
-    assert congruence_constant_check(p, upto=0).checked_through == max(
-        0, (p - 1) // 12)
 
 
 @pytest.mark.parametrize("form", [

@@ -149,22 +149,22 @@ def test_r_recursion_rejects_bad_weight():
 
 def test_d_operator_order2_coefficients():
     op = d_operator(G4, 2)
-    assert op.order == 3
-    assert op.coeffs[0] == 2 * theta_derivation(G4)
-    assert op.coeffs[1] == 4 * G4
-    assert op.coeffs[2].is_zero()
-    assert op.coeffs[3] == MFPoly.constant(F(1))
-    assert [c.weight for c in op.coeffs] == [6, 4, 2, 0]
+    assert len(op) == 4
+    assert op[0] == 2 * theta_derivation(G4)
+    assert op[1] == 4 * G4
+    assert op[2].is_zero()
+    assert op[3] == MFPoly.constant(F(1))
+    assert [c.weight for c in op] == [6, 4, 2, 0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_d_operator_constant_term_matches_recursion(m):
     q = F(-40) * G4
     op = d_operator(q, m)
-    assert op.order == m + 1
-    assert op.coeffs[0] == r_recursion(q, m)[-1]
-    assert op.coeffs[-1] == MFPoly.constant(F(1))
-    assert [c.weight for c in op.coeffs] == [2 * (m + 1 - j) for j in range(m + 2)]
+    assert len(op) == m + 2
+    assert op[0] == r_recursion(q, m)[-1]
+    assert op[-1] == MFPoly.constant(F(1))
+    assert [c.weight for c in op] == [2 * (m + 1 - j) for j in range(m + 2)]
 
 
 @pytest.mark.parametrize("name,lam", [
