@@ -5,21 +5,22 @@ checks, with machine-readable JSON output.
 Every verification expands both sides of an identity independently and
 compares coefficient-by-coefficient, so a failure localizes to an
 exponent.  Exit codes: 0 all pass, 1 any fail, a series too short to
-decide (InsufficientPrecision), or a reader of stdout that closed early,
+decide or no form of its weight, or a reader of stdout that closed early,
 2 configuration error, a precision too large for memory included.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from time import perf_counter
 
 from .etaprod import ProductSpec, eta, named_series, product_series, NAMES
-from .modpoly import (InsufficientPrecision, identify, divisor_polynomial,
-                      to_qseries, G4)
+from .modpoly import (InsufficientPrecision, NotIdentifiable, identify,
+                      divisor_polynomial, to_qseries, G4)
 from .partitions import verify_recurrences
 from .qseries import DEFAULT_PREC, QSeries, _min_prec, first_mismatch
 from .ssing import (congruence_constant_check, hasse_oracle, ss_poly_deligne,
@@ -282,7 +283,10 @@ def _symcheck(pair, m, prec):
     f, g = _pair(pair, prec)
     w, wd = wronskians(sym_basis(f, g, m))
     sym_wronskian_check(f, g, m, ws=w)
-    routes = [("determinant", identify_quotient(w, wd, 2 * m + 2))]
+    try:
+        routes = [("determinant", identify_quotient(w, wd, 2 * m + 2))]
+    except NotIdentifiable as e:
+        return "determinant quotient %s" % e
     rlast = r_recursion(PAIR_LAMBDA[pair] * G4, m)[-1]
     routes.append(("recursion", rlast if m % 2 else -rlast))
     if pair == "weber":
@@ -298,7 +302,8 @@ def symcheck_report(pair, m, prec):
     2m+2, the constant-coefficient recursion with the pair's Q = lambda G4
     (sign (-1)^(m+1)), and -- for the Weber pair -- the hypergeometric
     closed form.  W and W' come from one elimination, and the same W feeds
-    the factorization check.
+    the factorization check.  A determinant quotient that identify rejects
+    fails the row.
     """
     return _row("sym_%s_m%d" % (pair, m), prec, _symcheck, pair, m, prec)
 
@@ -436,6 +441,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p, prec_help="absolute exponent bound"):
+        # argparse takes a value such as -7/5 that its own negative-number
+        # pattern misses for an option; this pattern admits fractions
+        p._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+|\d+/\d+)$")
         p.add_argument("--prec", type=_fraction, default=None, help=prec_help)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
@@ -677,8 +685,8 @@ def main(argv=None):
         # a slot list of the length that prec sets could not be made
         print("error: " + _TOO_LARGE % prec, file=sys.stderr)
         return 2
-    except InsufficientPrecision as e:
-        # too short a series is a result of the check, not a bad argument
+    except (InsufficientPrecision, NotIdentifiable) as e:
+        # a short series or a non-form is a check's result, not a bad argument
         print("error: %s" % e, file=sys.stderr)
         return 1
     except ValueError as e:

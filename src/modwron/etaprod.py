@@ -1,11 +1,11 @@
 """Eta products, congruence-restricted q-products, and theta sums.
 
-The named series used throughout are data in two tables, one of product
-specs and one of theta sums over eta: the Rogers-Ramanujan characters ch1/ch2
-(in both tables), the continued fraction R(q), the weight-0 pair attached to
-level-2 theta functions, and the eighth powers of the two half-integral Weber
-functions.  named_series keeps the longest expansion of each name and route
-built so far and serves shorter precisions as its truncation.
+The named series used throughout are rows of two tables, one name to a row:
+product specs for the Rogers-Ramanujan characters ch1/ch2, the continued
+fraction R(q) and the eighth powers of the two half-integral Weber
+functions, and theta sums over eta for the weight-0 pair attached to
+level-2 theta functions.  named_series keeps the longest expansion of each
+name built so far and serves shorter precisions as its truncation.
 """
 
 from fractions import Fraction
@@ -128,38 +128,30 @@ PRODUCTS = {
 
 # name -> (ThetaSpec, prefactor): q^prefactor * theta / eta(tau).
 THETAS = {
-    "ch1": (ThetaSpec(5, 3, "alternating"), Fraction(9, 40)),
-    "ch2": (ThetaSpec(5, 1, "alternating"), Fraction(1, 40)),
     "a1_f1": (ThetaSpec(2, 0), 0),
     "a1_f2": (ThetaSpec(2, 2), Fraction(1, 4)),
 }
 
 NAMES = tuple(sorted(set(PRODUCTS) | set(THETAS)))
 
-# (name, theta route?) -> the longest expansion built so far, at most nine
+# name -> the longest expansion built so far, at most one per name
 _BUILT = {}
 
 
-def named_series(name, N, route=None):
+def named_series(name, N):
     """Build one of the named weight-0 series to absolute precision N.
 
-    ch1 and ch2, the names in both tables, admit route="product" (default)
-    or route="theta"; the two constructions agree by the Jacobi triple
-    product.  Both are prefix-stable, so truncating the longest expansion
-    kept equals a fresh build.
+    Each name has one construction, from its row in PRODUCTS or THETAS.
+    Both are prefix-stable, so truncating the longest expansion kept equals
+    a fresh build.
     """
     if name not in NAMES:
         raise ValueError("unknown series %r (choose from %s)" % (name, ", ".join(NAMES)))
-    if route is not None and not (name in PRODUCTS and name in THETAS):
-        raise ValueError("series %r has a single construction route" % name)
-    if route not in (None, "product", "theta"):
-        raise ValueError("route must be 'product' or 'theta'")
     N = Fraction(N)
-    theta = route == "theta" or name not in PRODUCTS
-    built = _BUILT.get((name, theta))
+    built = _BUILT.get(name)
     if built is not None and N <= built.prec:
         return built.truncate(N)
-    if not theta:
+    if name in PRODUCTS:
         spec, step = PRODUCTS[name]
         out = product_series(spec, N / step).rescale(step)
     else:
@@ -169,5 +161,5 @@ def named_series(name, N, route=None):
         d = eta(1, max(N + 1, 1))
         out = (QSeries.monomial(1, prefactor) * t / d).truncate(N)
     if out.prec == N:
-        _BUILT[(name, theta)] = out
+        _BUILT[name] = out
     return out

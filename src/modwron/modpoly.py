@@ -287,6 +287,10 @@ class InsufficientPrecision(ValueError):
     """A series is known through too few coefficients to certify a form."""
 
 
+class NotIdentifiable(ValueError):
+    """A series known well enough to decide is no form of the weight asked."""
+
+
 IDENTIFY_MARGIN = 10     # coefficients identify demands beyond dim M_weight
 
 
@@ -297,10 +301,11 @@ def identify(y, weight):
     every known coefficient of y matches — a full-residual check, not just
     enough coefficients to pin the solution down.  y must be known through
     dim + IDENTIFY_MARGIN coefficients, the zero series too, or
-    InsufficientPrecision is raised; no caller can lower this gate.  An
-    exact y (prec=None) is checked through its last term, and a nonzero one
-    is no form of positive weight: y^(k/2)|f| is invariant under SL2(Z),
-    yet a q-polynomial's tends to 0 as Im tau -> 0.
+    InsufficientPrecision is raised; no caller can lower this gate.  Any
+    other failure raises NotIdentifiable.  An exact y (prec=None) is checked
+    through its last term, and a nonzero one is no form of positive weight:
+    y^(k/2)|f| is invariant under SL2(Z), yet a q-polynomial's tends to 0
+    as Im tau -> 0.
 
     Basis element i, Delta^i E4^(delta+3(t-i)) E6^epsilon, is integer slots
     with slot 1 at exponent i, so c_i is the residual's slot i over y.den.
@@ -314,14 +319,14 @@ def identify(y, weight):
     if y.is_zero():
         return MFPoly.zero(weight)
     if y.offset < 0 or y.offset.denominator != 1 or y.step_den != 1:
-        raise ValueError(
+        raise NotIdentifiable(
             "not identifiable: series has negative or non-integral exponents")
     if d == 0:
-        raise ValueError("not identifiable: no nonzero forms of weight %d" % weight)
+        raise NotIdentifiable("not identifiable: no nonzero forms of weight %d" % weight)
     off = int(y.offset)
     if y.prec is None:
         if weight:
-            raise ValueError(
+            raise NotIdentifiable(
                 "not identifiable: a nonzero exact q-series is no form of "
                 "weight %d" % weight)
         n = max(need, off + len(y.nums))
@@ -346,7 +351,7 @@ def identify(y, weight):
             solution = solution + basis[i].map_coeffs(lambda x, c=c: c * x)
     for e, k in enumerate(residual):
         if k:
-            raise ValueError(
+            raise NotIdentifiable(
                 "not identifiable: residual is nonzero at exponent %d" % e)
     return solution
 

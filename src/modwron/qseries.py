@@ -221,6 +221,7 @@ def _by_class(f, s, n, kernel):
 def _solve(acc, t, div, out, lo, hi, what):
     """Fill out[lo:hi] with x_i = (acc_i + sum_{j>=1} t[j-1] x_{i-j}) / div[i].
 
+    The one integer triangular solve, behind _divexact and _euler_product.
     acc[lo:hi] must already hold the terms from out[:lo].  Every step must
     divide exactly, and an inexact step raises ArithmeticError(what).  The
     taps choose the schedule (see the module docstring), and each acc_i is
@@ -290,8 +291,8 @@ def _relaxed(acc, t, rt, div, out, lo, hi, what, bt):
 def _divexact(u, v, w):
     """Exact quotient u/v of integer slot vectors, known to w - val(v) slots.
 
-    The one integer triangular solve: every step must divide exactly by
-    the leading slot of v, and an inexact step raises.
+    One run of _solve: every step must divide exactly by the leading slot
+    of v, and an inexact step raises.
     """
     v0 = 0
     while not v[v0]:

@@ -34,16 +34,12 @@ def ss_poly_deligne(p):
 def ss_poly_wronskian(p):
     """S_p(x) from the symmetric-power Wronskian quotient at m = (p-3)/2.
 
-    The closed-form quotient W'/W of the m-th symmetric power of the Weber
-    pair is rescaled so its q-expansion leads with coefficient 1, and the
-    divisor polynomial of the rescaled form is reduced mod p.
+    The divisor polynomial of the closed-form quotient W'/W of the m-th
+    symmetric power of the Weber pair is reduced mod p and made monic,
+    which removes any scalar factor of the form.
     """
     check_prime(p)
-    m = (p - 3) // 2
-    form = sym_quotient_closed_form(m)
-    window = Fraction(dim_modular(form.weight) + 2)
-    lead = to_qseries(form, window).leading_coefficient()
-    form = (Fraction(1) / lead) * form
+    form = sym_quotient_closed_form((p - 3) // 2)
     return Poly(divisor_polynomial(form).coeffs, p).monic()
 
 

@@ -2,12 +2,13 @@
 
 For series f_1, ..., f_k the Wronskian is the determinant of the k x k
 matrix whose (j, i) entry is D^j f_i with D = q d/dq; the derived
-Wronskian applies the same determinant to (D f_1, ..., D f_k).  On top of
-the raw determinants this module provides echelon bases ordered by leading
-exponent, monic normalization, identification of the quotient W'/W of a
-k-member family as a holomorphic form of weight 2k, and a certificate that
-W'/W vanishes based on leading-exponent data alone: the exponents decide
-both the forcing pattern and the holomorphy of W'/W it rests on.
+Wronskian applies the same determinant to (D f_1, ..., D f_k).  A family is
+any sequence of QSeries.  On top of the determinants this module provides
+echelon forms as tuples by leading exponent, monic normalization,
+identification of the quotient W'/W of a k-member family as a holomorphic
+form of weight 2k, and a certificate that W'/W vanishes based on
+leading-exponent data alone: the exponents decide both the forcing pattern
+and the holomorphy of W'/W it rests on.
 
 Every determinant comes from one fraction-free (Bareiss) elimination on
 integer coefficient vectors.  Each column's leading exponent h_i and
@@ -55,35 +56,18 @@ _INEXACT = "inexact division in fraction-free elimination"
 
 # ---- echelon bases -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModularBasis:
-    """A family of series with strictly increasing leading exponents."""
-
-    series: tuple
-    exponents: tuple
-
-    def __len__(self):
-        return len(self.series)
-
-    def __iter__(self):
-        return iter(self.series)
-
-
 def echelonize(series):
     """Column-reduce a family until the leading exponents are all distinct.
 
-    Members are returned sorted by leading exponent.  Whenever two members
-    share a leading exponent, the one appearing later in the input absorbs
-    a multiple of the earlier one; members are never rescaled, so a member
-    that already leads at a fresh exponent comes back unchanged.  The span
-    is preserved throughout.  A member that reduces to zero -- to its known
-    precision -- raises a ValueError naming its position in the input.
+    Returns the tuple of members sorted by leading exponent.  Whenever two
+    members share a leading exponent, the one appearing later in the input
+    absorbs a multiple of the earlier one; members are never rescaled, so a
+    member that already leads at a fresh exponent comes back unchanged, and
+    an echelon family comes back as itself in order.  The span is preserved
+    throughout.  A member that reduces to zero -- to its known precision --
+    raises a ValueError naming its position in the input.
     """
-    work = []
-    for idx, f in enumerate(series):
-        if not isinstance(f, QSeries):
-            raise TypeError("expected QSeries members, got %r" % (f,))
-        work.append((f, idx))
+    work = [(f, idx) for idx, f in enumerate(_series_list(series))]
     out = []
     while work:
         for f, idx in work:
@@ -99,16 +83,14 @@ def echelonize(series):
                 if f.valuation() == h else (f, idx)
                 for f, idx in work]
         out.append(piv)
-    return ModularBasis(tuple(out), tuple(f.valuation() for f in out))
+    return tuple(out)
 
 
 def _series_list(family):
-    out = list(family.series if isinstance(family, ModularBasis) else family)
+    out = list(family)
     for f in out:
         if not isinstance(f, QSeries):
             raise TypeError("expected QSeries members, got %r" % (f,))
-    if not out:
-        raise ValueError("cannot take the Wronskian of an empty family")
     return out
 
 
@@ -241,6 +223,8 @@ def _bareiss(fs, ends):
     of each end row holds its minor up to sign.
     """
     k = len(fs)
+    if not k:
+        raise ValueError("cannot take the Wronskian of an empty family")
     zeros = [f for f in fs if f.is_zero()]
     if zeros:
         if any(f.prec is None for f in zeros):
@@ -417,12 +401,12 @@ def vanishing_check(family):
     k(k-1)/12.  The cusp needs no check: each D f_i leads no lower than
     f_i, so W' vanishes there at least to the order of W.
     """
-    basis = family if isinstance(family, ModularBasis) else echelonize(family)
-    exps = basis.exponents
+    basis = echelonize(family)
+    exps = tuple(f.valuation() for f in basis)
     k = len(exps)
     floor_k6 = k // 6
     integer_ix = tuple(i for i, h in enumerate(exps) if h.denominator == 1)
-    prec = _min_prec(*(f.prec for f in basis.series))
+    prec = _min_prec(*(f.prec for f in basis))
 
     report = partial(replace, VanishingReport(False, None, integer_ix, None,
                                               None, prec, ""))
@@ -452,7 +436,7 @@ def vanishing_check(family):
                       diagnostic=forced + "further integer leading exponents "
                       "(%s) rule out the constant relation"
                       % ", ".join(str(h) for h in extra))
-    members = [basis.series[exps.index(Fraction(j))] for j in range(r + 1)]
+    members = [basis[exps.index(Fraction(j))] for j in range(r + 1)]
     derived = [f.derive() for f in members]
     lam = [Fraction(1)]
     try:

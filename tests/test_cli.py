@@ -119,6 +119,23 @@ def test_symcheck_names_disagreeing_route(monkeypatch):
     assert "closed form" not in rep.line()
 
 
+def test_symcheck_rejected_quotient_is_a_fail_row(capsys, monkeypatch):
+    # the weight-6 quotient of Sym^2 asked for in weight 8, where identify
+    # rejects it: the row fails and names why, instead of aborting the run
+    real = cli.identify_quotient
+    monkeypatch.setattr(cli, "identify_quotient",
+                        lambda w, wd, weight: real(w, wd, weight + 2))
+    rep = symcheck_report("weber", 2, F(20))
+    assert rep.status == "fail" and rep.first_fail is None
+    assert rep.detail == ("determinant quotient not identifiable: residual "
+                          "is nonzero at exponent 1")
+    assert rep.to_json() == {"identity": "sym_weber_m2", "status": "fail",
+                             "precision": "20", "first_fail": None}
+    code, out, err = run_cli(capsys, "symcheck", "--m", "2", "--prec", "20")
+    assert code == 1 and err == ""
+    assert "determinant quotient not identifiable" in out
+
+
 def test_passing_report_line_has_no_detail():
     rep = symcheck_report("weber", 1, F(20))
     assert rep.detail == "" and "disagrees" not in rep.line()
@@ -132,6 +149,7 @@ def test_run_all_rows_name_the_failed_sub_check(monkeypatch):
     real_recurrences = cli.verify_recurrences
     real_roots = cli.r12_vanishing_roots
     real_check = cli.sym_wronskian_check
+    real_quotient = cli.identify_quotient
 
     def report(p):
         rep = real_report(p)
@@ -151,12 +169,17 @@ def test_run_all_rows_name_the_failed_sub_check(monkeypatch):
             raise SymWronskianMismatch("eta power", F(9))
         return real_check(f, g, m, ws=ws)
 
+    def quotient(w, wd, weight):
+        # Sym^2 asked for in weight 8: identify rejects its weight-6 quotient
+        return real_quotient(w, wd, weight + 2 if weight == 6 else weight)
+
     monkeypatch.setattr(cli, "supersingular_report", report)
     monkeypatch.setattr(cli, "congruence_constant_check", congruence)
     monkeypatch.setattr(cli, "verify_recurrences", recurrences)
     monkeypatch.setattr(cli, "r12_vanishing_roots",
                         lambda: real_roots() - {F(-15)})
     monkeypatch.setattr(cli, "sym_wronskian_check", check)
+    monkeypatch.setattr(cli, "identify_quotient", quotient)
     rows = {r.identity: r for r in cli.run_all(F(20), (5, 7, 11))}
     named = {
         "ssing_p5": ("routes disagree", "oracle differs"),
@@ -165,6 +188,7 @@ def test_run_all_rows_name_the_failed_sub_check(monkeypatch):
         "partition_recurrences": ("restricted mod-27 recurrence",),
         "eta_power_rr": ("eta power",),
         "eta_power_weber": ("eta power",),
+        "sym_weber_m2": ("determinant quotient not identifiable",),
     }
     for ident, row in rows.items():
         if ident not in named:
@@ -176,7 +200,8 @@ def test_run_all_rows_name_the_failed_sub_check(monkeypatch):
         assert row.to_json() == {
             "identity": ident, "status": "fail",
             "precision": {"partition_recurrences": "50", "eta_power_rr": "20",
-                          "eta_power_weber": "20"}.get(ident),
+                          "eta_power_weber": "20",
+                          "sym_weber_m2": "20"}.get(ident),
             "first_fail": "9" if ident.startswith("eta_power") else None}
     assert "congruence" not in rows["ssing_p5"].line()
     assert "routes" not in rows["ssing_p7"].line()
@@ -398,8 +423,43 @@ def test_identify_cli_rejects_nonform(capsys, monkeypatch):
                                              F(30)).to_json())
     monkeypatch.setattr("sys.stdin", io.StringIO(blob))
     code, _, err = run_cli(capsys, "identify", "--weight", "4")
-    assert code == 2
+    assert code == 1
     assert "not identifiable" in err
+
+
+@pytest.mark.parametrize("command", ["identify", "divpoly"])
+@pytest.mark.parametrize("weight, doc, reason", [
+    # E4 in weight 12 (after E4^3 and Delta fix slots 0 and 1)
+    ("12", to_qseries(E4, 30).to_json(), "residual is nonzero at exponent 2"),
+    ("2", to_qseries(E4, 30).to_json(), "no nonzero forms of weight 2"),
+    ("4", dict(to_qseries(E4, 30).to_json(), prec=None),
+     "a nonzero exact q-series is no form of weight 4"),
+    ("4", dict(to_qseries(E4, 30).to_json(), offset="1/2"),
+     "series has negative or non-integral exponents"),
+], ids=["residual", "no-forms", "exact", "fractional"])
+def test_stdin_series_that_is_no_form_exits_1(capsys, monkeypatch, command,
+                                              weight, doc, reason):
+    """A well-formed series that identify rejects is a failed check."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, command, "--weight", weight)
+    assert (code, out, err) == (1, "", "error: not identifiable: %s\n" % reason)
+
+
+def test_wronskian_identify_of_no_form_exits_1(capsys):
+    # W of the Rogers-Ramanujan pair is eta^4/5, which leads at q^(1/6)
+    code, out, err = run_cli(capsys, "wronskian", "--basis", "ch1,ch2",
+                             "--prec", "20", "--identify", "4")
+    assert (code, out) == (1, "")
+    assert err == ("error: not identifiable: series has negative or "
+                   "non-integral exponents\n")
+
+
+def test_negative_fractional_alpha_parses_in_both_spellings(capsys):
+    spaced = run_cli(capsys, "kz", "--l", "3", "--alpha", "-7/5", "--json")
+    joined = run_cli(capsys, "kz", "--l", "3", "--alpha=-7/5", "--json")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert json.loads(spaced[1])["alpha"] == "-7/5"
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,6 +38,22 @@ W1_HALF = [1, 8, 28, 64, 134, 288, 568, 1024, 1809, 3152, 5316, 8704,
 ETA5_OVER_ETA = [1, 1, 2, 3, 5, 6, 10, 13, 19, 25, 34, 44, 60, 76, 100, 127]
 
 
+# ch1 and ch2 by the Jacobi triple product: q^prefactor * theta / eta, the
+# reference that the product rows of named_series are compared against
+CH_THETAS = {
+    "ch1": (ThetaSpec(5, 3, "alternating"), F(9, 40)),
+    "ch2": (ThetaSpec(5, 1, "alternating"), F(1, 40)),
+}
+
+
+def ch_by_theta(name, N):
+    spec, prefactor = CH_THETAS[name]
+    t = theta_sum(spec, N + 1)
+    # eta is known through its leading term even when N + 1 <= 1/24
+    d = eta(1, max(N + 1, 1))
+    return (QSeries.monomial(1, prefactor) * t / d).truncate(N)
+
+
 def slots(s, count):
     """First `count` coefficients on the series' own slot lattice."""
     return [s.coeff_at(s.offset + F(k, s.step_den)) for k in range(count)]
@@ -98,8 +114,8 @@ def test_ch2_product_prefix():
 
 @pytest.mark.parametrize("name", ["ch1", "ch2"])
 def test_ch_theta_route_agrees_with_product(name):
-    a = named_series(name, 25, route="product")
-    b = named_series(name, 25, route="theta")
+    a = named_series(name, 25)
+    b = ch_by_theta(name, 25)
     assert first_mismatch(a, b) is None
     assert a.prec == b.prec == 25
 
@@ -168,16 +184,6 @@ def test_named_series_prec_is_exactly_requested():
 def test_named_series_unknown_name():
     with pytest.raises(ValueError, match="unknown series"):
         named_series("nope", 10)
-
-
-def test_route_rejected_for_single_route_series():
-    with pytest.raises(ValueError, match="single construction route"):
-        named_series("rr_cf", 10, route="theta")
-
-
-def test_bad_route_value():
-    with pytest.raises(ValueError, match="route"):
-        named_series("ch1", 10, route="jacobi")
 
 
 def test_product_spec_validates_residues():
@@ -297,26 +303,29 @@ def test_eta_precision_soundness(scale, N, more):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(NAMES), st.sampled_from([None, "theta"]),
+@given(st.sampled_from(NAMES),
        st.fractions(min_value=-2, max_value=20, max_denominator=12),
        st.fractions(min_value=F(1, 120), max_value=4, max_denominator=120))
-def test_named_series_precision_soundness(name, route, N, more):
+def test_named_series_precision_soundness(name, N, more):
     """A larger N never changes a coefficient of a named series below the
-    precision reported at N, on either construction route, N < 0 too."""
-    if route and name not in ("ch1", "ch2"):
-        route = None
-    lo = named_series(name, N, route)
-    hi = named_series(name, N + more, route)
+    precision reported at N, N < 0 too; ch1 and ch2 match the theta
+    reference at both precisions."""
+    lo = named_series(name, N)
+    hi = named_series(name, N + more)
     assert first_mismatch(lo, hi) is None
     assert lo.prec <= hi.prec
+    if name in CH_THETAS:
+        for s, n in ((lo, N), (hi, N + more)):
+            ref = ch_by_theta(name, n)
+            assert first_mismatch(s, ref) is None and s.prec == ref.prec
 
 
-def _fresh(name, N, route):
+def _fresh(name, N):
     """named_series built with an empty memo, which is restored after."""
     kept = dict(etaprod._BUILT)
     etaprod._BUILT.clear()
     try:
-        return named_series(name, N, route)
+        return named_series(name, N)
     finally:
         etaprod._BUILT.clear()
         etaprod._BUILT.update(kept)
@@ -324,7 +333,6 @@ def _fresh(name, N, route):
 
 _requests = st.lists(
     st.tuples(st.sampled_from(NAMES),
-              st.sampled_from([None, "product", "theta"]),
               st.fractions(min_value=-3, max_value=40, max_denominator=12)),
     min_size=1, max_size=8)
 
@@ -335,23 +343,24 @@ def test_named_series_memo_matches_a_fresh_build(requests, decreasing):
     """A request served from the longest expansion kept equals a fresh
     build, precision included, for N <= 0, fractional N and N that falls."""
     if decreasing:
-        requests = sorted(requests, key=lambda r: r[2], reverse=True)
+        requests = sorted(requests, key=lambda r: r[1], reverse=True)
     etaprod._BUILT.clear()
-    for name, route, N in requests:
-        if name not in ("ch1", "ch2"):
-            route = None
-        got = named_series(name, N, route)
-        assert got == _fresh(name, N, route)
+    for name, N in requests:
+        got = named_series(name, N)
+        assert got == _fresh(name, N)
         assert got.prec == N
-    assert len(etaprod._BUILT) <= 9
+    assert set(etaprod._BUILT) <= set(NAMES)
 
 
 @pytest.mark.parametrize("name, route", [("ch1", "theta"), ("ch2", "theta"),
                                          ("a1_f1", None), ("a1_f2", None)])
 def test_named_series_theta_route_below_its_first_term(name, route):
-    """A fresh theta-route build at N = -3, where the theta sum is asked for
-    no term at all, is the empty series O(q^-3)."""
-    assert _fresh(name, -3, route) == QSeries.zero(-3)
+    """A fresh build at N = -3, where the theta sum is asked for no term at
+    all, is the empty series O(q^-3); so is the theta reference (route
+    "theta") of ch1 and ch2."""
+    assert _fresh(name, -3) == QSeries.zero(-3)
+    if route == "theta":
+        assert ch_by_theta(name, -3) == QSeries.zero(-3)
 
 
 @pytest.mark.parametrize("name, route", [("a1_f1", None), ("a1_f2", None),
@@ -359,9 +368,13 @@ def test_named_series_theta_route_below_its_first_term(name, route):
 def test_theta_route_too_large_for_memory_fails_at_once(name, route):
     """The theta sum allocates its slot list before it enumerates a term,
     so a precision no list can hold fails there, as eta and product_series
-    do, instead of walking ~sqrt(N) indices first."""
+    do, instead of walking ~sqrt(N) indices first: in named_series, and in
+    the theta reference (route "theta") of ch1."""
     with pytest.raises(OverflowError):
-        named_series(name, 10**400, route)
+        named_series(name, 10**400)
+    if route == "theta":
+        with pytest.raises(OverflowError):
+            ch_by_theta(name, 10**400)
 
 
 def test_theta_spec_validation():

@@ -20,6 +20,7 @@ from modwron.modpoly import (
     G6,
     InsufficientPrecision,
     MFPoly,
+    NotIdentifiable,
     _gen_pow,
     _weight_basis,
     _weight_shape,
@@ -184,22 +185,22 @@ def test_identify_e12():
 
 def test_identify_rejects_non_modular():
     y = QSeries.one(20) + QSeries.monomial(1, 1, 20)
-    with pytest.raises(ValueError, match="not identifiable"):
+    with pytest.raises(NotIdentifiable, match="not identifiable"):
         identify(y, 4)
 
 
 def test_identify_rejects_fractional_exponents():
-    with pytest.raises(ValueError, match="not identifiable"):
+    with pytest.raises(NotIdentifiable, match="not identifiable"):
         identify(QSeries.monomial(1, F(1, 2), 20), 4)
 
 
 def test_identify_rejects_wrong_weight():
-    with pytest.raises(ValueError, match="not identifiable"):
+    with pytest.raises(NotIdentifiable, match="not identifiable"):
         identify(eisenstein(4, "E", 20), 8)
 
 
 def test_identify_rejects_weight_with_no_forms():
-    with pytest.raises(ValueError, match="not identifiable"):
+    with pytest.raises(NotIdentifiable, match="not identifiable"):
         identify(eisenstein(4, "E", 20), 2)
 
 
@@ -222,7 +223,7 @@ def test_identify_exact_input():
     # no q-polynomial is a form of positive weight, however many terms
     # match: an exact 11-term truncation of E4 is not E4
     e4 = to_qseries(E4, 11)
-    with pytest.raises(ValueError, match="not identifiable: a nonzero exact"):
+    with pytest.raises(NotIdentifiable, match="not identifiable: a nonzero exact"):
         identify(QSeries(0, e4.nums, 1, e4.den), 4)
     # an exact constant is a form of weight 0, and every term is checked
     assert identify(QSeries.constant(F(-3, 2)), 0) == MFPoly.constant(F(-3, 2))
@@ -286,10 +287,10 @@ def identify_by_fractions(y, weight, margin=10):
     if y.is_zero():
         return MFPoly.zero(weight)
     if y.offset < 0 or y.offset.denominator != 1 or y.step_den != 1:
-        raise ValueError(
+        raise NotIdentifiable(
             "not identifiable: series has negative or non-integral exponents")
     if d == 0:
-        raise ValueError("not identifiable: no nonzero forms of weight %d" % weight)
+        raise NotIdentifiable("not identifiable: no nonzero forms of weight %d" % weight)
     basis = _weight_basis(weight)
     basis_q = [to_qseries_by_terms(b, y.prec) for b in basis]
     residual = y
@@ -300,7 +301,7 @@ def identify_by_fractions(y, weight, margin=10):
             residual = residual - c * basis_q[i]
             solution = solution + basis[i].map_coeffs(lambda x, c=c: c * x)
     if not residual.is_zero():
-        raise ValueError(
+        raise NotIdentifiable(
             "not identifiable: residual is nonzero at exponent %s"
             % residual.valuation())
     return solution
@@ -377,7 +378,7 @@ def test_identify_returns_the_form_or_asks_for_more(form, shift):
         assert got == form
         assert got.is_zero() == form.is_zero()
     if not form.is_zero():
-        with pytest.raises(ValueError, match="not identifiable"):
+        with pytest.raises(NotIdentifiable, match="not identifiable"):
             identify(QSeries(y.offset, y.nums, 1, y.den), w)
 
 

@@ -1,19 +1,30 @@
-"""The benchmark's traced mode can wrap every span it lists."""
+"""The benchmark's entry points resolve in the package: every span its
+traced mode wraps, and every name its workloads call."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import modwron  # noqa: F401  (loads every modwron.* module)
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
+# the modwron modules that workloads.py binds to names of its own
+WORKLOAD_MODULES = ("cli", "etaprod", "partitions", "ssing", "symmpow",
+                    "wronskian")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _load_spans():
+    return _load("perfbench_spans", SPANS)
 
 
 def test_every_wrapped_name_resolves_in_the_package():
@@ -32,3 +43,25 @@ def test_every_wrapped_name_resolves_in_the_package():
         assert tracer._undo
     finally:
         tracer.uninstall()
+
+
+def test_every_name_the_workloads_read_resolves_in_the_package():
+    """A workload that calls a name the package no longer has fails only
+    when the benchmark runs; this reads every <module>.<attr> off the
+    workloads' source instead."""
+    tree = ast.parse(WORKLOADS.read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in WORKLOAD_MODULES}
+    assert {module for module, _ in used} == set(WORKLOAD_MODULES)
+    for module, attr in sorted(used):
+        owner = importlib.import_module("modwron." + module)
+        assert hasattr(owner, attr), (module, attr)
+
+
+def test_every_workload_builds_its_checks():
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    for name in workloads.WORKLOADS:
+        checks = workloads.checks(name)
+        assert checks and all(callable(run) for _, run in checks), name

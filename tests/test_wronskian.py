@@ -14,9 +14,9 @@ from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
 from modwron.qseries import QSeries, _conv_trunc, _divexact, first_mismatch
 from modwron.symmpow import sym_basis
-from modwron.wronskian import (ModularBasis, echelonize, identify_quotient,
-                               normalize, quotient_form, vanishing_check,
-                               wronskian, wronskian_derived, wronskians)
+from modwron.wronskian import (echelonize, identify_quotient, normalize,
+                               quotient_form, vanishing_check, wronskian,
+                               wronskian_derived, wronskians)
 
 N = F(20)
 
@@ -64,6 +64,10 @@ def agree(a, b):
 
 def sym_family(f, g, m):
     return [f ** i * g ** (m - i) for i in range(m + 1)]
+
+
+def exponents(family):
+    return tuple(f.valuation() for f in family)
 
 
 @pytest.fixture(scope="module")
@@ -254,17 +258,19 @@ def test_ord_sum_and_vandermonde_lead(ch_pair, weber_pair, name, m):
     basis = echelonize(sym_family(f, g, m))
     w = wronskian(basis)
     k = len(basis)
-    vandermonde = prod(basis.exponents[j] - basis.exponents[i]
+    exps = exponents(basis)
+    vandermonde = prod(exps[j] - exps[i]
                        for i in range(k) for j in range(i + 1, k))
-    lcs = prod(s.leading_coefficient() for s in basis.series)
-    assert w.valuation() == sum(basis.exponents)
+    lcs = prod(s.leading_coefficient() for s in basis)
+    assert w.valuation() == sum(exps)
     assert w.leading_coefficient() == lcs * vandermonde
 
 
 def test_sym12_lead_is_vandermonde(rr12):
     basis = echelonize(rr12)
     w = wronskian(basis)
-    vandermonde = prod(basis.exponents[j] - basis.exponents[i]
+    exps = exponents(basis)
+    vandermonde = prod(exps[j] - exps[i]
                        for i in range(13) for j in range(i + 1, 13))
     assert w.valuation() == 13
     assert w.leading_coefficient() == vandermonde
@@ -288,8 +294,16 @@ def test_zero_derived_wronskian_needs_the_identify_window():
 
 
 def test_empty_family_rejected():
-    with pytest.raises(ValueError, match="empty family"):
-        wronskian([])
+    for take in (wronskian, wronskian_derived, wronskians, quotient_form):
+        with pytest.raises(ValueError, match="empty family"):
+            take([])
+
+
+@pytest.mark.parametrize("take", [wronskian, wronskian_derived, wronskians,
+                                  quotient_form, echelonize, vanishing_check])
+def test_family_members_must_be_series(take):
+    with pytest.raises(TypeError, match="expected QSeries members"):
+        take([QSeries.one(), 1])
 
 
 # ---- quotient forms ------------------------------------------------------
@@ -344,16 +358,15 @@ def test_normalize_rejects_zero():
 def test_echelonize_sorts_by_leading_exponent(ch_pair):
     ch1, ch2 = ch_pair
     basis = echelonize([ch1, ch2])
-    assert basis.exponents == (F(-1, 60), F(11, 60))
-    assert basis.series == (ch2, ch1)
+    assert exponents(basis) == (F(-1, 60), F(11, 60))
+    assert basis == (ch2, ch1)
 
 
 def test_echelonize_single_elimination_step():
     one_plus_q = QSeries.from_fractions(0, [1, 1])
     basis = echelonize([one_plus_q, QSeries.one()])
-    assert basis.exponents == (F(0), F(1))
-    assert basis.series[0] == one_plus_q
-    assert basis.series[1] == QSeries.monomial(-1, 1)
+    assert exponents(basis) == (F(0), F(1))
+    assert basis == (one_plus_q, QSeries.monomial(-1, 1))
 
 
 def test_echelonize_names_dependent_member(ch_pair):
@@ -364,11 +377,55 @@ def test_echelonize_names_dependent_member(ch_pair):
         echelonize([QSeries.zero(10)])
 
 
+def _shuffled(family, seed):
+    out = list(family)
+    random.Random(seed).shuffle(out)
+    return out
+
+
+def _paper_families(ch_pair, weber_pair, a1_pair):
+    yield sym_family(*ch_pair, 12)
+    yield sym_family(*a1_pair, 6)
+    for m in range(1, 5):
+        yield sym_family(*weber_pair, m)
+
+
+def test_echelonize_returns_the_members_by_increasing_valuation(
+        ch_pair, weber_pair, a1_pair):
+    for seed, family in enumerate(_paper_families(ch_pair, weber_pair,
+                                                  a1_pair)):
+        family = _shuffled(family, seed)
+        basis = echelonize(family)
+        assert type(basis) is tuple
+        assert sorted(map(id, basis)) == sorted(map(id, family))
+        exps = exponents(basis)
+        assert all(a < b for a, b in zip(exps, exps[1:]))
+        assert echelonize(basis) == basis
+
+
+def test_vanishing_check_reads_the_same_report_in_any_form(
+        ch_pair, weber_pair, a1_pair):
+    """A family, a shuffled copy and its echelon form give one report: the
+    exponents are always the members' valuations after echelonizing."""
+    for seed, family in enumerate(_paper_families(ch_pair, weber_pair,
+                                                  a1_pair)):
+        vc = vanishing_check(family)
+        assert vanishing_check(_shuffled(family, seed)) == vc
+        assert vanishing_check(echelonize(family)) == vc
+
+
+def test_empty_family_has_no_integer_exponent():
+    assert echelonize([]) == ()
+    vc = vanishing_check([])
+    assert not vc.forced_zero and vc.integer_indices == ()
+    assert vc.diagnostic == "no member has an integer leading exponent"
+
+
 def test_echelonize_sym12_exponents(rr12):
-    basis = echelonize(rr12)
-    assert basis.exponents == tuple(sorted(F(i - 1, 5) for i in range(13)))
-    assert sum(basis.exponents) == 13
-    assert all(a < b for a, b in zip(basis.exponents, basis.exponents[1:]))
+    exps = exponents(echelonize(rr12))
+    assert exps == tuple(sorted(F(i - 1, 5) for i in range(13)))
+    assert sum(exps) == 13
+    assert all(a < b for a, b in zip(exps, exps[1:]))
 
 
 # ---- vanishing certificates ----------------------------------------------
@@ -419,7 +476,7 @@ def test_exponent_sum_matches_the_eta_power_of_w(ch_pair, weber_pair,
     f, g = {"ch": ch_pair, "weber": weber_pair, "a1": a1_pair}[pair]
     basis = echelonize(sym_family(f, g, m))
     k = m + 1
-    val = sum(basis.exponents)
+    val = sum(exponents(basis))
     assert val == F(k * (k - 1), 12)
     w = normalize(wronskian(basis))
     assert w == (eta(1, w.prec) ** int(24 * val)).truncate(w.prec)
@@ -434,7 +491,7 @@ def test_vanishing_relation_derives_the_registered_identity(
     f, g = {"ch": ch_pair, "a1": a1_pair}[pair]
     basis = echelonize(sym_family(f, g, m))
     vc = vanishing_check(basis)
-    combo = sum((lam * basis.series[i]
+    combo = sum((lam * basis[i]
                  for lam, i in zip(vc.relation, vc.integer_indices)),
                 QSeries.zero())
     assert combo.prec == vc.precision
