@@ -31,7 +31,6 @@ from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
 from .wronskian import identify_quotient, wronskian, wronskian_derived, \
     wronskians
 
-PREC_ENV_VAR = "MODWRON_PREC"
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 PAIR_NAMES = {
@@ -54,27 +53,7 @@ def _pair(pair, prec):
     return tuple(named_series(name, prec) for name in PAIR_NAMES[pair])
 
 
-def default_precision():
-    raw = os.environ.get(PREC_ENV_VAR)
-    if raw is None:
-        return Fraction(DEFAULT_PREC)
-    try:
-        prec = Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("invalid %s value %r" % (PREC_ENV_VAR, raw))
-    return _positive_prec(prec, PREC_ENV_VAR)
-
-
 _TOO_LARGE = "precision %s is too large: its series do not fit in memory"
-
-
-def _positive_prec(prec, source):
-    if prec <= 0:
-        raise ValueError("%s must be positive, got %s" % (source, prec))
-    if prec > sys.maxsize:
-        # no list holds that many slots; refused before any series is built
-        raise ValueError(_TOO_LARGE % prec)
-    return prec
 
 
 def _fits(n, source):
@@ -245,12 +224,13 @@ IDENTITIES = {
 }
 
 
-def verify(identity, prec=None):
-    """Verify one registered identity through the exponent bound prec."""
+def verify(identity, prec=DEFAULT_PREC):
+    """Verify one registered identity through the exponent bound prec,
+    DEFAULT_PREC unless given, as for --prec."""
     if identity not in IDENTITIES:
         raise ValueError("unknown identity %r (choose from %s)"
                          % (identity, ", ".join(sorted(IDENTITIES))))
-    target = Fraction(prec) if prec is not None else default_precision()
+    target = Fraction(prec)
     t0 = perf_counter()
     pairs = IDENTITIES[identity](target)
     return _assess(identity, pairs, target, t0)
@@ -440,11 +420,12 @@ def build_parser():
                     "and supersingular polynomials.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, prec_help="absolute exponent bound"):
+    def add_common(p):
         # argparse takes a value such as -7/5 that its own negative-number
         # pattern misses for an option; this pattern admits fractions
         p._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+|\d+/\d+)$")
-        p.add_argument("--prec", type=_fraction, default=None, help=prec_help)
+        p.add_argument("--prec", type=_fraction, default=Fraction(DEFAULT_PREC),
+                       help="absolute exponent bound")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
@@ -476,8 +457,6 @@ def build_parser():
                                   "(1 - 3 E4 x^4 + 2 E6 x^6)^alpha expansion")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--alpha", type=_fraction, required=True)
-    p.add_argument("--variant", choices=("closed", "recursion"),
-                   default="closed")
     add_common(p)
 
     p = sub.add_parser("ssing", help="supersingular polynomial pipeline")
@@ -545,12 +524,11 @@ def _cmd_symcheck(args, prec):
 
 
 def _cmd_kz(args, prec):
-    form = kz_coeff(_fits(args.l, "--l"), args.alpha, args.variant)
+    form = kz_coeff(_fits(args.l, "--l"), args.alpha)
     series = to_qseries(form, prec)
     payload = {
         "l": args.l,
         "alpha": str(args.alpha),
-        "variant": args.variant,
         "weight": form.weight,
         "terms": _terms(form),
         "series": series.to_json(),
@@ -674,10 +652,13 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    prec = None
+    prec = args.prec
     try:
-        prec = (_positive_prec(args.prec, "--prec") if args.prec is not None
-                else default_precision())
+        if prec <= 0:
+            raise ValueError("--prec must be positive, got %s" % prec)
+        if prec > sys.maxsize:
+            # no list holds that many slots; refused before any series is built
+            raise ValueError(_TOO_LARGE % prec)
         status = _COMMANDS[args.command](args, prec)
         sys.stdout.flush()
         return status

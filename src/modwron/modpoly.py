@@ -178,6 +178,9 @@ class MFPoly:
         return self.weight == other.weight and self.terms == other.terms
 
     def __hash__(self):
+        # the zero form has no weight: every zero compares equal
+        if self.is_zero():
+            return hash(0)
         return hash((self.weight, tuple(sorted(self.terms.items()))))
 
     def __str__(self):

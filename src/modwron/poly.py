@@ -50,7 +50,9 @@ class Poly:
     """Polynomial in x over Q (p=None) or F_p, coefficients ascending.
 
     Building an F_p polynomial from rational coefficients reduces them
-    mod p.  Ints and Fractions act as constants in +, -, *, == and divmod.
+    mod p.  Ints and Fractions act as constants in +, -, * and divmod.  A
+    constant polynomial equals a scalar when its coefficient does, with no
+    reduction mod p, so equal values hash alike.
     """
 
     __slots__ = ("coeffs", "p")
@@ -214,8 +216,8 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._new((other,))
-        elif not isinstance(other, Poly):
+            return len(self.coeffs) < 2 and self.coeff(0) == other
+        if not isinstance(other, Poly):
             return NotImplemented
         return self.p == other.p and self.coeffs == other.coeffs
 

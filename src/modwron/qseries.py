@@ -12,7 +12,9 @@ truncation and multiplies once (Kronecker substitution), when the one cost
 function _packs prices that below the schoolbook loop, from the lengths,
 the bit widths, the truncation and whether both lists are the same (a
 square packs once; the loop halves its products).  _solve is the exact
-triangular solve behind _divexact and _euler_product.  Sparse taps (eta,
+triangular solve behind _euler_product and _divexact, which divides series
+and, on packed rows, every step of the Wronskian elimination (wronskian
+module).  Sparse taps (eta,
 theta sums) run the recurrence over the nonzero taps only, in O(n * nnz).
 Dense int taps split a run in half, and once the left half is solved,
 _packs chooses how it reaches the right half: one _kron middle product,
@@ -221,7 +223,8 @@ def _by_class(f, s, n, kernel):
 def _solve(acc, t, div, out, lo, hi, what):
     """Fill out[lo:hi] with x_i = (acc_i + sum_{j>=1} t[j-1] x_{i-j}) / div[i].
 
-    The one integer triangular solve, behind _divexact and _euler_product.
+    The one integer triangular solve, behind _divexact (the series division
+    and the Wronskian elimination) and _euler_product.
     acc[lo:hi] must already hold the terms from out[:lo].  Every step must
     divide exactly, and an inexact step raises ArithmeticError(what).  The
     taps choose the schedule (see the module docstring), and each acc_i is

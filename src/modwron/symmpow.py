@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .etaprod import eta
-from .modpoly import E4, MFPoly, theta_derivation, theta_h, to_qseries
+from .modpoly import MFPoly, theta_derivation, theta_h, to_qseries
 from .poly import Poly
 from .qseries import DEFAULT_PREC, QSeries, first_mismatch
 from .wronskian import normalize, wronskian
@@ -235,45 +235,29 @@ def apply(op, y):
 
 # ---- coefficient extraction from (1 - 3 E4 x^4 + 2 E6 x^6)^alpha ------------
 
-def kz_coeff(l, alpha, variant="closed"):
-    """Coefficient of x^(2l) in (1 - 3 E4 x^4 + 2 E6 x^6)^alpha.
-
-    variant="closed" evaluates the double sum over (r, s) with 2r+3s = l
-    directly; variant="recursion" (meaningful for alpha = m/3) runs the
-    theta recursion for the normalized coefficients and rescales back.
-    Both return the unnormalized coefficient, a form of weight 2l.
+def kz_coeff(l, alpha):
+    """Coefficient of x^(2l) in (1 - 3 E4 x^4 + 2 E6 x^6)^alpha, a form of
+    weight 2l: the double sum over (r, s) with 2r + 3s = l of
+    alpha (alpha - 1) ... (alpha - r - s + 1) (-3)^r 2^s E4^r E6^s / (r! s!).
     """
     if not isinstance(l, int) or l < 0:
         raise ValueError("l must be a nonnegative integer")
     alpha = Fraction(alpha)
-    if variant == "closed":
-        # falling[n] = alpha (alpha - 1) ... (alpha - n + 1), n <= l / 2
-        falling = [Fraction(1)]
-        for n in range(l // 2):
-            falling.append(falling[-1] * (alpha - n))
-        terms = {}
-        for s in range(l // 3 + 1):
-            rem = l - 3 * s
-            if rem % 2:
-                continue
-            r = rem // 2
-            c = (falling[r + s]
-                 / (factorial(r) * factorial(s)) * ((-3) ** r * 2 ** s))
-            if c:
-                terms[(r, s)] = c
-        return MFPoly(2 * l, terms)
-    if variant == "recursion":
-        m = 3 * alpha
-        g_prev = MFPoly.constant(Fraction(1))
-        if l == 0:
-            return g_prev
-        g_cur = MFPoly.zero(2)
-        q = Fraction(-1, 18) * E4
-        for j in range(2, l + 1):
-            g_prev, g_cur = g_cur, (theta_derivation(g_cur)
-                                    + (j - 1) * (m - j + 2) * q * g_prev)
-        return Fraction(6 ** l, factorial(l)) * g_cur
-    raise ValueError("variant must be 'closed' or 'recursion'")
+    # falling[n] = alpha (alpha - 1) ... (alpha - n + 1), n <= l / 2
+    falling = [Fraction(1)]
+    for n in range(l // 2):
+        falling.append(falling[-1] * (alpha - n))
+    terms = {}
+    for s in range(l // 3 + 1):
+        rem = l - 3 * s
+        if rem % 2:
+            continue
+        r = rem // 2
+        c = (falling[r + s]
+             / (factorial(r) * factorial(s)) * ((-3) ** r * 2 ** s))
+        if c:
+            terms[(r, s)] = c
+    return MFPoly(2 * l, terms)
 
 
 def sym_quotient_closed_form(m):

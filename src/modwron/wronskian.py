@@ -23,14 +23,16 @@ window as possible.
 Each step works on whole rows (E. H. Bareiss, Math. Comp. 22, 1968, for
 the elimination).  Slot s of a row's remaining entries packs into one
 integer sum_c x_c 2^(w c) with balanced w-bit fields, so the numerator
-a_c * piv - mrt * b_c and the triangular division by the previous pivot
-cost three scalar-times-packed dot products per (row, slot), not per entry.
-w comes from a bound on the numerator fields, and a row is redone at twice
-the width whenever the accumulator bound could reach 2^(w-1).  Below that
-bound a balanced representation is unique: a packed accumulator that
-divides by the leading slot, with lead times every quotient field below
-2^(w-1) as well, divided exactly field by field, and any other outcome
-raises.
+a_c * piv - mrt * b_c costs two scalar-times-packed dot products per
+(row, slot), not per entry, and the division by the previous pivot is one
+run of the integer triangular solve (qseries._divexact) on the packed
+numerators.  The packed arithmetic is exact, so a packed remainder means
+an inexact field division, and the solve raises.  w comes from a bound on the
+numerator fields, and a row is redone at twice the width whenever the
+accumulator bound could reach 2^(w-1).  Below that bound a balanced
+representation is unique: a packed accumulator that divides by the leading
+slot, with lead times every quotient field below 2^(w-1) as well, divided
+exactly field by field, and any other outcome raises.
 
 W and W' share the derivative orders 1..k-1: the elimination runs on the
 stack of orders 1..k-1, 0 and k with pivots from orders 1..k-1 only, and
@@ -48,8 +50,8 @@ from math import lcm
 from operator import mul as _mul_op
 
 from .modpoly import identify
-from .qseries import (QSeries, _ceil, _check_cap, _min_prec, _upsample,
-                      first_mismatch)
+from .qseries import (QSeries, _ceil, _check_cap, _divexact, _min_prec,
+                      _upsample, first_mismatch)
 
 _INEXACT = "inexact division in fraction-free elimination"
 
@@ -147,33 +149,30 @@ def _height(cols):
     return max(max(map(abs, c), default=0) for c in cols)
 
 
-def _row_step(a, mrt, piv, b, prev, wcur, w=None):
+def _row_step(a, mrt, piv, b, prev, wcur):
     """One Bareiss step on one row: the lists (a_c * piv - mrt * b_c) / prev
     over the columns c, known to wcur - val(prev) slots (to wcur slots, with
     no division, when prev is None).
 
-    The row's slots pack into balanced w-bit fields (module docstring).  A
-    bound keeps every accumulator field below 2^(w-1), so a quotient with
-    lead times every field below 2^(w-1) too divided exactly field by
-    field; any other outcome raises ArithmeticError.  By default w leaves
-    room for x_0 = numerator / lead in every slot; whenever the bound could
-    reach 2^(w-1), w doubles and the row is redone.
+    The row's slots pack into balanced w-bit fields, and _divexact divides
+    the packed numerators by prev (module docstring).  The quotients unpack
+    in order while their fields stay within lim, which keeps every
+    accumulator field below 2^(w-1).  At the first slot past lim, w
+    doubles and the row is redone, or, when lead times that field reaches
+    2^(w-1), the division was inexact and ArithmeticError is raised.  w
+    starts with room for x_0 = numerator / lead in every slot.
     """
     v0 = 0 if prev is None else _vec_val(prev, wcur)
     if wcur <= v0:
         return [[] for _ in a]
-    if prev is None:
-        lead, t = 1, []
-    else:
-        lead, t = prev[v0], [-c for c in prev[v0 + 1:wcur]]
-    rt, lt, alead, taps = t[::-1], len(t), abs(lead), sum(map(abs, t))
+    lead = 1 if prev is None else prev[v0]
+    alead = abs(lead)
+    taps = 0 if prev is None else sum(map(abs, prev[v0 + 1:wcur]))
     # a numerator field is at most nb; an accumulator field is at most
     # nb + taps * max|x| over the quotient fields solved before it
     nb = (sum(map(abs, piv[:wcur])) * _height(a)
           + sum(map(abs, mrt[:wcur])) * _height(b))
-    if w is None:
-        w = (nb + taps * (nb // alead)).bit_length() + 1
-    w = max(w, nb.bit_length() + 1)
+    w = (nb + taps * (nb // alead)).bit_length() + 1
     while True:
         half, top = 1 << (w - 1), w * (len(a) - 1)
         mask, bias = (1 << w) - 1, sum(half << s for s in range(0, top + 1, w))
@@ -181,34 +180,22 @@ def _row_step(a, mrt, piv, b, prev, wcur, w=None):
         num = [p - q for p, q in zip(
             _dots(piv, _pack_slots(a, wcur, w), v0, wcur),
             _dots(mrt, _pack_slots(b, wcur, w), v0, wcur))]
-        if prev is None:
-            # every field is a numerator field, below nb < half
-            return [list(col) for col in zip(*[
-                [((y >> s) & mask) - half for s in low] + [(y >> top) - half]
-                for y in [x + bias for x in num]])]
         # below xlim the accumulator bound stays below half; fields of
         # lead * x must stay below half too
         xlim = (half - 1 - nb) // taps if taps else half
         lim = min(xlim, (half - 1) // alead)
-        xs, rows = [], []
-        for i, x in enumerate(num):
-            jm = min(lt, i)
-            if jm:
-                x += sum(map(_mul_op, rt[lt - jm:], xs[i - jm:i]))
-            if x:
-                x, r = divmod(x, lead)
-                if r:
-                    raise ArithmeticError(_INEXACT)
-            yb = x + bias
-            fields = [((yb >> s) & mask) - half for s in low]
-            fields.append((yb >> top) - half)
-            big = max(max(fields), -min(fields))
+        # with no division every field is a numerator field, at most nb < half
+        xs = num if prev is None else _divexact(num, prev[v0:wcur], wcur - v0)
+        rows = []
+        for x in xs:
+            x += bias
+            row = [((x >> s) & mask) - half for s in low] + [(x >> top) - half]
+            big = max(max(row), -min(row))
             if big > lim:
                 if big * alead >= half:
                     raise ArithmeticError(_INEXACT)
                 break
-            xs.append(x)
-            rows.append(fields)
+            rows.append(row)
         else:
             return [list(col) for col in zip(*rows)]
         w *= 2

@@ -24,6 +24,7 @@ from modwron.symmpow import (kz_coeff, r12_vanishing_roots, r_recursion,
                              sym_wronskian_check)
 from modwron.wronskian import (normalize, quotient_form, vanishing_check,
                                wronskian)
+from test_symmpow import kz_by_recursion
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -206,6 +207,5 @@ def test_a11_property_suites():
     for m in (2, 5, 12):
         alpha = F(m, 3)
         for l in range(0, 9):
-            assert kz_coeff(l, alpha, "closed") == \
-                kz_coeff(l, alpha, "recursion"), (l, m)
+            assert kz_coeff(l, alpha) == kz_by_recursion(l, alpha), (l, m)
     assert perf_counter() - t0 < 60

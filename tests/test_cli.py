@@ -1,10 +1,12 @@
 """Tests for the command-line interface and the identity registry."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modwron import cli, etaprod
-from modwron.cli import (IDENTITIES, _assess, default_precision, main,
+from modwron.cli import (IDENTITIES, _assess, build_parser, main,
                          symcheck_report, verify)
 from modwron.etaprod import NAMES
 from modwron.modpoly import E4, E6, to_qseries
@@ -57,16 +59,6 @@ def test_assess_pass_at_target():
     lhs = QSeries.one(F(50))
     rep = _assess("demo", [(lhs, QSeries.one(F(50)))], F(50), 0.0)
     assert rep.status == "pass" and rep.precision == 50
-
-
-def test_default_precision_env(monkeypatch):
-    monkeypatch.delenv("MODWRON_PREC", raising=False)
-    assert default_precision() == 100
-    monkeypatch.setenv("MODWRON_PREC", "35")
-    assert default_precision() == 35
-    monkeypatch.setenv("MODWRON_PREC", "bogus")
-    with pytest.raises(ValueError, match="MODWRON_PREC"):
-        default_precision()
 
 
 def test_report_json_shape():
@@ -323,11 +315,14 @@ def test_short_wronskian_identify_is_a_result_not_a_configuration_error(capsys):
                    "weight-8 candidate, have precision 5/3\n")
 
 
-def test_nonpositive_prec_from_environment(capsys, monkeypatch):
+def test_prec_environment_variable_is_ignored(capsys, monkeypatch):
+    """--prec is the one precision input: a MODWRON_PREC in the
+    environment changes nothing, the library call included."""
+    want = run_cli(capsys, "series", "ch1", "--prec", "100")
     monkeypatch.setenv("MODWRON_PREC", "0")
-    code, out, err = run_cli(capsys, "symcheck", "--m", "1")
-    assert code == 2 and out == ""
-    assert err == "error: MODWRON_PREC must be positive, got 0\n"
+    assert run_cli(capsys, "series", "ch1") == want
+    assert want[0] == 0 and want[1].endswith("+ O(q^(100))\n")
+    assert verify("chprod").precision == 100
 
 
 def test_symcheck_cli(capsys):
@@ -337,14 +332,17 @@ def test_symcheck_cli(capsys):
     assert "pass" in out
 
 
-def test_kz_cli_variants_match(capsys):
-    _, out1, _ = run_cli(capsys, "kz", "--l", "4", "--alpha", "5/3",
-                         "--prec", "8", "--json")
-    _, out2, _ = run_cli(capsys, "kz", "--l", "4", "--alpha", "5/3",
-                         "--variant", "recursion", "--prec", "8", "--json")
-    d1, d2 = json.loads(out1), json.loads(out2)
-    assert d1["terms"] == d2["terms"]
-    assert d1["series"] == d2["series"]
+def test_kz_has_one_evaluation(capsys):
+    """kz has no --variant: the option is a usage error, and the JSON
+    carries no "variant" key."""
+    with pytest.raises(SystemExit) as exc:
+        main(["kz", "--l", "4", "--alpha", "5/3", "--variant", "closed"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variant closed" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "kz", "--l", "4", "--alpha", "5/3",
+                           "--prec", "8", "--json")
+    assert code == 0
+    assert set(json.loads(out)) == {"l", "alpha", "weight", "terms", "series"}
 
 
 def test_ssing_cli_golden(capsys):
@@ -612,6 +610,43 @@ def test_format_ratpoly_x():
     assert str(Poly((F(5, 2), F(0), F(-1)))) == "-x^2 + 5/2"
 
 
+# ---- the README's command reference ---------------------------------------------------
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+FLAG = r"--[a-z][\w-]*"
+
+
+def _parser_flags():
+    """Subcommand -> the option strings of its subparser."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for act in p._actions for o in act.option_strings}
+            for name, p in subs.choices.items()}
+
+
+def test_readme_documents_exactly_the_parser_flags():
+    """Every --flag of a backticked command in the README's Subcommands
+    list exists on that subcommand, and every flag of a subcommand is
+    documented there, --prec and --json aside: those, and only those, are
+    the Global flags, the flags every subcommand has."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    listing, rest = text.split("\nSubcommands:\n", 1)[1].split(
+        "\nGlobal flags:", 1)
+    flags = _parser_flags()
+    documented = {}
+    for span in re.findall(r"`([^`]+)`", listing):
+        name = span.split()[0]
+        if name in flags:
+            documented.setdefault(name, set()).update(
+                re.findall(r"(?<![\w-])" + FLAG, span))
+    common = set.intersection(*flags.values()) - {"-h", "--help"}
+    assert documented == {name: f - common - {"-h", "--help"}
+                          for name, f in flags.items()}
+    glob = set(re.findall("`(%s)" % FLAG, rest.split("\n\n", 1)[0]))
+    assert glob == common == {"--prec", "--json"}
+
+
 # ---- precision too large, and the argv/stdin fuzz -----------------------------------
 
 HUGE = "1e400"
@@ -751,8 +786,7 @@ def _fuzz_run(draw):
         argv += ["--m", draw(_fuzz_ints),
                  "--pair", draw(st.sampled_from(["weber", "rr", "a1"]))]
     elif command == "kz":
-        argv += ["--l", draw(_fuzz_ints), "--alpha=" + draw(_fuzz_precs),
-                 "--variant", draw(st.sampled_from(["closed", "recursion"]))]
+        argv += ["--l", draw(_fuzz_ints), "--alpha=" + draw(_fuzz_precs)]
     elif command == "ssing":
         argv += ["--p", str(draw(_fuzz_primes)), "--route",
                  draw(st.sampled_from(["deligne", "wronskian", "oracle",

@@ -548,6 +548,14 @@ def test_mfpoly_algebra_guards():
     assert E4 ** 0 == MFPoly.constant(F(1))
 
 
+def test_zero_forms_hash_alike():
+    # zero has no weight, so the zeros of every weight are one value
+    zeros = [MFPoly.zero(w) for w in (0, 4, 6, 12)] + [E4 - E4]
+    assert all(z == zeros[0] for z in zeros)
+    assert len(set(zeros)) == 1
+    assert len({E4, E6, MFPoly.zero(4), 2 * E4}) == 4
+
+
 def test_mfpoly_str():
     assert str(theta_derivation(E4)) == "-(1/3)*E6"
     assert str(E4 ** 2 + E4 ** 2) == "2*E4^2"

@@ -40,6 +40,17 @@ def test_scalars_act_as_constants():
     assert x7 + 8 == x7 + 1 and F(1, 2) * x7 == 4 * x7
 
 
+@given(st.integers(-12, 12), st.sampled_from([None, 5, 7]),
+       st.one_of(st.integers(-12, 12), st.fractions(max_denominator=6)))
+def test_scalar_equality_agrees_with_the_hash(a, p, c):
+    # a constant equals a scalar exactly when its coefficient does, with no
+    # reduction mod p, so a set finds it by the scalar just when they are equal
+    x = Poly((a,), p)
+    assert (x == c) == (c == x) == (c in {x}) == (x.coeff(0) == c)
+    assert Poly((1,), 5) != 6 and Poly((3,), 5) != F(1, 2)
+    assert Poly((1,), 5) == 1 and 1 in {Poly((1,), 5)}
+
+
 def test_fields_never_mix():
     x7 = Poly((0, 1), 7)
     assert X != x7

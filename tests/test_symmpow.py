@@ -196,10 +196,26 @@ def test_operator_does_not_annihilate_foreign_series(ch_pair):
 
 # ---- kz_coeff -------------------------------------------------------------------
 
+def kz_by_recursion(l, alpha):
+    """Reference: the coefficient of x^(2l) by the theta recursion for the
+    normalized coefficients g_l = l!/6^l * G_l (Kaneko-Zagier): g_0 = 1,
+    g_1 = 0, g_j = theta(g_(j-1)) - (j-1)(3 alpha - j + 2) E4/18 g_(j-2)."""
+    m = 3 * F(alpha)
+    g_prev = MFPoly.constant(F(1))
+    if l == 0:
+        return g_prev
+    g_cur = MFPoly.zero(2)
+    q = F(-1, 18) * E4
+    for j in range(2, l + 1):
+        g_prev, g_cur = g_cur, (theta_derivation(g_cur)
+                                + (j - 1) * (m - j + 2) * q * g_prev)
+    return F(6 ** l, factorial(l)) * g_cur
+
+
 def test_kz_degenerate_cases():
-    for variant in ("closed", "recursion"):
-        assert kz_coeff(0, F(5, 3), variant) == MFPoly.constant(F(1))
-        assert kz_coeff(1, F(5, 3), variant).is_zero()
+    for kz in (kz_coeff, kz_by_recursion):
+        assert kz(0, F(5, 3)) == MFPoly.constant(F(1))
+        assert kz(1, F(5, 3)).is_zero()
 
 
 def test_kz_low_order_normalized_values():
@@ -211,7 +227,14 @@ def test_kz_low_order_normalized_values():
 @pytest.mark.parametrize("m", [1, 2, 4, 5, 7, 12])
 def test_kz_variants_agree(m):
     for l in range(11):
-        assert kz_coeff(l, F(m, 3)) == kz_coeff(l, F(m, 3), "recursion")
+        assert kz_coeff(l, F(m, 3)) == kz_by_recursion(l, F(m, 3))
+
+
+def test_kz_matches_the_recursion_off_thirds():
+    # the two agree for every rational alpha, not only at alpha = m/3
+    for alpha in (F(1, 2), F(-7, 5), F(3, 7), F(-1), F(0), F(11, 4)):
+        for l in range(13):
+            assert kz_coeff(l, alpha) == kz_by_recursion(l, alpha), (l, alpha)
 
 
 def kz_closed_by_falling_per_term(l, alpha):
@@ -235,11 +258,6 @@ def kz_closed_by_falling_per_term(l, alpha):
                                         max_denominator=12))
 def test_kz_closed_matches_falling_per_term(l, alpha):
     assert kz_coeff(l, alpha) == kz_closed_by_falling_per_term(l, alpha)
-
-
-def test_kz_rejects_bad_variant():
-    with pytest.raises(ValueError, match="variant"):
-        kz_coeff(2, F(1, 3), "symbolic")
 
 
 def test_kz_rejects_negative_order():

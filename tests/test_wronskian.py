@@ -1,6 +1,7 @@
 """Tests for Wronskian determinants, echelon bases, and W'/W data."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from importlib import import_module
 from math import prod
@@ -576,7 +577,7 @@ def _vec_sub(a, b):
     return a
 
 
-def row_step_by_entry(a, mrt, piv, b, prev, wcur, w=None):
+def row_step_by_entry(a, mrt, piv, b, prev, wcur):
     """The elimination step entry by entry: two truncated products, one
     subtraction and one exact triangular division per (row, column)."""
     out = []
@@ -638,49 +639,64 @@ def test_packed_step_matches_on_the_paper_families(ch_pair, weber_pair,
             assert _minors(fs, (0, m + 1)) == bareiss_by_entry(fs, (0, m + 1))
 
 
-def _exact_row(seed, nf=3, n=12):
-    """A row whose numerator is x * prev for random columns x, so that the
-    quotients are x; prev's taps are large next to its lead, so x grows."""
-    rng = random.Random(seed)
-    prev = [rng.choice([1, -1, 2])] + [rng.randint(-90, 90) for _ in range(4)]
-    x = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(nf)]
-    a = [_conv_trunc(c, prev, n) for c in x]
-    return a, [0], [1], [[0]] * nf, prev, n, x
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_row_step_widens_a_narrow_width_and_agrees(seed):
-    a, mrt, piv, b, prev, n, x = _exact_row(seed)
+@contextmanager
+def packed_widths():
+    """The field width of every _pack_slots call made inside the block."""
     widths = []
+    pack = W_MOD._pack_slots
 
     def spy(cols, n, w):
         widths.append(w)
         return pack(cols, n, w)
 
-    pack = W_MOD._pack_slots
-    narrow = max(abs(v) for c in a for v in c).bit_length() + 1
     with mock.patch.object(W_MOD, "_pack_slots", spy):
-        got = W_MOD._row_step(a, mrt, piv, b, prev, n, narrow)
-    assert widths[0] == narrow and widths[-1] > narrow
-    assert got == x == W_MOD._row_step(a, mrt, piv, b, prev, n)
-    assert got == row_step_by_entry(a, mrt, piv, b, prev, n)
+        yield widths
+
+
+def test_row_step_outgrows_its_first_width():
+    # 1 / (1 - 90 q) = sum 90^i q^i: the quotients outgrow the first width,
+    # which only leaves room for x_0, three times
+    row = ([[1], [2]], [0], [1], [[0], [0]], [1, -90], 6)
+    with packed_widths() as widths:
+        got = W_MOD._row_step(*row)
+    assert widths == [9, 9, 18, 18, 36, 36, 72, 72]
+    assert got == [[90 ** i for i in range(6)], [2 * 90 ** i for i in range(6)]]
+    assert got == row_step_by_entry(*row)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_step_widens_a_narrow_width_and_agrees(seed):
+    # prev's tap is large next to its lead, so the quotients grow
+    # geometrically past the first width
+    rng = random.Random(seed)
+    prev = [rng.choice([1, -1]), rng.choice([1, -1]) * rng.randint(60, 90)]
+    a = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 2))]
+         for _ in range(rng.randint(1, 3))]
+    row = (a, [0], [1], [[0]] * len(a), prev, rng.randint(6, 8))
+    with packed_widths() as widths:
+        got = W_MOD._row_step(*row)
+    assert widths[-1] > widths[0]
+    assert got == row_step_by_entry(*row)
 
 
 @pytest.mark.parametrize("w", [None, 8])
 @pytest.mark.parametrize("fields", [(1, 0), (3, 1)])
 def test_row_step_raises_on_an_inexact_field(w, fields):
-    # 3 does not divide 1, nor the packed integer (1 or 3 + 2^w); the floor
-    # quotient of 1 by 3 is 0, whose fields pass the range check
-    a = [[f] for f in fields]
-    with pytest.raises(ArithmeticError, match="inexact division"):
-        W_MOD._row_step(a, [0], [1], [[0], [0]], [3], 1, w)
+    # 3 divides neither the fields nor the packed integer (1 or 3 + 2^w);
+    # at w = 8 a third field 96, a multiple of 3, sets the first width
+    a = [[f] for f in fields] + ([[96]] if w else [])
+    with packed_widths() as widths, \
+            pytest.raises(ArithmeticError, match="inexact division"):
+        W_MOD._row_step(a, [0], [1], [[0]] * len(a), [3], 1)
+    assert set(widths) == {w or max(fields).bit_length() + 1}
 
 
 def test_row_step_raises_when_only_the_packed_integer_divides():
-    # fields (1, 2) at w = 8 pack to 513 = 3 * 171, but 3 divides neither
-    # field: 171 unpacks to (-85, 1), and 3 * 85 reaches 2^7
-    assert (1 + 2 * 2 ** 8) % 3 == 0
-    with pytest.raises(ArithmeticError, match="inexact division"):
-        W_MOD._row_step([[1], [2]], [0], [1], [[0], [0]], [3], 1, 8)
-    with pytest.raises(ArithmeticError, match="inexact division"):
-        W_MOD._row_step([[1], [2]], [0], [1], [[0], [0]], [3], 1)
+    # fields (1, -1) at the first width w = 2 pack to 1 - 4 = -3, which 3
+    # divides, but 3 divides neither field: -1 unpacks to (-1, 0), and
+    # 3 * 1 reaches 2^(w-1)
+    assert (1 - 1 * 2 ** 2) % 3 == 0
+    with packed_widths() as widths, \
+            pytest.raises(ArithmeticError, match="inexact division"):
+        W_MOD._row_step([[1], [-1]], [0], [1], [[0], [0]], [3], 1)
+    assert widths == [2, 2]
