@@ -22,6 +22,7 @@ from .etaprod import ProductSpec, eta, named_series, product_series, NAMES
 from .modpoly import (InsufficientPrecision, NotIdentifiable, identify,
                       divisor_polynomial, to_qseries, G4)
 from .partitions import verify_recurrences
+from .poly import check_prime
 from .qseries import DEFAULT_PREC, QSeries, _min_prec, first_mismatch
 from .ssing import (congruence_constant_check, hasse_oracle, ss_poly_deligne,
                     ss_poly_wronskian, supersingular_report)
@@ -54,6 +55,7 @@ def _pair(pair, prec):
 
 
 _TOO_LARGE = "precision %s is too large: its series do not fit in memory"
+_NOT_POSITIVE = "--prec must be positive, got %s"
 
 
 def _fits(n, source):
@@ -231,6 +233,8 @@ def verify(identity, prec=DEFAULT_PREC):
         raise ValueError("unknown identity %r (choose from %s)"
                          % (identity, ", ".join(sorted(IDENTITIES))))
     target = Fraction(prec)
+    if target <= 0:
+        raise ValueError(_NOT_POSITIVE % target)
     t0 = perf_counter()
     pairs = IDENTITIES[identity](target)
     return _assess(identity, pairs, target, t0)
@@ -324,6 +328,15 @@ def _ssing_failures(rep):
     return ", ".join(name for name, ok in checks if not ok)
 
 
+def _ssing_row(p):
+    """The ssing_pP row's check: a ValueError that the prime's mathematics
+    raises fails the row by its message."""
+    try:
+        return _ssing_failures(supersingular_report(p))
+    except ValueError as e:
+        return str(e)
+
+
 # ---- formatting helpers ---------------------------------------------------------
 
 def _emit(args, payload, human):
@@ -351,6 +364,8 @@ def run_all(prec, primes):
     the R_12 root set, the eta-power factorizations, the partition
     recurrences, and the supersingular pipeline."""
     prec = Fraction(prec)
+    for p in primes:
+        check_prime(p)
 
     def capped(rows, cap):
         # a row run below --prec says so in its human line only
@@ -368,9 +383,7 @@ def run_all(prec, primes):
     reports += capped([_row("eta_power_%s" % pair, eta_prec, _eta_powers, pair,
                             eta_prec) for pair in ("rr", "weber")], eta_prec)
     reports.append(_row("partition_recurrences", 50, _recurrences, 50))
-    reports += [_row("ssing_p%d" % p, None,
-                     lambda p: _ssing_failures(supersingular_report(p)), p)
-                for p in primes]
+    reports += [_row("ssing_p%d" % p, None, _ssing_row, p) for p in primes]
     return reports
 
 
@@ -541,19 +554,24 @@ def _cmd_kz(args, prec):
 
 def _cmd_ssing(args, prec):
     p = _fits(args.p, "--p")
-    if args.route == "oracle":
-        roots = sorted(hasse_oracle(p))
-        _emit(args, {"p": p, "fp_roots": roots},
-              "p=%d supersingular j (oracle): %s" % (p, roots))
-        return 0
-    if args.route in ("deligne", "wronskian"):
-        poly = (ss_poly_deligne if args.route == "deligne"
-                else ss_poly_wronskian)(p)
+    check_prime(p)
+    try:
+        if args.route != "all":
+            # looked up when it runs, so a rebound name is the one called
+            poly = {"deligne": ss_poly_deligne, "wronskian": ss_poly_wronskian,
+                    "oracle": hasse_oracle}[args.route](p)
+        else:
+            rep = supersingular_report(p)
+            failed = _ssing_failures(rep)
+    except ValueError as e:
+        # p is a prime: what its mathematics raises fails it
+        print("error: %s" % e, file=sys.stderr)
+        return 1
+    if args.route != "all":
         _emit(args, {"p": p, "route": args.route,
                      "polynomial": list(poly.coeffs)},
               "p=%d S_p (%s route) = %s" % (p, args.route, poly))
         return 0
-    rep = supersingular_report(p)
     payload = {
         "p": rep.p,
         "polynomial": list(rep.polynomial.coeffs),
@@ -563,7 +581,6 @@ def _cmd_ssing(args, prec):
         "oracle_match": rep.oracle_match,
         "epsilon": list(rep.epsilon),
     }
-    failed = _ssing_failures(rep)
     human = ("p=%d  S_p = %s\n  roots in F_p: %s\n  quadratic factors: %s\n"
              "  routes agree: %s   oracle match: %s   (eps_omega, eps_i) = %s"
              % (rep.p, rep.polynomial, list(rep.fp_roots),
@@ -655,7 +672,7 @@ def main(argv=None):
     prec = args.prec
     try:
         if prec <= 0:
-            raise ValueError("--prec must be positive, got %s" % prec)
+            raise ValueError(_NOT_POSITIVE % prec)
         if prec > sys.maxsize:
             # no list holds that many slots; refused before any series is built
             raise ValueError(_TOO_LARGE % prec)

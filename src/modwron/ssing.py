@@ -1,19 +1,20 @@
 """Supersingular polynomials in characteristic p by independent routes.
 
 The supersingular locus S_p(x) is the monic polynomial over F_p whose
-roots are the supersingular j-invariants.  This module computes it two
-ways -- from the divisor polynomial of the Eisenstein series E_{p-1}, and
-from the divisor polynomial of the normalized symmetric-power Wronskian
-quotient of the Weber pair at m = (p-3)/2 -- and certifies both against a
-Hasse-invariant oracle, which reads one coefficient of (x^3 + ax + b)^((p-1)/2)
-per j in O(p) operations.  It also peels off the forced linear factors at
-j = 0 and j = 1728 and splits the remainder into linear and irreducible
-quadratic factors over F_p by distinct- and equal-degree factorization.
+roots are the supersingular j-invariants.  Each route is a function
+p -> S_p: from the divisor polynomial of the Eisenstein series E_{p-1}
+(`ss_poly_deligne`), from the divisor polynomial of the normalized
+symmetric-power Wronskian quotient of the Weber pair at m = (p-3)/2
+(`ss_poly_wronskian`), and from Deuring's criterion on the Legendre family
+(`hasse_oracle`), which certifies all of S_p, quadratic factors included.
+The module also peels off the forced linear factors at j = 0 and j = 1728
+and splits the remainder into linear and irreducible quadratic factors
+over F_p by distinct- and equal-degree factorization.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .modpoly import (_weight_shape, dim_modular, divisor_polynomial,
                       eisenstein, h_poly, identify, to_qseries)
@@ -43,41 +44,47 @@ def ss_poly_wronskian(p):
     return Poly(divisor_polynomial(form).coeffs, p).monic()
 
 
-# ---- the Hasse-invariant oracle -------------------------------------------------
+# ---- the Legendre-family oracle ----------------------------------------------
 
 def hasse_oracle(p):
-    """Supersingular j-invariants in F_p by the Hasse-invariant test.
+    """S_p(x) by Deuring's criterion on the Legendre family.
 
-    j is supersingular exactly when the x^(p-1) coefficient of
-    (x^3 + ax + b)^e, e = (p-1)/2, vanishes, for any curve
-    y^2 = x^3 + ax + b over F_p with invariant j; the curve used is
-    a = 3j(1728-j), b = 2j(1728-j)^2, with the degenerate invariants
-    j = 0 and j = 1728 handled by (0, 1) and (1, 0).  That coefficient is
-    the multinomial sum over x^(3i) (ax)^k b^l with k = 2e - 3i and
-    l = 2i - e, so each j costs about p/12 terms mod p, with the factorial
-    inverses computed once.
+    y^2 = x(x-1)(x-lambda) is supersingular exactly at the roots of
+    H_p(lambda) = sum_{i<=e} C(e,i)^2 lambda^i, e = (p-1)/2 (Silverman,
+    AEC, Thm V.4.1).  With mu = lambda^2 - lambda, j = 256 (mu+1)^3 / mu^2,
+    so H_p over (mu+1)^eps_omega ((mu-2)(2 lambda-1))^eps_i is, up to a
+    unit, sum_k s_k (256 (mu+1)^3)^k mu^(2(n-k)), and S_p is sum_k s_k x^k
+    times x^eps_omega (x-1728)^eps_i.  The s_k are peeled off from s_n
+    down, each at the lowest power of mu left; an odd part in mu, or a
+    remainder after s_0, raises a ValueError naming its power of mu.
     """
-    check_prime(p)
+    eps_omega, eps_i = epsilon_factors(p)      # checks p
     e = (p - 1) // 2
-    fact = [1] * (e + 1)
-    for i in range(1, e + 1):
-        fact[i] = fact[i - 1] * i % p
-    inv = [pow(f, -1, p) for f in fact]
-    terms = [(fact[e] * inv[i] * inv[2 * e - 3 * i] * inv[2 * i - e] % p,
-              2 * e - 3 * i, 2 * i - e)
-             for i in range((e + 1) // 2, 2 * e // 3 + 1)]
-    out = set()
-    for j in range(p):
-        if j == 0:
-            a, b = 0, 1
-        elif j == 1728 % p:
-            a, b = 1, 0
-        else:
-            a = 3 * j * (1728 - j) % p
-            b = 2 * j * (1728 - j) ** 2 % p
-        if not sum(m * pow(a, k, p) * pow(b, l, p) for m, k, l in terms) % p:
-            out.add(j)
-    return out
+    lam = x = Poly((0, 1), p)              # lambda in H_p, x in S_p
+    mu = lam * lam - lam
+    forced = (mu + 1) ** eps_omega * ((mu - 2) * (2 * lam - 1)) ** eps_i
+    h = Poly([comb(e, i) ** 2 for i in range(e + 1)], p)
+    rest, g = list(h.exact_div(forced).coeffs) + [0], []   # g: rest in mu
+    while len(rest) > 1:
+        for i in range(len(rest) - 1, 1, -1):     # divide by mu
+            rest[i - 1] = (rest[i - 1] + rest[i]) % p
+        if rest[1]:
+            raise ValueError("H_%d over its forced factors has an odd part "
+                             "at mu^%d" % (p, len(g)))
+        g.append(rest[0])
+        rest = rest[2:]
+    n = (len(g) - 1) // 3
+    s = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        low, c = 2 * (n - k), g[2 * (n - k)]
+        s[k] = c * pow(256, -k, p) % p
+        for i in range(3 * k + 1):
+            g[low + i] = (g[low + i] - c * comb(3 * k, i)) % p
+    left = [i for i, c in enumerate(g) if c]
+    if left:
+        raise ValueError("H_%d over its forced factors leaves a remainder at "
+                         "mu^%d" % (p, left[0]))
+    return (Poly(s, p) * x ** eps_omega * (x - 1728) ** eps_i).monic()
 
 
 # ---- forced factors and the factor split --------------------------------------
@@ -91,11 +98,7 @@ def epsilon_factors(p):
 
 def ss_tilde(p):
     """S_p with the forced factors x^eps_omega (x-1728)^eps_i divided out."""
-    return _strip_forced(ss_poly_deligne(p))
-
-
-def _strip_forced(s):
-    return s.exact_div(Poly(h_poly(s.p - 1).coeffs, s.p))
+    return ss_poly_deligne(p).exact_div(Poly(h_poly(p - 1).coeffs, p))
 
 
 def linear_quadratic_split(f):
@@ -208,7 +211,18 @@ def congruence_constant_check(p):
 
 @dataclass(frozen=True)
 class SupersingularReport:
-    """Everything the pipeline knows about one prime."""
+    """Everything the pipeline knows about one prime.
+
+    polynomial   -- S_p by Deligne's route, `ss_poly_deligne(p)`
+    routes_agree -- the Wronskian route `ss_poly_wronskian(p)` equals it
+    oracle_match -- the Legendre-family S_p, `hasse_oracle(p)`, equals it as
+                    a whole polynomial, so its roots and quadratic factors
+                    are certified too
+    fp_roots, quadratic_factors -- the roots in F_p and the monic
+                    irreducible quadratic factors of the oracle's S_p
+    epsilon      -- (eps_omega, eps_i), the orders of the forced roots
+                    j = 0 and j = 1728
+    """
 
     p: int
     polynomial: Poly
@@ -220,13 +234,12 @@ class SupersingularReport:
 
 
 def supersingular_report(p):
-    """Run both constructions, the oracle, and the factor split for p."""
+    """The three routes to S_p for p, and the split of the oracle's."""
     sd = ss_poly_deligne(p)
     sw = ss_poly_wronskian(p)
-    roots = sorted(sd.roots())
-    oracle = sorted(hasse_oracle(p))
-    _, quads = linear_quadratic_split(_strip_forced(sd))
+    oracle = hasse_oracle(p)
+    roots, quads = linear_quadratic_split(oracle)
     return SupersingularReport(
         p=p, polynomial=sd, fp_roots=tuple(roots),
         quadratic_factors=tuple(quads), routes_agree=sd == sw,
-        oracle_match=roots == oracle, epsilon=epsilon_factors(p))
+        oracle_match=sd == oracle, epsilon=epsilon_factors(p))

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron import cli, etaprod
+from modwron import cli, etaprod, ssing
 from modwron.cli import (IDENTITIES, _assess, build_parser, main,
                          symcheck_report, verify)
 from modwron.etaprod import NAMES
@@ -22,6 +22,7 @@ from modwron.modpoly import E4, E6, to_qseries
 from modwron.poly import Poly
 from modwron.qseries import QSeries
 from modwron.symmpow import SymWronskianMismatch
+from test_ssing import MUTANTS
 
 
 # ---- identity registry -----------------------------------------------------------
@@ -37,6 +38,15 @@ def test_identity_passes(name):
 def test_verify_unknown_identity():
     with pytest.raises(ValueError, match="unknown identity"):
         verify("nope", 10)
+
+
+@pytest.mark.parametrize("prec", [0, -3, F(-1, 2)])
+def test_verify_refuses_a_precision_that_is_not_positive(prec):
+    # as main refuses --prec: no row compared through no coefficient, and
+    # no series built to a negative bound
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "--prec must be positive, got %s" % prec)):
+        verify("chprod", prec)
 
 
 def test_assess_reports_fail_with_exponent():
@@ -360,15 +370,14 @@ def test_ssing_cli_golden(capsys):
 
 
 def test_ssing_cli_routes(capsys):
-    for route in ("deligne", "wronskian"):
+    for route in ("deligne", "wronskian", "oracle"):
         code, out, _ = run_cli(capsys, "ssing", "--p", "7",
                                "--route", route, "--json")
         assert code == 0
-        assert json.loads(out)["polynomial"] == [1, 1]
-    code, out, _ = run_cli(capsys, "ssing", "--p", "7", "--route", "oracle",
-                           "--json")
-    assert code == 0
-    assert json.loads(out)["fp_roots"] == [6]
+        assert json.loads(out) == {"p": 7, "route": route,
+                                   "polynomial": [1, 1]}
+        code, out, _ = run_cli(capsys, "ssing", "--p", "7", "--route", route)
+        assert out == "p=7 S_p (%s route) = x + 1\n" % route
 
 
 def test_ssing_exit_follows_the_congruence(capsys, monkeypatch):
@@ -381,6 +390,86 @@ def test_ssing_exit_follows_the_congruence(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[-1] == "  FAIL: congruence fails"
     assert run_cli(capsys, "ssing", "--p", "7", "--json") == (1, golden, "")
+
+
+def _ssing_line(capsys, p):
+    """Exit code and ssing_pP row of `run-all --prec 1 --primes P`."""
+    code, out, err = run_cli(capsys, "run-all", "--prec", "1",
+                             "--primes", str(p))
+    assert err == ""
+    (line,) = [s for s in out.splitlines() if s.startswith("ssing_p")]
+    return code, line
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_oracle_mutations_fail_ssing_and_its_row(capsys, monkeypatch, name):
+    p, mutate = MUTANTS[name]
+    real = ssing.ss_poly_deligne
+    monkeypatch.setattr(ssing, "ss_poly_deligne", lambda q: mutate(real(q)))
+    code, out, err = run_cli(capsys, "ssing", "--p", str(p))
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "  FAIL: routes disagree, oracle differs"
+    code, line = _ssing_line(capsys, p)
+    assert code == 1
+    assert line.split()[:2] == ["ssing_p%d" % p, "fail"]
+    assert line.endswith("routes disagree, oracle differs")
+
+
+def _x(p):
+    return Poly((0, 1), p)
+
+
+# (module attribute patched, its stand-in, p, the error the prime raises)
+RAISING_MATHEMATICS = {
+    "forced-factor division": ("epsilon_factors", lambda p: (1, 0), 7,
+                               "division is not exact: remainder 4*x + 5"),
+    "leftover factor": ("hasse_oracle",
+                        lambda p: _x(p) * (_x(p) ** 3 + _x(p) + 1), 5,
+                        "leftover factor x^3 + x + 1 is neither linear nor "
+                        "an irreducible quadratic"),
+    "oracle shape": ("epsilon_factors", lambda p: (0, 0), 7,
+                     "H_7 over its forced factors has an odd part at mu^0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISING_MATHEMATICS))
+def test_a_prime_whose_mathematics_raises_fails(capsys, monkeypatch, case):
+    attr, stand_in, p, message = RAISING_MATHEMATICS[case]
+    monkeypatch.setattr(ssing, attr, stand_in)
+    for argv in (("ssing", "--p", str(p)), ("ssing", "--p", str(p), "--json")):
+        assert run_cli(capsys, *argv) == (1, "", "error: %s\n" % message)
+    code, line = _ssing_line(capsys, p)
+    assert code == 1
+    assert line.split()[:2] == ["ssing_p%d" % p, "fail"]
+    assert line.endswith(message)
+
+
+def test_a_route_that_raises_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(ssing, "epsilon_factors", lambda p: (0, 0))
+    assert run_cli(capsys, "ssing", "--p", "5", "--route", "oracle") == (
+        1, "", "error: H_5 over its forced factors leaves a remainder at "
+               "mu^1\n")
+
+    def broken(p):
+        raise ValueError("division is not exact: remainder 1")
+
+    monkeypatch.setattr(cli, "ss_poly_deligne", broken)
+    assert run_cli(capsys, "ssing", "--p", "5", "--route", "deligne") == (
+        1, "", "error: division is not exact: remainder 1\n")
+
+
+@pytest.mark.parametrize("argv", [("run-all", "--primes", "4"),
+                                  ("run-all", "--primes", "5,7,9", "--json"),
+                                  ("ssing", "--p", "4")])
+def test_a_bad_prime_exits_2_before_any_row(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a row ran")
+
+    for name in ("verify", "symcheck_report", "supersingular_report"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: p must be a prime >= 5, got %s\n" % argv[2][-1]
 
 
 def test_ssing_cli_bad_prime(capsys):

@@ -65,3 +65,25 @@ def test_every_workload_builds_its_checks():
     for name in workloads.WORKLOADS:
         checks = workloads.checks(name)
         assert checks and all(callable(run) for _, run in checks), name
+
+
+# the cheapest check of each workload, by its check id
+CHEAPEST = {
+    "symquot_weber": "sym_weber_m1",
+    "etapower_ch": "eta_power_ch_m1",
+    "identities": "r12_roots",
+    "ssing_primes": "ssing_p5",
+    "identities_ssing": "verify_chprod",
+}
+
+
+def test_the_cheapest_check_of_every_workload_passes():
+    """A report field a workload reads (rep.routes_agree, rep.oracle_match,
+    cong.ok, rep.polynomial) that leaves the package fails only when the
+    benchmark runs; this runs one check of each workload and asserts that
+    it passes."""
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    assert set(CHEAPEST) == set(workloads.WORKLOADS)
+    for name, check in CHEAPEST.items():
+        ok, detail = dict(workloads.checks(name))[check]()
+        assert ok, (name, check, detail)

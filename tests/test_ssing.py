@@ -1,5 +1,6 @@
 """Tests for the supersingular-polynomial constructions over F_p."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -121,7 +122,7 @@ def test_routes_agree(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_roots_match_hasse_oracle(p):
-    assert ss_poly_deligne(p).roots() == hasse_oracle(p)
+    assert ss_poly_deligne(p).roots() == hasse_oracle(p).roots()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -131,9 +132,9 @@ def test_ss_poly_squarefree(p):
 
 
 def test_hasse_oracle_small_primes():
-    assert hasse_oracle(5) == {0}
-    assert hasse_oracle(7) == {6}
-    assert hasse_oracle(13) == {5}
+    assert hasse_oracle(5).roots() == {0}
+    assert hasse_oracle(7).roots() == {6}
+    assert hasse_oracle(13).roots() == {5}
 
 
 def hasse_by_full_power(p):
@@ -155,7 +156,38 @@ def hasse_by_full_power(p):
 
 @pytest.mark.parametrize("p", primes_between(5, 97))
 def test_hasse_oracle_matches_full_power(p):
-    assert hasse_oracle(p) == hasse_by_full_power(p)
+    assert hasse_oracle(p).roots() == hasse_by_full_power(p)
+
+
+@pytest.mark.parametrize("p", primes_between(5, 199))
+def test_hasse_oracle_equals_deligne(p):
+    # the Legendre-family route gives all of S_p, quadratic factors included
+    assert hasse_oracle(p) == ss_poly_deligne(p)
+
+
+def _bump_binomial(monkeypatch, e, i):
+    """Add 1 to C(e, i) inside ssing, which changes one coefficient of H_p
+    for e = (p-1)/2; the peel's binomials C(3k, i) have 3k < e."""
+    real = ssing.comb
+    monkeypatch.setattr(ssing, "comb",
+                        lambda a, b: real(a, b) + ((a, b) == (e, i)))
+
+
+@pytest.mark.parametrize("p,i,message", [
+    # a constant change is symmetric, but leaves 3n times it at mu^1
+    (97, 0, "H_97 over its forced factors leaves a remainder at mu^1"),
+    # any other change breaks the symmetry lambda -> 1 - lambda
+    (97, 24, "H_97 over its forced factors has an odd part at mu^0"),
+    (73, 5, "H_73 over its forced factors has an odd part at mu^0"),
+    # with forced factors, no other change divides by them
+    (83, 3, "division is not exact"),
+    (31, 0, "division is not exact"),
+])
+def test_hasse_oracle_rejects_a_changed_coefficient_of_h(monkeypatch, p, i,
+                                                          message):
+    _bump_binomial(monkeypatch, (p - 1) // 2, i)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hasse_oracle(p)
 
 
 # ---- epsilon factors and the tilde polynomial ------------------------------------
@@ -437,6 +469,43 @@ def test_supersingular_report_past_97(p):
         assert q.degree() == 2 and not q.roots()
         rebuilt = rebuilt * q
     assert rebuilt == ss_tilde(p)
+
+
+def swap_a_quadratic(s):
+    """s, with no forced factor, with its first irreducible quadratic factor
+    swapped for the first monic irreducible quadratic that does not
+    divide it."""
+    p = s.p
+    q = linear_quadratic_split(s)[1][0]
+    other = next(c for c in (Poly((a, b, 1), p) for b in range(p)
+                             for a in range(p))
+                 if not c.roots() and s % c)
+    return s.exact_div(q) * other
+
+
+# the mutations of Deligne's S_p that the oracle must reject, by name:
+# (p, mutation); S_97 has three quadratic factors and no forced one, S_83
+# both forced factors, and x^3 + x + 1 lacks the forced factor x of S_5
+MUTANTS = {
+    "swapped quadratic": (97, swap_a_quadratic),
+    "dropped forced factor": (83, lambda s: s.exact_div(Poly((0, 1), s.p))),
+    "wrong leading unit": (97, lambda s: 2 * s),
+    "cubic without forced factor": (5, lambda s: Poly((1, 1, 0, 1), s.p)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_oracle_rejects_a_mutated_deligne_polynomial(monkeypatch, name):
+    p, mutate = MUTANTS[name]
+    truth = supersingular_report(p)
+    real = ssing.ss_poly_deligne
+    monkeypatch.setattr(ssing, "ss_poly_deligne", lambda q: mutate(real(q)))
+    rep = supersingular_report(p)
+    assert rep.polynomial == mutate(truth.polynomial) != truth.polynomial
+    assert not rep.oracle_match and not rep.routes_agree
+    # the roots and quadratic factors are the oracle's
+    assert rep.fp_roots == truth.fp_roots
+    assert rep.quadratic_factors == truth.quadratic_factors
 
 
 def test_supersingular_report_p37_has_quadratic():
