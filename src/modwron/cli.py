@@ -14,9 +14,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from time import perf_counter
+from typing import NamedTuple
 
 from .etaprod import ProductSpec, eta, named_series, product_series, NAMES
 from .modpoly import (InsufficientPrecision, NotIdentifiable, identify,
@@ -66,8 +66,7 @@ def _fits(n, source):
     return n
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one two-sided identity comparison.
 
     status is "pass", "fail", or "insufficient-precision"; precision is
@@ -371,7 +370,7 @@ def run_all(prec, primes):
         # a row run below --prec says so in its human line only
         note = "capped from --prec %s" % prec
         return rows if prec <= cap else [
-            replace(r, detail="; ".join(filter(None, (r.detail, note))))
+            r._replace(detail="; ".join(filter(None, (r.detail, note))))
             for r in rows]
 
     reports = [verify(name, prec) for name in sorted(IDENTITIES)]

@@ -8,11 +8,11 @@ summed term by term into one list, and identify back-substitutes in
 integers against the Delta-ladder basis.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .poly import Poly
 from .qseries import (DEFAULT_PREC, QSeries, _ceil, _conv_trunc, _euler_product,
@@ -368,8 +368,7 @@ def h_poly(k):
     return x ** delta * (x - 1728) ** eps
 
 
-@dataclass(frozen=True)
-class DivisorData:
+class DivisorData(NamedTuple):
     """f = Delta^t E4^delta E6^epsilon f_tilde(j), and F = h_k * f_tilde."""
 
     weight: int

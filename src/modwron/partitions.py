@@ -7,32 +7,40 @@ function is the product of 1/(1-q^j) taken once per color, and counting
 expands that product with the one Euler-product kernel of `qseries`.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qseries import _euler_product
 
 
-@dataclass(frozen=True)
-class ColorSpec:
+class _ColorCounts(NamedTuple):
+    modulus: int
+    counts: tuple
+
+
+class ColorSpec(_ColorCounts):
     """Color counts per residue class mod `modulus`.
 
     counts[i-1] is the number of colors for parts congruent to i, for
     i = 1..modulus, with index modulus standing for residue 0.
     """
 
-    modulus: int
-    counts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 1:
+    def __new__(cls, modulus, counts):
+        if not isinstance(modulus, int) or modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != self.modulus:
+        counts = tuple(int(c) for c in counts)
+        if len(counts) != modulus:
             raise ValueError("need exactly %d color counts, got %d"
-                             % (self.modulus, len(counts)))
+                             % (modulus, len(counts)))
         if any(c < 0 for c in counts):
             raise ValueError("color counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
+        return super().__new__(cls, modulus, counts)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def colors(self, j):
         """Number of colors available to a part of size j."""
@@ -68,8 +76,7 @@ def pab_count(a, b, n):
     return _pab_array(a, b, n)[n]
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     """Outcome of checking both two-step recurrences for 2 <= n <= upto.
 
     Counterexample entries are (n, left, right) triples; ok means both

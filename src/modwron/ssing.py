@@ -12,9 +12,9 @@ and splits the remainder into linear and irreducible quadratic factors
 over F_p by distinct- and equal-degree factorization.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .modpoly import (_weight_shape, dim_modular, divisor_polynomial,
                       eisenstein, h_poly, identify, to_qseries)
@@ -155,8 +155,7 @@ def legendre_symbol(a, p):
     return -1 if r == p - 1 else r
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Mod-p collapse of the symmetric-power quotient at m = (p-3)/2.
 
     constant  -- residue of the constant q-coefficient
@@ -209,8 +208,7 @@ def congruence_constant_check(p):
 
 # ---- aggregate report ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupersingularReport:
+class SupersingularReport(NamedTuple):
     """Everything the pipeline knows about one prime.
 
     polynomial   -- S_p by Deligne's route, `ss_poly_deligne(p)`

@@ -15,9 +15,9 @@ theta_{2(j-1)} o ... o theta_0 on weight-0 input), which keeps every
 coefficient homogeneous.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 from .etaprod import eta
 from .modpoly import MFPoly, theta_derivation, theta_h, to_qseries
@@ -87,8 +87,7 @@ def sym_basis(f, g, m):
     return [fp[i] * gp[m - i] for i in range(m + 1)]
 
 
-@dataclass(frozen=True)
-class SymWronskianReport:
+class SymWronskianReport(NamedTuple):
     """Verified factorization of a symmetric-power Wronskian.
 
     m         -- symmetric power taken

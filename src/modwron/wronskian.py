@@ -42,12 +42,11 @@ prec_i - h_i, which bounds the effect of any change of an input beyond its
 precision.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import chain, repeat
 from math import lcm
 from operator import mul as _mul_op
+from typing import NamedTuple
 
 from .modpoly import identify
 from .qseries import (QSeries, _ceil, _check_cap, _divexact, _min_prec,
@@ -337,8 +336,7 @@ def identify_quotient(w, wd, weight):
 
 # ---- vanishing certificate -----------------------------------------------
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Outcome of the leading-exponent test for W'/W = 0.
 
     forced_zero     -- True when the exponent pattern forces W'/W to vanish
@@ -395,8 +393,8 @@ def vanishing_check(family):
     integer_ix = tuple(i for i, h in enumerate(exps) if h.denominator == 1)
     prec = _min_prec(*(f.prec for f in basis))
 
-    report = partial(replace, VanishingReport(False, None, integer_ix, None,
-                                              None, prec, ""))
+    report = VanishingReport(False, None, integer_ix, None, None, prec,
+                             "")._replace
 
     orders = {int(exps[i]) for i in integer_ix}
     if not orders:

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -155,16 +154,16 @@ def test_run_all_rows_name_the_failed_sub_check(monkeypatch):
 
     def report(p):
         rep = real_report(p)
-        return dataclasses.replace(rep, routes_agree=False,
-                                   oracle_match=False) if p == 5 else rep
+        return rep._replace(routes_agree=False,
+                            oracle_match=False) if p == 5 else rep
 
     def congruence(p):
         rep = real_congruence(p)
-        return dataclasses.replace(rep, ok=False) if p == 7 else rep
+        return rep._replace(ok=False) if p == 7 else rep
 
     def recurrences(upto):
-        return dataclasses.replace(real_recurrences(upto), ok=False,
-                                   restricted_counterexamples=((9, 1, 2),))
+        return real_recurrences(upto)._replace(
+            ok=False, restricted_counterexamples=((9, 1, 2),))
 
     def check(f, g, m, ws=None):
         if ws is None and m == 3:     # only the eta_power rows omit ws
@@ -385,7 +384,7 @@ def test_ssing_exit_follows_the_congruence(capsys, monkeypatch):
     _, golden, _ = run_cli(capsys, "ssing", "--p", "7", "--json")
     real = cli.congruence_constant_check
     monkeypatch.setattr(cli, "congruence_constant_check",
-                        lambda p: dataclasses.replace(real(p), ok=False))
+                        lambda p: real(p)._replace(ok=False))
     code, out, _ = run_cli(capsys, "ssing", "--p", "7")
     assert code == 1
     assert out.splitlines()[-1] == "  FAIL: congruence fails"
@@ -734,6 +733,15 @@ def test_readme_documents_exactly_the_parser_flags():
                           for name, f in flags.items()}
     glob = set(re.findall("`(%s)" % FLAG, rest.split("\n\n", 1)[0]))
     assert glob == common == {"--prec", "--json"}
+
+
+def test_readme_quickstart_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(code, {})
+    assert capsys.readouterr().out == "x^3 + 2*x^2 + 22*x + 2\n"
 
 
 # ---- precision too large, and the argv/stdin fuzz -----------------------------------

@@ -34,6 +34,29 @@ def test_colorspec_validation():
         ColorSpec(0, ())
 
 
+def test_colorspec_replace_validates():
+    spec = ColorSpec(2, (1, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        spec._replace(counts=(1, -1))
+    with pytest.raises(ValueError, match="exactly 2"):
+        spec._replace(counts=(1,))
+    assert spec._replace(counts=[3, 4.0]).counts == (3, 4)
+
+
+def test_colorspec_normalizes_counts_to_an_int_tuple():
+    counts = ColorSpec(2, [1, 2.0]).counts
+    assert counts == (1, 2) and type(counts) is tuple
+    assert all(type(c) is int for c in counts)
+
+
+def test_colorspec_keyword_construction():
+    spec = ColorSpec(modulus=3, counts=[1, 0, 2])
+    assert spec == ColorSpec(3, (1, 0, 2))
+    assert (spec.modulus, spec.counts) == (3, (1, 0, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ColorSpec(counts=(-1,), modulus=1)
+
+
 def test_colorspec_residue_indexing():
     spec = ColorSpec(5, (10, 20, 30, 40, 50))
     assert [spec.colors(j) for j in (1, 2, 3, 4, 5, 6, 10)] == \
