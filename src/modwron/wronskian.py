@@ -20,6 +20,18 @@ again minors of the integer matrix, and pivots are chosen with minimal
 q-valuation, so each division costs as little of the known coefficient
 window as possible.
 
+Before it runs, column operations f_i -= c f_j (j != i, no member ever
+scaled), which leave every minor of the derivative stack and so W and W'
+exactly as they were, move members onto single exponent classes where they
+can (_coarsen): a member's term off its class offset + Z is cleared by a
+member on one class that leads at that exponent.  That member leads above
+the reduced one, so each reduced member keeps its offset and is known to at
+least offset + bound, and base and bound are read from the input members.
+The reduced family is used only when it lowers Lv.  By Weber's identity
+f^8 = f_1^8 + f_2^8 the terms of weber8_1 off its class are 8 weber8_2,
+so every Sym^m member of the Weber pair lands on the integer lattice and
+the window halves.
+
 Each step works on whole rows (E. H. Bareiss, Math. Comp. 22, 1968, for
 the elimination).  Slot s of a row's remaining entries packs into one
 integer sum_c x_c 2^(w c) with balanced w-bit fields, so the numerator
@@ -200,6 +212,51 @@ def _row_step(a, mrt, piv, b, prev, wcur):
         w *= 2
 
 
+def _off_class(f, above):
+    """The lowest exponent above `above` of a term of f off its class
+    f.offset + Z, or None."""
+    s = f.step_den
+    rel = (above - f.offset) * s
+    for n in range(rel.numerator // rel.denominator + 1, len(f.nums)):
+        if f.nums[n] and n % s:
+            return f.offset + Fraction(n, s)
+    return None
+
+
+def _coarsen(fs):
+    """The family with members moved onto single exponent classes by
+    column operations, when that shrinks the lattice lcm of the steps;
+    otherwise fs itself.
+
+    Walking up a member's terms off its class offset + Z, each is cleared
+    by a member on one class (step_den 1) that leads at its exponent, until
+    none does or the member lies on one class too.  The subtracted member
+    leads above the reduced one, whose offset and lead stay as they were.
+    A member that lands on one class may clear terms of the others, so the
+    walk repeats until no member lands.
+    """
+    out = list(fs)
+    lead = {g.offset: g for g in out if g.step_den == 1}
+    landed = True
+    while landed:
+        landed = False
+        for i, f in enumerate(out):
+            e = f.offset
+            while f.step_den > 1:
+                e = _off_class(f, e)
+                g = lead.get(e)
+                if g is None:
+                    break
+                f -= f.coeff_at(e) / g.leading_coefficient() * g
+                if f.step_den == 1:
+                    lead.setdefault(f.offset, f)
+                    landed = True
+            out[i] = f
+    if lcm(*(f.step_den for f in out)) < lcm(*(f.step_den for f in fs)):
+        return out
+    return fs
+
+
 def _bareiss(fs, ends):
     """The minors det[D^j f_i] over the orders j in {1..k-1, e}, one for
     each end order e in ends (0 gives W, k gives W').
@@ -217,16 +274,18 @@ def _bareiss(fs, ends):
             return [QSeries.zero()] * len(ends)
         total = sum((f.offset if f.nums else f.prec for f in fs), Fraction(0))
         return [QSeries.zero(total)] * len(ends)
+    base = sum((f.offset for f in fs), Fraction(0))
+    # every input term beyond its prec moves the minors only from
+    # base + bound on, whatever lattice it sits on; the members _coarsen
+    # returns keep their offsets and are known to offset + bound
+    bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
+                        for f in fs))
+    fs = _coarsen(fs)
     # slot vectors live on Lv; L also clears the offset denominators, so
     # the derivative factor of slot n in column i is L*h_i + n*L/Lv
     Lv = lcm(*(f.step_den for f in fs))
     L = lcm(Lv, *(f.offset.denominator for f in fs))
     _check_cap(L)
-    base = sum((f.offset for f in fs), Fraction(0))
-    # every input term beyond its prec moves the minors only from
-    # base + bound on, whatever lattice it sits on
-    bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
-                        for f in fs))
     exact = bound is None
     if exact:
         window = sum((len(f.nums) - 1) * (Lv // f.step_den) for f in fs) + 1

@@ -49,6 +49,26 @@ def test_colorspec_normalizes_counts_to_an_int_tuple():
     assert all(type(c) is int for c in counts)
 
 
+@pytest.mark.parametrize("modulus,counts,match", [
+    (2, [1.5, 2.9], "integers, got 1.5"),
+    (1, ["3"], "integers, got '3'"),
+    (1, [True], "integers, got True"),
+    (1, [float("nan")], "integers, got nan"),
+    (True, (1,), "positive integer"),
+])
+def test_colorspec_refuses_what_int_would_truncate_or_parse(modulus, counts,
+                                                            match):
+    with pytest.raises(ValueError, match=match):
+        ColorSpec(modulus, counts)
+    spec = ColorSpec(len(counts), (1,) * len(counts))
+    with pytest.raises(ValueError, match=match):
+        spec._replace(modulus=modulus, counts=counts)
+
+
+def test_colorspec_accepts_integral_numbers():
+    assert ColorSpec(2, [F(4, 2), 3.0]).counts == (2, 3)
+
+
 def test_colorspec_keyword_construction():
     spec = ColorSpec(modulus=3, counts=[1, 0, 2])
     assert spec == ColorSpec(3, (1, 0, 2))

@@ -4,13 +4,14 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction as F
 from importlib import import_module
+from itertools import permutations
 from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron.cli import IDENTITIES
+from modwron.cli import IDENTITIES, PAIR_NAMES
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
 from modwron.qseries import QSeries, _conv_trunc, _divexact, first_mismatch
@@ -587,12 +588,17 @@ def row_step_by_entry(a, mrt, piv, b, prev, wcur):
     return out
 
 
-def _minors(fs, ends):
+def _fields(call, fs):
+    """The fields of each series call(fs) returns, or the error it raises."""
     try:
-        return [(s.offset, s.nums, s.step_den, s.den, s.prec)
-                for s in W_MOD._bareiss(fs, ends)]
+        return [(s.offset, s.step_den, s.nums, s.den, s.prec)
+                for s in call(fs)]
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def _minors(fs, ends):
+    return _fields(lambda f: W_MOD._bareiss(f, ends), fs)
 
 
 def bareiss_by_entry(fs, ends):
@@ -700,3 +706,107 @@ def test_row_step_raises_when_only_the_packed_integer_divides():
             pytest.raises(ArithmeticError, match="inexact division"):
         W_MOD._row_step([[1], [-1]], [0], [1], [[0], [0]], [3], 1)
     assert widths == [2, 2]
+
+
+# ---- coarsening onto single exponent classes -------------------------------
+
+CALLS = (wronskians, lambda fs: [wronskian(fs)],
+         lambda fs: [wronskian_derived(fs)])
+
+
+def assert_coarsening_keeps(fs, calls=CALLS):
+    """Each call returns field for field what it returns on the family as
+    given (_coarsen replaced by list), or raises the same error."""
+    got = [_fields(call, fs) for call in calls]
+    with mock.patch.object(W_MOD, "_coarsen", list):
+        assert got == [_fields(call, fs) for call in calls]
+
+
+@st.composite
+def coarsenable_family(draw):
+    """Families on lattices 1, 1/2 and 1/4 with offsets in (1/6)Z, exact or
+    truncated.  Offsets half an integer apart are drawn often, and so are
+    families whose members all start on one class, so a member m_i + c m_j
+    often has its terms off its class cleared by m_j.  A dependent member
+    may join, and the order is shuffled."""
+    fs = []
+    steps = draw(st.sampled_from([[1], [1, 1, 2, 4]]))
+    for _ in range(draw(st.integers(1, 5))):
+        if fs and draw(st.booleans()):
+            off = draw(st.sampled_from(fs)).offset + F(
+                draw(st.integers(-3, 3)), 2)
+        else:
+            off = F(draw(st.integers(-6, 6)), 6)
+        nums = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
+        nums[0] = draw(st.sampled_from([1, -2, 3]))
+        prec = draw(st.one_of(st.none(), st.builds(
+            lambda n, d: off + F(n, d), st.integers(1, 12),
+            st.sampled_from([1, 2, 4]))))
+        fs.append(QSeries(off, nums, draw(st.sampled_from(steps)),
+                          draw(st.integers(1, 3)), prec))
+    for _ in range(draw(st.integers(0, 3))):
+        pairs = list(permutations(range(len(fs)), 2))
+        if not pairs:
+            break
+        half = [(i, j) for i, j in pairs
+                if (fs[j].offset - fs[i].offset - F(1, 2)).denominator == 1]
+        i, j = draw(st.sampled_from(half or pairs))
+        c = F(draw(st.sampled_from([1, -1, 2, 8])), draw(st.integers(1, 3)))
+        fs[i] = fs[i] + c * fs[j]
+    if len(fs) > 1 and draw(st.booleans()):
+        fs.append(fs[0] - 2 * fs[-1])
+    return [fs[i] for i in draw(st.permutations(range(len(fs))))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coarsenable_family())
+def test_coarsening_keeps_every_minor_and_precision(fs):
+    assert_coarsening_keeps(fs)
+
+
+@pytest.mark.parametrize("prec", [F(9, 2), F(16), F(60)])
+@pytest.mark.parametrize("pair", sorted(PAIR_NAMES))
+def test_coarsening_keeps_the_paper_sym_minors(pair, prec):
+    f, g = (named_series(name, prec) for name in PAIR_NAMES[pair])
+    for m in range(1, 13):
+        fs = sym_family(f, g, m)
+        if W_MOD._coarsen(fs) is fs:
+            # the elimination sees the very same family either way
+            continue
+        # at prec 60 one elimination gives W and W' for all three calls
+        assert_coarsening_keeps(fs, CALLS[:1] if prec == 60 else CALLS)
+
+
+@contextmanager
+def step_windows():
+    """The window wcur of every _row_step call made inside the block."""
+    windows = []
+    step = W_MOD._row_step
+
+    def spy(a, mrt, piv, b, prev, wcur):
+        windows.append(wcur)
+        return step(a, mrt, piv, b, prev, wcur)
+
+    with mock.patch.object(W_MOD, "_row_step", spy):
+        yield windows
+
+
+def test_weber_sym_eliminates_on_the_integer_lattice():
+    # weber8_1's terms off its class are 8 * weber8_2 exactly, so every
+    # Sym^m member reduces onto one class and prec 16 takes 16 slots, not 32
+    f, g = (named_series(name, 16) for name in PAIR_NAMES["weber"])
+    assert f.step_den == 2
+    for m in range(1, 13):
+        fs = sym_family(f, g, m)
+        assert all(h.step_den == 1 for h in W_MOD._coarsen(fs))
+        with step_windows() as windows:
+            wronskians(fs)
+        assert windows and max(windows) <= 16, m
+
+
+@pytest.mark.parametrize("pair", ["rr", "a1"])
+def test_coarsening_leaves_integer_lattice_pairs_alone(pair):
+    f, g = (named_series(name, 16) for name in PAIR_NAMES[pair])
+    for m in range(1, 13):
+        fs = sym_family(f, g, m)
+        assert W_MOD._coarsen(fs) is fs
