@@ -29,8 +29,8 @@ from .ssing import (congruence_constant_check, hasse_oracle, ss_poly_deligne,
 from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
                       r12_vanishing_roots, r_recursion, sym_basis,
                       sym_quotient_closed_form, sym_wronskian_check)
-from .wronskian import identify_quotient, wronskian, wronskian_derived, \
-    wronskians
+from .wronskian import _coarsen, identify_quotient, wronskian, \
+    wronskian_derived, wronskians
 
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -52,6 +52,13 @@ R12_ROOTS = {Fraction(0), Fraction(-11, 5), Fraction(-25, 4), Fraction(-15),
 def _pair(pair, prec):
     """The two named series of a weight-0 pair, to precision prec."""
     return tuple(named_series(name, prec) for name in PAIR_NAMES[pair])
+
+
+def _reduced_pair(pair, prec):
+    """The pair after wronskian._coarsen: (weber8_1 - 8 weber8_2,
+    weber8_2) on the integer lattice, rr and a1 as named.  Its Sym^m is a
+    unit-triangular change of basis, with the same minors and precisions."""
+    return _coarsen(_pair(pair, prec))
 
 
 _TOO_LARGE = "precision %s is too large: its series do not fit in memory"
@@ -263,7 +270,7 @@ def _row(identity, precision, check, *args):
 
 
 def _symcheck(pair, m, prec):
-    f, g = _pair(pair, prec)
+    f, g = _reduced_pair(pair, prec)
     w, wd = wronskians(sym_basis(f, g, m))
     sym_wronskian_check(f, g, m, ws=w)
     try:
@@ -285,8 +292,9 @@ def symcheck_report(pair, m, prec):
     2m+2, the constant-coefficient recursion with the pair's Q = lambda G4
     (sign (-1)^(m+1)), and -- for the Weber pair -- the hypergeometric
     closed form.  W and W' come from one elimination, and the same W feeds
-    the factorization check.  A determinant quotient that identify rejects
-    fails the row.
+    the factorization check; both come from Sym^m of _reduced_pair.  A
+    determinant quotient that identify rejects fails the row, and a
+    Wronskian with no known nonzero term is an insufficient-precision row.
     """
     return _row("sym_%s_m%d" % (pair, m), prec, _symcheck, pair, m, prec)
 
@@ -299,7 +307,7 @@ def _r12_roots():
 
 
 def _eta_powers(pair, prec):
-    f, g = _pair(pair, prec)
+    f, g = _reduced_pair(pair, prec)
     for m in range(1, 7):
         sym_wronskian_check(f, g, m)
     return ""
@@ -401,7 +409,7 @@ def _parse_basis(spec, prec):
         if pair not in PAIR_NAMES:
             raise ValueError("unknown pair %r (choose from %s)"
                              % (pair, ", ".join(sorted(PAIR_NAMES))))
-        return sym_basis(*_pair(pair, prec), m)
+        return sym_basis(*_reduced_pair(pair, prec), m)
     return [named_series(name.strip(), prec) for name in spec.split(",")]
 
 

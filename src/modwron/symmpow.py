@@ -20,7 +20,8 @@ from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .etaprod import eta
-from .modpoly import MFPoly, theta_derivation, theta_h, to_qseries
+from .modpoly import (InsufficientPrecision, MFPoly, theta_derivation,
+                      theta_h, to_qseries)
 from .poly import Poly
 from .qseries import DEFAULT_PREC, QSeries, first_mismatch
 from .wronskian import normalize, wronskian
@@ -120,6 +121,14 @@ class SymWronskianMismatch(ValueError):
         self.exponent = exponent
 
 
+def _normalized(w, name):
+    """normalize(w), or InsufficientPrecision when w is zero to its prec."""
+    if w.is_zero() and w.prec is not None:
+        raise InsufficientPrecision("the %s Wronskian vanishes through q^(%s)"
+                                    % (name, w.prec))
+    return normalize(w)
+
+
 def sym_wronskian_check(f, g, m, ws=None):
     """Verify W(f^i g^(m-i)) = (prod k!) * W(g, f)^(m(m+1)/2) exactly.
 
@@ -127,7 +136,8 @@ def sym_wronskian_check(f, g, m, ws=None):
     additionally verifies that the normalized symmetric-power Wronskian is
     eta^(2m(m+1)).  ws is W(sym_basis(f, g, m)) when the caller already
     has it.  Any coefficient mismatch raises a SymWronskianMismatch naming
-    the failed identity and the exponent of the first discrepancy.
+    the failed identity and the exponent of the first discrepancy; a W
+    that vanishes to its precision raises InsufficientPrecision.
     """
     if ws is None:
         ws = wronskian(sym_basis(f, g, m))
@@ -142,9 +152,9 @@ def sym_wronskian_check(f, g, m, ws=None):
     eta_power = None
     bound = ws.prec if ws.prec is not None else Fraction(DEFAULT_PREC)
     eta4 = eta(1, bound) ** 4
-    if first_mismatch(normalize(wu), eta4) is None:
+    if first_mismatch(_normalized(wu, "pair"), eta4) is None:
         eta_power = 4 * power
-        at = first_mismatch(normalize(ws), eta4 ** power)
+        at = first_mismatch(_normalized(ws, "Sym^%d" % m), eta4 ** power)
         if at is not None:
             raise SymWronskianMismatch("eta power", at)
     return SymWronskianReport(m=m, constant=constant, power=power,

@@ -27,10 +27,15 @@ can (_coarsen): a member's term off its class offset + Z is cleared by a
 member on one class that leads at that exponent.  That member leads above
 the reduced one, so each reduced member keeps its offset and is known to at
 least offset + bound, and base and bound are read from the input members.
-The reduced family is used only when it lowers Lv.  By Weber's identity
-f^8 = f_1^8 + f_2^8 the terms of weber8_1 off its class are 8 weber8_2,
-so every Sym^m member of the Weber pair lands on the integer lattice and
-the window halves.
+The reduced family is used only when some member has a finite precision,
+Lv drops, and the window covers the same exponents (_coarse_family), so a
+minor that vanishes on it is reported to the same precision.  By Weber's
+identity f^8 = f_1^8 + f_2^8 the terms of weber8_1 off its class are
+8 weber8_2, so every Sym^m member of the Weber pair lands on the integer
+lattice and the window halves.  The CLI reduces the pair itself to
+(weber8_1 - 8 weber8_2, weber8_2) before it builds Sym^m, a unit-triangular
+change of basis with the same minors, so _coarsen returns its family
+unchanged; it serves families handed in directly.
 
 Each step works on whole rows (E. H. Bareiss, Math. Comp. 22, 1968, for
 the elimination).  Slot s of a row's remaining entries packs into one
@@ -257,6 +262,26 @@ def _coarsen(fs):
     return fs
 
 
+def _coarse_family(fs, bound):
+    """_coarsen(fs) when the elimination reports the same precisions on it,
+    otherwise fs.
+
+    The window holds the slots below bound on the step lattice Lv, the
+    exponents below ceil(bound Lv)/Lv; on a coarser lattice that can reach
+    further, and a minor that vanishes on the window is then known to vanish
+    further.  An exact family (bound None) takes its window from its
+    members' lengths on their lattice, which coarsening changes.
+    """
+    if bound is None:
+        return fs
+    coarse = _coarsen(fs)
+    if coarse is not fs:
+        lv, lv_coarse = (lcm(*(f.step_den for f in g)) for g in (fs, coarse))
+        if _ceil(bound * lv) * lv_coarse != _ceil(bound * lv_coarse) * lv:
+            return fs
+    return coarse
+
+
 def _bareiss(fs, ends):
     """The minors det[D^j f_i] over the orders j in {1..k-1, e}, one for
     each end order e in ends (0 gives W, k gives W').
@@ -280,7 +305,7 @@ def _bareiss(fs, ends):
     # returns keep their offsets and are known to offset + bound
     bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
                         for f in fs))
-    fs = _coarsen(fs)
+    fs = _coarse_family(fs, bound)
     # slot vectors live on Lv; L also clears the offset denominators, so
     # the derivative factor of slot n in column i is L*h_i + n*L/Lv
     Lv = lcm(*(f.step_den for f in fs))

@@ -304,6 +304,33 @@ def test_too_small_prec_is_an_insufficient_precision_row(capsys, argv, ids):
     assert "insufficient-precision" in out and "need 11 coefficients" in out
 
 
+@pytest.mark.parametrize("argv, ids", [
+    # the pair Wronskian, or the Sym^m one, has no known nonzero term
+    (("symcheck", "--m", "1", "--prec", "1/6"), ["sym_weber_m1"]),
+    (("symcheck", "--m", "3", "--prec", "1/3"), ["sym_weber_m3"]),
+    (("symcheck", "--pair", "rr", "--m", "2", "--prec", "1/20"), ["sym_rr_m2"]),
+    (("symcheck", "--pair", "a1", "--m", "2", "--prec", "1/20"), ["sym_a1_m2"]),
+    (("run-all", "--prec", "1/6"),
+     ["sym_weber_m%d" % m for m in range(1, 13)]
+     + ["eta_power_rr", "eta_power_weber"]),
+])
+def test_vanishing_wronskian_is_an_insufficient_precision_row(capsys, argv,
+                                                              ids):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    rows = payload if isinstance(payload, list) else [payload]
+    if argv[0] == "run-all":
+        assert len(rows) == 36
+    short = [d["identity"] for d in rows
+             if d["status"] == "insufficient-precision"]
+    assert short == ids
+    assert all(d["status"] == "pass" for d in rows if d["identity"] not in ids)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == ""
+    assert out.count(" Wronskian vanishes through q^(") == len(ids)
+
+
 @pytest.mark.parametrize("command", ["identify", "divpoly"])
 def test_short_stdin_series_is_a_result_not_a_configuration_error(
         capsys, monkeypatch, command):

@@ -9,9 +9,10 @@ from math import prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from modwron.cli import IDENTITIES, PAIR_NAMES
+from modwron.cli import (IDENTITIES, PAIR_NAMES, _pair, _parse_basis,
+                         _reduced_pair, symcheck_report)
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
 from modwron.qseries import QSeries, _conv_trunc, _divexact, first_mismatch
@@ -710,8 +711,11 @@ def test_row_step_raises_when_only_the_packed_integer_divides():
 
 # ---- coarsening onto single exponent classes -------------------------------
 
-CALLS = (wronskians, lambda fs: [wronskian(fs)],
-         lambda fs: [wronskian_derived(fs)])
+def wronskian_list(fs):
+    return [wronskian(fs)]
+
+
+CALLS = (wronskians, wronskian_list, lambda fs: [wronskian_derived(fs)])
 
 
 def assert_coarsening_keeps(fs, calls=CALLS):
@@ -760,21 +764,43 @@ def coarsenable_family(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(coarsenable_family())
+# dependent families, whose minors vanish: one exact, and one known to
+# q^(5/4), whose window reaches q^(4/3) on step 1/6 and q^2 on step 1
+@example([QSeries(F(-1, 6), [1]), QSeries(0, [1]), QSeries(F(-1, 6), [1, 1]),
+          QSeries(0, [1, 1]), QSeries(F(-1, 6), [1, -2, 0, 0, 0, 0, 0, -2], 6)])
+@example([QSeries(F(1, 6), [1]), QSeries(0, [1]), QSeries(0, [1]),
+          QSeries(0, [1]), QSeries(0, [1, 1], prec=F(5, 4)),
+          QSeries(0, [-2, 1, 0, 0, 0, 0, -2], 6, prec=F(5, 4))])
 def test_coarsening_keeps_every_minor_and_precision(fs):
     assert_coarsening_keeps(fs)
 
 
-@pytest.mark.parametrize("prec", [F(9, 2), F(16), F(60)])
+@pytest.mark.parametrize("prec", [F(9, 2), F(16), F(60), F(1, 3)])
 @pytest.mark.parametrize("pair", sorted(PAIR_NAMES))
 def test_coarsening_keeps_the_paper_sym_minors(pair, prec):
-    f, g = (named_series(name, prec) for name in PAIR_NAMES[pair])
+    """Sym^m of the named pair gives the same fields with and without
+    _coarsen, and the same as Sym^m of the reduced pair the CLI builds
+    from; the pair Wronskian W(g, f) is the same for both pairs too."""
+    f, g = _pair(pair, prec)
+    rf, rg = _reduced_pair(pair, prec)
+    # at prec 60 one elimination gives W and W' for all three calls
+    calls = CALLS[:1] if prec == 60 else CALLS
+    reduced = (rf, rg) != (f, g)
+    assert not reduced or pair == "weber"
+    assert _fields(wronskian_list, [g, f]) == _fields(wronskian_list, [rg, rf])
     for m in range(1, 13):
-        fs = sym_family(f, g, m)
-        if W_MOD._coarsen(fs) is fs:
-            # the elimination sees the very same family either way
+        fs = sym_basis(f, g, m)
+        coarsened = W_MOD._coarsen(fs) is not fs
+        if not (reduced or coarsened):
+            # every elimination sees the very same family
             continue
-        # at prec 60 one elimination gives W and W' for all three calls
-        assert_coarsening_keeps(fs, CALLS[:1] if prec == 60 else CALLS)
+        got = [_fields(call, fs) for call in calls]
+        if reduced:
+            assert got == [_fields(call, sym_basis(rf, rg, m))
+                           for call in calls], m
+        if coarsened:
+            with mock.patch.object(W_MOD, "_coarsen", list):
+                assert got == [_fields(call, fs) for call in calls], m
 
 
 @contextmanager
@@ -802,6 +828,32 @@ def test_weber_sym_eliminates_on_the_integer_lattice():
         with step_windows() as windows:
             wronskians(fs)
         assert windows and max(windows) <= 16, m
+
+
+@contextmanager
+def eliminated_families():
+    """The members of every family _bareiss is given inside the block."""
+    families = []
+    bareiss = W_MOD._bareiss
+
+    def spy(fs, ends):
+        families.append(list(fs))
+        return bareiss(fs, ends)
+
+    with mock.patch.object(W_MOD, "_bareiss", spy):
+        yield families
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_cli_weber_sym_reaches_the_elimination_on_the_integer_lattice(m):
+    # the CLI builds Sym^m from (weber8_1 - 8 weber8_2, weber8_2), so no
+    # member needs coarsening inside the elimination
+    with eliminated_families() as families, step_windows() as windows:
+        assert symcheck_report("weber", m, 16).status == "pass"
+        wronskians(_parse_basis("sym:weber:%d" % m, 16))
+    assert len(families) == 3
+    assert all(h.step_den == 1 for fs in families for h in fs)
+    assert windows and max(windows) <= 16
 
 
 @pytest.mark.parametrize("pair", ["rr", "a1"])
