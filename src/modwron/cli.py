@@ -29,7 +29,7 @@ from .ssing import (congruence_constant_check, hasse_oracle, ss_poly_deligne,
 from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
                       r12_vanishing_roots, r_recursion, sym_basis,
                       sym_quotient_closed_form, sym_wronskian_check)
-from .wronskian import _coarsen, identify_quotient, wronskian, \
+from .wronskian import coarsen, identify_quotient, wronskian, \
     wronskian_derived, wronskians
 
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -55,10 +55,13 @@ def _pair(pair, prec):
 
 
 def _reduced_pair(pair, prec):
-    """The pair after wronskian._coarsen: (weber8_1 - 8 weber8_2,
-    weber8_2) on the integer lattice, rr and a1 as named.  Its Sym^m is a
-    unit-triangular change of basis, with the same minors and precisions."""
-    return _coarsen(_pair(pair, prec))
+    """The pair after wronskian.coarsen: (weber8_1 - 8 weber8_2,
+    weber8_2) on the integer lattice at every integer prec, rr and a1 as
+    named.  Its Sym^m is a unit-triangular change of basis, with the same
+    minors.  Each Sym^m member of the named pair has the pair's bound and
+    Lv, so coarsen's window test on the pair is the one on Sym^m, and the
+    precisions stay too."""
+    return coarsen(_pair(pair, prec))
 
 
 _TOO_LARGE = "precision %s is too large: its series do not fit in memory"

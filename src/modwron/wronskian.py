@@ -20,22 +20,20 @@ again minors of the integer matrix, and pivots are chosen with minimal
 q-valuation, so each division costs as little of the known coefficient
 window as possible.
 
-Before it runs, column operations f_i -= c f_j (j != i, no member ever
-scaled), which leave every minor of the derivative stack and so W and W'
-exactly as they were, move members onto single exponent classes where they
-can (_coarsen): a member's term off its class offset + Z is cleared by a
+Column operations f_i -= c f_j (j != i, no member ever scaled) leave
+every minor of the derivative stack, and so W and W', exactly as they
+were.  coarsen uses them to move members onto single exponent classes
+where it can: a member's term off its class offset + Z is cleared by a
 member on one class that leads at that exponent.  That member leads above
 the reduced one, so each reduced member keeps its offset and is known to at
-least offset + bound, and base and bound are read from the input members.
-The reduced family is used only when some member has a finite precision,
-Lv drops, and the window covers the same exponents (_coarse_family), so a
-minor that vanishes on it is reported to the same precision.  By Weber's
-identity f^8 = f_1^8 + f_2^8 the terms of weber8_1 off its class are
-8 weber8_2, so every Sym^m member of the Weber pair lands on the integer
-lattice and the window halves.  The CLI reduces the pair itself to
-(weber8_1 - 8 weber8_2, weber8_2) before it builds Sym^m, a unit-triangular
-change of basis with the same minors, so _coarsen returns its family
-unchanged; it serves families handed in directly.
+least offset + bound.  The reduced family is returned only when Lv drops
+and the window covers the same exponents, so a minor that vanishes on it
+is reported to the same precision.  The elimination takes its family as
+given.  By Weber's identity f^8 = f_1^8 + f_2^8 the terms of weber8_1 off
+its class are 8 weber8_2, so coarsen turns the Weber pair into
+(weber8_1 - 8 weber8_2, weber8_2), both on the integer lattice.  The CLI
+builds Sym^m from that pair: (f - 8g)^i g^(m-i) is a unit-triangular change
+of the Sym^m basis with the same minors, and the window halves.
 
 Each step works on whole rows (E. H. Bareiss, Math. Comp. 22, 1968, for
 the elimination).  Slot s of a row's remaining entries packs into one
@@ -228,9 +226,10 @@ def _off_class(f, above):
     return None
 
 
-def _coarsen(fs):
+def coarsen(fs):
     """The family with members moved onto single exponent classes by
-    column operations, when that shrinks the lattice lcm of the steps;
+    column operations f_i -= c f_j, when that puts it on a coarser lattice
+    and the elimination reports every minor of it exactly as of fs;
     otherwise fs itself.
 
     Walking up a member's terms off its class offset + Z, each is cleared
@@ -239,7 +238,20 @@ def _coarsen(fs):
     leads above the reduced one, whose offset and lead stay as they were.
     A member that lands on one class may clear terms of the others, so the
     walk repeats until no member lands.
+
+    The reduced family is returned only when it lowers the lattice lcm Lv
+    of the steps and the elimination window covers the same exponents on
+    both lattices.  The window holds the slots below bound = min(prec_i -
+    offset_i) on Lv, the exponents below ceil(bound Lv)/Lv; on a coarser
+    lattice that can reach further, and a minor that vanishes on the window
+    is then known to vanish further.  An exact family takes its window from
+    its members' lengths on their lattice, which the reduction changes, so
+    it is returned as given.
     """
+    bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
+                        for f in fs))
+    if bound is None:
+        return fs
     out = list(fs)
     lead = {g.offset: g for g in out if g.step_den == 1}
     landed = True
@@ -257,29 +269,11 @@ def _coarsen(fs):
                     lead.setdefault(f.offset, f)
                     landed = True
             out[i] = f
-    if lcm(*(f.step_den for f in out)) < lcm(*(f.step_den for f in fs)):
+    lv, lv_out = (lcm(*(f.step_den for f in g)) for g in (fs, out))
+    if lv_out < lv and (_ceil(bound * lv) * lv_out
+                        == _ceil(bound * lv_out) * lv):
         return out
     return fs
-
-
-def _coarse_family(fs, bound):
-    """_coarsen(fs) when the elimination reports the same precisions on it,
-    otherwise fs.
-
-    The window holds the slots below bound on the step lattice Lv, the
-    exponents below ceil(bound Lv)/Lv; on a coarser lattice that can reach
-    further, and a minor that vanishes on the window is then known to vanish
-    further.  An exact family (bound None) takes its window from its
-    members' lengths on their lattice, which coarsening changes.
-    """
-    if bound is None:
-        return fs
-    coarse = _coarsen(fs)
-    if coarse is not fs:
-        lv, lv_coarse = (lcm(*(f.step_den for f in g)) for g in (fs, coarse))
-        if _ceil(bound * lv) * lv_coarse != _ceil(bound * lv_coarse) * lv:
-            return fs
-    return coarse
 
 
 def _bareiss(fs, ends):
@@ -301,11 +295,9 @@ def _bareiss(fs, ends):
         return [QSeries.zero(total)] * len(ends)
     base = sum((f.offset for f in fs), Fraction(0))
     # every input term beyond its prec moves the minors only from
-    # base + bound on, whatever lattice it sits on; the members _coarsen
-    # returns keep their offsets and are known to offset + bound
+    # base + bound on, whatever lattice it sits on
     bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
                         for f in fs))
-    fs = _coarse_family(fs, bound)
     # slot vectors live on Lv; L also clears the offset denominators, so
     # the derivative factor of slot n in column i is L*h_i + n*L/Lv
     Lv = lcm(*(f.step_den for f in fs))

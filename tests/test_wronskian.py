@@ -17,9 +17,9 @@ from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
 from modwron.qseries import QSeries, _conv_trunc, _divexact, first_mismatch
 from modwron.symmpow import sym_basis
-from modwron.wronskian import (echelonize, identify_quotient, normalize,
-                               quotient_form, vanishing_check, wronskian,
-                               wronskian_derived, wronskians)
+from modwron.wronskian import (coarsen, echelonize, identify_quotient,
+                               normalize, quotient_form, vanishing_check,
+                               wronskian, wronskian_derived, wronskians)
 
 N = F(20)
 
@@ -718,12 +718,12 @@ def wronskian_list(fs):
 CALLS = (wronskians, wronskian_list, lambda fs: [wronskian_derived(fs)])
 
 
-def assert_coarsening_keeps(fs, calls=CALLS):
-    """Each call returns field for field what it returns on the family as
-    given (_coarsen replaced by list), or raises the same error."""
-    got = [_fields(call, fs) for call in calls]
-    with mock.patch.object(W_MOD, "_coarsen", list):
-        assert got == [_fields(call, fs) for call in calls]
+def assert_coarsening_keeps(fs):
+    """Each call returns on coarsen(fs) field for field what it returns on
+    fs, or raises the same error."""
+    coarse = coarsen(fs)
+    assert ([_fields(call, coarse) for call in CALLS]
+            == [_fields(call, fs) for call in CALLS])
 
 
 @st.composite
@@ -775,32 +775,37 @@ def test_coarsening_keeps_every_minor_and_precision(fs):
     assert_coarsening_keeps(fs)
 
 
+def assert_reduced_pair_keeps(pair, prec, ms, calls=CALLS):
+    """Sym^m of the named pair and of the reduced pair the CLI builds from
+    give the same fields for each m in ms, and so does the pair Wronskian
+    W(g, f).  Returns whether the pair was reduced."""
+    f, g = _pair(pair, prec)
+    rf, rg = _reduced_pair(pair, prec)
+    if (rf, rg) == (f, g):
+        # every elimination sees the very same family
+        return False
+    assert _fields(wronskian_list, [g, f]) == _fields(wronskian_list, [rg, rf])
+    for m in ms:
+        assert ([_fields(call, sym_basis(f, g, m)) for call in calls]
+                == [_fields(call, sym_basis(rf, rg, m)) for call in calls]), m
+    return True
+
+
 @pytest.mark.parametrize("prec", [F(9, 2), F(16), F(60), F(1, 3)])
 @pytest.mark.parametrize("pair", sorted(PAIR_NAMES))
 def test_coarsening_keeps_the_paper_sym_minors(pair, prec):
-    """Sym^m of the named pair gives the same fields with and without
-    _coarsen, and the same as Sym^m of the reduced pair the CLI builds
-    from; the pair Wronskian W(g, f) is the same for both pairs too."""
-    f, g = _pair(pair, prec)
-    rf, rg = _reduced_pair(pair, prec)
-    # at prec 60 one elimination gives W and W' for all three calls
-    calls = CALLS[:1] if prec == 60 else CALLS
-    reduced = (rf, rg) != (f, g)
-    assert not reduced or pair == "weber"
-    assert _fields(wronskian_list, [g, f]) == _fields(wronskian_list, [rg, rf])
-    for m in range(1, 13):
-        fs = sym_basis(f, g, m)
-        coarsened = W_MOD._coarsen(fs) is not fs
-        if not (reduced or coarsened):
-            # every elimination sees the very same family
-            continue
-        got = [_fields(call, fs) for call in calls]
-        if reduced:
-            assert got == [_fields(call, sym_basis(rf, rg, m))
-                           for call in calls], m
-        if coarsened:
-            with mock.patch.object(W_MOD, "_coarsen", list):
-                assert got == [_fields(call, fs) for call in calls], m
+    # only the Weber pair reduces, and not at prec 9/2, where the window on
+    # the integer lattice would reach further than on the named pair's; at
+    # prec 60 one elimination gives W and W' for all three calls
+    reduced = assert_reduced_pair_keeps(pair, prec, range(1, 13),
+                                        CALLS[:1] if prec == 60 else CALLS)
+    assert reduced == (pair == "weber" and prec.denominator == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 240), st.integers(1, 6))
+def test_reduced_pair_keeps_the_sym_minors_at_any_prec(twelfths, m):
+    assert_reduced_pair_keeps("weber", F(twelfths, 12), [m])
 
 
 @contextmanager
@@ -818,13 +823,15 @@ def step_windows():
 
 
 def test_weber_sym_eliminates_on_the_integer_lattice():
-    # weber8_1's terms off its class are 8 * weber8_2 exactly, so every
-    # Sym^m member reduces onto one class and prec 16 takes 16 slots, not 32
+    # weber8_1's terms off its class are 8 * weber8_2 exactly, so the pair
+    # reduces onto one class and Sym^m of it at prec 16 takes 16 slots, not 32
     f, g = (named_series(name, 16) for name in PAIR_NAMES["weber"])
     assert f.step_den == 2
+    rf, rg = coarsen([f, g])
+    assert (rf, rg) == (f - 8 * g, g) and rf.step_den == 1
     for m in range(1, 13):
-        fs = sym_family(f, g, m)
-        assert all(h.step_den == 1 for h in W_MOD._coarsen(fs))
+        fs = sym_basis(rf, rg, m)
+        assert all(h.step_den == 1 for h in fs)
         with step_windows() as windows:
             wronskians(fs)
         assert windows and max(windows) <= 16, m
@@ -858,7 +865,8 @@ def test_cli_weber_sym_reaches_the_elimination_on_the_integer_lattice(m):
 
 @pytest.mark.parametrize("pair", ["rr", "a1"])
 def test_coarsening_leaves_integer_lattice_pairs_alone(pair):
-    f, g = (named_series(name, 16) for name in PAIR_NAMES[pair])
+    pair = tuple(named_series(name, 16) for name in PAIR_NAMES[pair])
+    assert coarsen(pair) is pair
     for m in range(1, 13):
-        fs = sym_family(f, g, m)
-        assert W_MOD._coarsen(fs) is fs
+        fs = sym_family(*pair, m)
+        assert coarsen(fs) is fs
