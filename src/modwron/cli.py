@@ -158,11 +158,13 @@ def _rw2(n):
 
 
 def _rw2_char(n):
-    """ch2^11 ch1 - 11 ch1^6 ch2^6 - ch1^11 ch2 = 1."""
+    """ch2^11 ch1 - 11 ch1^6 ch2^6 - ch1^11 ch2 = 1, with the left side
+    formed as ch1 ch2 ((v - u)(v + u) - 11 u v), u = ch1^5, v = ch2^5."""
     m = n + SERIES_MARGIN
     ch1 = named_series("ch1", m)
     ch2 = named_series("ch2", m)
-    lhs = ch2 ** 11 * ch1 - 11 * ch1 ** 6 * ch2 ** 6 - ch1 ** 11 * ch2
+    u, v = ch1 ** 5, ch2 ** 5
+    lhs = ch1 * ch2 * ((v - u) * (v + u) - 11 * (u * v))
     return [(lhs, QSeries.one(m))]
 
 
@@ -177,11 +179,13 @@ def _a1_quot(n):
 
 
 def _a1_const(n):
-    """f1^5 f2 - f2^5 f1 = 2."""
+    """f1^5 f2 - f2^5 f1 = 2, with the left side formed as
+    f1 f2 (a - b)(a + b), a = f1^2, b = f2^2."""
     m = n + SERIES_MARGIN
     f1 = named_series("a1_f1", m)
     f2 = named_series("a1_f2", m)
-    lhs = f1 ** 5 * f2 - f2 ** 5 * f1
+    a, b = f1 ** 2, f2 ** 2
+    lhs = f1 * f2 * ((a - b) * (a + b))
     return [(lhs, 2 * QSeries.one(m))]
 
 

@@ -317,21 +317,28 @@ def _euler_product(w, n):
     The one product kernel: the log-derivative recurrence
     k c_k = sum_{j<=k} s_j c_{k-j}, with s_j = -sum_{d|j} d w[d], solved by
     the triangular solve whatever the exponents are.  Every step must
-    divide exactly by k, and an inexact step raises.
+    divide exactly by k, and an inexact step raises.  When every d with
+    w[d] != 0 is a multiple of g, the product is one in q^g: the recurrence
+    runs on the slots of that lattice and the result is spread back.
     """
     if n <= 0:
         return []
-    s = [0] * n
-    for d in range(1, min(len(w), n)):
-        if w[d]:
-            dw = d * w[d]
-            for j in range(d, n, d):
-                s[j] -= dw
+    ds = [d for d in range(1, min(len(w), n)) if w[d]]
+    g = gcd(*ds) or 1
+    m = len(range(0, n, g))
+    s = [0] * m
+    for d in ds:
+        e = d // g
+        ew = e * w[d]
+        for j in range(e, m, e):
+            s[j] -= ew
     # c_0 = 1 puts s_k into slot k before the solve
-    c = [0] * n
-    c[0] = 1
-    _solve(s, s[1:], range(n), c, 1, n,
+    cg = [0] * m
+    cg[0] = 1
+    _solve(s, s[1:], range(m), cg, 1, m,
            "inexact step in the Euler-product recurrence")
+    c = [0] * n
+    c[::g] = cg
     return c
 
 

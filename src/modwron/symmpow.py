@@ -23,7 +23,7 @@ from .etaprod import eta
 from .modpoly import (InsufficientPrecision, MFPoly, theta_derivation,
                       theta_h, to_qseries)
 from .poly import Poly
-from .qseries import DEFAULT_PREC, QSeries, first_mismatch
+from .qseries import DEFAULT_PREC, QSeries, _add_prec, first_mismatch
 from .wronskian import normalize, wronskian
 
 
@@ -238,7 +238,14 @@ def apply(op, y):
     for c, yj in zip(op, ys):
         if c.is_zero():
             continue
-        out = out + to_qseries(c, target) * yj
+        if c.weight:
+            out = out + to_qseries(c, target) * yj
+            continue
+        # a constant scales yj, truncated where its product with the
+        # one-slot to_qseries(c, target) would be known
+        v = yj.offset if yj.nums else yj.prec
+        out = out + (c.terms[(0, 0)] * yj).truncate(
+            _add_prec(v, target))
     return out
 
 

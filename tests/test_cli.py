@@ -34,6 +34,77 @@ def test_identity_passes(name):
     assert rep.first_fail is None
 
 
+# the left sides as the paper writes them, on the series named_series builds
+EXPANDED = {
+    "rw2_char": (("ch1", "ch2"),
+                 lambda ch1, ch2: ch2**11*ch1 - 11*ch1**6*ch2**6 - ch1**11*ch2),
+    "a1_const": (("a1_f1", "a1_f2"),
+                 lambda f1, f2: f1**5*f2 - f2**5*f1),
+}
+
+
+def expanded_lhs(identity, n, named=etaprod.named_series):
+    names, form = EXPANDED[identity]
+    return form(*(named(name, n + cli.SERIES_MARGIN) for name in names))
+
+
+def fields(x):
+    return x.offset, x.step_den, x.nums, x.den, x.prec
+
+
+@pytest.mark.parametrize("identity", sorted(EXPANDED))
+def test_factored_left_side_is_the_expanded_form(identity):
+    for n in [F(k, 12) for k in range(1, 169)] + [F(100)]:
+        [(lhs, _)] = IDENTITIES[identity](n)
+        assert fields(lhs) == fields(expanded_lhs(identity, n)), n
+
+
+@pytest.mark.parametrize("identity,name,e", [
+    ("rw2_char", "ch1", F(11, 60)), ("rw2_char", "ch1", F(131, 60)),
+    ("rw2_char", "ch1", F(1811, 60)),
+    ("a1_const", "a1_f1", F(-1, 24)), ("a1_const", "a1_f1", F(71, 24)),
+    ("a1_const", "a1_f1", F(839, 24)),
+])
+def test_planted_slot_fails_where_the_expanded_form_does(monkeypatch,
+                                                         identity, name, e):
+    real = etaprod.named_series
+
+    def planted(series, n):
+        out = real(series, n)
+        return out + QSeries.monomial(1, e, out.prec) if series == name else out
+
+    monkeypatch.setattr(cli, "named_series", planted)
+    n = F(40)
+    rep = verify(identity, n)
+    [(_, rhs)] = IDENTITIES[identity](n)
+    ref = _assess(identity, [(expanded_lhs(identity, n, planted), rhs)], n, 0.0)
+    assert rep.status == ref.status == "fail"
+    assert rep.first_fail == ref.first_fail
+    assert rep.precision == ref.precision
+
+
+def series_products(monkeypatch):
+    """The list of (self, other) of every series product from now on."""
+    calls, real = [], QSeries.__mul__
+
+    def spy(self, other):
+        if isinstance(other, QSeries):
+            calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", spy)
+    monkeypatch.setattr(QSeries, "__rmul__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("identity,most", [("rw2_char", 10), ("a1_const", 5)])
+def test_identity_runs_its_factored_products(monkeypatch, identity, most):
+    verify(identity, 40)        # the named series are built and kept
+    calls = series_products(monkeypatch)
+    assert verify(identity, 40).status == "pass"
+    assert 0 < len(calls) <= most
+
+
 def test_verify_unknown_identity():
     with pytest.raises(ValueError, match="unknown identity"):
         verify("nope", 10)

@@ -21,6 +21,7 @@ from modwron.etaprod import (
     theta_sum,
 )
 from modwron.qseries import QSeries, first_mismatch
+from test_qseries import euler_product_by_loop
 
 F = Fraction
 
@@ -423,3 +424,21 @@ def test_theta_sum_matches_brute_force(A, B, N, sign):
             brute[e] = brute.get(e, 0) + c
     assert dict(t.coeffs()) == {e: c for e, c in brute.items() if c}
     assert t.prec == N
+
+
+@pytest.mark.parametrize("factors", [[(0, 4, 8), (0, 2, -8)], [(0, 5, 1)],
+                                     [(3, 6, 2), (0, 6, -1)]])
+@pytest.mark.parametrize("N", [1, F(7, 2), 12, 61])
+def test_product_on_a_coarser_lattice_is_its_fine_expansion(factors, N):
+    """The spec's product, whose factors lie on gZ, equals the recurrence
+    run on every slot: each coefficient and the precision."""
+    spec = ProductSpec(factors, F(1, 3))
+    L = _int_window(N, spec.prefactor)
+    w = [0] * L
+    for r, m, e in factors:
+        for n in range(r if r else m, L, m):
+            w[n] += e
+    got = product_series(spec, N)
+    want = QSeries(spec.prefactor, euler_product_by_loop(w, L), 1, 1, F(N))
+    assert (got.offset, got.step_den, got.nums, got.den, got.prec) == \
+        (want.offset, want.step_den, want.nums, want.den, want.prec)

@@ -757,6 +757,21 @@ def test_euler_product_small_and_wide_taps_match_loop(wn):
     assert _conv_trunc(c, inverse, n) == [1] + [0] * (n - 1) if n else c == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 160), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_euler_product_on_a_coarser_lattice_matches_loop(g, n, wide, seed):
+    """Weights on gZ run the recurrence in q^g; g = 0 draws all-zero weights,
+    whose product is 1."""
+    rng = random.Random(seed)
+    top = 2 ** 40 if wide else 5
+    w = [0] * (n + rng.randint(0, 3))
+    if g:
+        for d in range(g, len(w), g):
+            w[d] = rng.randint(-top, top) if rng.random() < 0.6 else 0
+    assert _euler_product(w, n) == euler_product_by_loop(w, n)
+
+
 def test_euler_product_inexact_step_in_a_sparse_solve_raises():
     # a weight at 10 alone sets one tap in ten; s_10 = -5 divides by 10
     # inexactly

@@ -8,16 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from modwron.cli import PAIR_LAMBDA
 from modwron.etaprod import eta, named_series
-from modwron.modpoly import E4, E6, G4, MFPoly, theta_derivation
+from modwron.modpoly import (E4, E6, G4, MFPoly, theta_derivation, theta_h,
+                             to_qseries)
 from modwron.poly import Poly
-from modwron.qseries import QSeries, first_mismatch
+from modwron.qseries import DEFAULT_PREC, QSeries, first_mismatch
 from modwron.symmpow import (SymWronskianMismatch, _divisors, _rational_roots,
                              apply, d_operator,
                              kz_coeff, r12_vanishing_roots, r_recursion,
                              sym_basis, sym_quotient_closed_form,
                              sym_wronskian_check)
 from modwron.wronskian import normalize, quotient_form, wronskian
-from test_qseries import truncated_and_completion
+from test_qseries import qseries_strategy, truncated_and_completion
 
 N = F(20)
 
@@ -192,6 +193,65 @@ def test_sym_power_operator_annihilates_basis(name, lam, ch_pair, weber_pair,
 def test_operator_does_not_annihilate_foreign_series(ch_pair):
     ch1, _ = ch_pair
     assert not apply(d_operator(F(-40) * G4, 1), ch1).is_zero()
+
+
+def apply_by_products(op, y):
+    """Reference: every coefficient, the constant too, multiplied in as its
+    q-expansion."""
+    target = y.prec if y.prec is not None else F(DEFAULT_PREC)
+    ys = [y]
+    for j in range(len(op) - 1):
+        ys.append(theta_h(ys[-1], 2 * j, target))
+    out = QSeries.zero(target)
+    for c, yj in zip(op, ys):
+        if not c.is_zero():
+            out = out + to_qseries(c, target) * yj
+    return out
+
+
+# d_operator's, and constants before theta^0 and theta^1 with a zero between
+OPERATORS = [d_operator(lam * G4, m) for lam in (F(-11, 5), F(-40))
+             for m in (1, 2, 3)] + [
+    (MFPoly.constant(F(-3, 2)),),
+    (MFPoly.constant(F(2)), MFPoly.constant(F(1, 3))),
+    (-G4, MFPoly.zero(2), MFPoly.constant(F(5))),
+]
+
+
+def fields(x):
+    return x.offset, x.step_den, x.nums, x.den, x.prec
+
+
+@settings(max_examples=80, deadline=None)
+@given(qseries_strategy(), st.booleans(), st.sampled_from(OPERATORS))
+def test_apply_scales_by_a_constant_as_its_product_would(y, exact, op):
+    """A constant coefficient multiplies as a scalar, with the value and the
+    precision of its product with the one-slot to_qseries of it: at any
+    offset and precision of y, below zero too, and on exact and zero y."""
+    if exact:
+        y = QSeries(y.offset, y.nums, y.step_den, y.den)
+    assert fields(apply(op, y)) == fields(apply_by_products(op, y))
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("ch", F(-11, 5)), ("weber", F(-40)), ("a1", F(-25, 4)),
+])
+def test_apply_runs_no_product_with_a_one_slot_form(
+        monkeypatch, name, lam, ch_pair, weber_pair, a1_pair):
+    f, g = {"ch": ch_pair, "weber": weber_pair, "a1": a1_pair}[name]
+    ys = {1: f, 2: f * g}
+    calls, real = [], QSeries.__mul__
+
+    def spy(self, other):
+        if isinstance(other, QSeries):
+            calls.append((len(self.nums), len(other.nums)))
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", spy)
+    monkeypatch.setattr(QSeries, "__rmul__", spy)
+    for m, y in ys.items():
+        assert apply(d_operator(lam * G4, m), y).is_zero()
+    assert calls and all(min(c) > 1 for c in calls)
 
 
 # ---- kz_coeff -------------------------------------------------------------------
