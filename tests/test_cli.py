@@ -21,6 +21,7 @@ from modwron.modpoly import E4, E6, to_qseries
 from modwron.poly import Poly
 from modwron.qseries import QSeries
 from modwron.symmpow import SymWronskianMismatch
+from test_qseries import series_products
 from test_ssing import MUTANTS
 
 
@@ -81,20 +82,6 @@ def test_planted_slot_fails_where_the_expanded_form_does(monkeypatch,
     assert rep.status == ref.status == "fail"
     assert rep.first_fail == ref.first_fail
     assert rep.precision == ref.precision
-
-
-def series_products(monkeypatch):
-    """The list of (self, other) of every series product from now on."""
-    calls, real = [], QSeries.__mul__
-
-    def spy(self, other):
-        if isinstance(other, QSeries):
-            calls.append((self, other))
-        return real(self, other)
-
-    monkeypatch.setattr(QSeries, "__mul__", spy)
-    monkeypatch.setattr(QSeries, "__rmul__", spy)
-    return calls
 
 
 @pytest.mark.parametrize("identity,most", [("rw2_char", 10), ("a1_const", 5)])

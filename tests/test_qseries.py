@@ -344,6 +344,21 @@ def test_rescale_precision_soundness(fc, s):
     assert lo.prec <= hi.prec
 
 
+def series_products(monkeypatch):
+    """The list of (self, other) of every series product from now on, by a
+    spy on QSeries multiplication; a product by a number is not listed."""
+    calls, real = [], QSeries.__mul__
+
+    def spy(self, other):
+        if isinstance(other, QSeries):
+            calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", spy)
+    monkeypatch.setattr(QSeries, "__rmul__", spy)
+    return calls
+
+
 # ---- the Euler-product kernel --------------------------------------------------
 
 def euler_product_by_passes(w, n):

@@ -18,7 +18,8 @@ from modwron.symmpow import (SymWronskianMismatch, _divisors, _rational_roots,
                              sym_basis, sym_quotient_closed_form,
                              sym_wronskian_check)
 from modwron.wronskian import normalize, quotient_form, wronskian
-from test_qseries import qseries_strategy, truncated_and_completion
+from test_qseries import (qseries_strategy, series_products,
+                          truncated_and_completion)
 
 N = F(20)
 
@@ -240,18 +241,11 @@ def test_apply_runs_no_product_with_a_one_slot_form(
         monkeypatch, name, lam, ch_pair, weber_pair, a1_pair):
     f, g = {"ch": ch_pair, "weber": weber_pair, "a1": a1_pair}[name]
     ys = {1: f, 2: f * g}
-    calls, real = [], QSeries.__mul__
-
-    def spy(self, other):
-        if isinstance(other, QSeries):
-            calls.append((len(self.nums), len(other.nums)))
-        return real(self, other)
-
-    monkeypatch.setattr(QSeries, "__mul__", spy)
-    monkeypatch.setattr(QSeries, "__rmul__", spy)
+    calls = series_products(monkeypatch)
     for m, y in ys.items():
         assert apply(d_operator(lam * G4, m), y).is_zero()
-    assert calls and all(min(c) > 1 for c in calls)
+    assert calls and all(len(a.nums) > 1 and len(b.nums) > 1
+                         for a, b in calls)
 
 
 # ---- kz_coeff -------------------------------------------------------------------
