@@ -50,13 +50,23 @@ _EIS_POW = {}
 def _gen_pow(k, e, slots):
     """E_k^e to `slots` coefficients, E-normalized (constant term 1).  A
     shorter one is the truncation of the longest kept, which equals a fresh
-    build: a truncated product is prefix-stable."""
+    build: a truncated product is prefix-stable.  A power missing at that
+    length is built by a loop from the highest power kept there, and every
+    power on the way is kept."""
     built = _EIS_POW.get((k, e))
     if built is None or built.prec < slots:
+        if e > 1:
+            base = _gen_pow(k, 1, slots)
+            j = e - 1
+            while j > 1 and ((k, j) not in _EIS_POW
+                             or _EIS_POW[(k, j)].prec < slots):
+                j -= 1
+            built = _gen_pow(k, j, slots)
+            for j in range(j + 1, e + 1):
+                built = _EIS_POW[(k, j)] = built * base
+            return built
         if e == 0:
             built = QSeries.one(slots)
-        elif e > 1:
-            built = _gen_pow(k, e - 1, slots) * _gen_pow(k, 1, slots)
         else:
             sig = [0] * slots
             for d in range(1, slots):
@@ -286,12 +296,61 @@ def _weight_basis(w):
     return basis
 
 
+# Delta / q = prod_{d>=1} (1 - q^d)^24 at the most slots built so far
+_DELTA_Q = []
+
+
+def _delta_over_q(n):
+    """The first n integer slots of Delta / q; a shorter one is a prefix of
+    the longest kept."""
+    if len(_DELTA_Q) < n:
+        _DELTA_Q[:] = _euler_product([0] + [24] * (n - 1), n)
+    return _DELTA_Q[:n]
+
+
+def _ladder(weight, n, p=None):
+    """The Delta-ladder basis of M_weight (`_weight_basis`) in integer slots:
+    member i = 0..t, Delta^i E4^(delta+3(t-i)) E6^epsilon, as its slots from
+    exponent i, where it starts with 1, through exponent n - 1.  Given p,
+    every factor and product is reduced mod p: the ladder over F_p."""
+    def slots(xs):
+        return xs if p is None else [c % p for c in xs]
+
+    delta, eps, t = _weight_shape(weight)
+    tail = slots(_delta_over_q(n - 1))
+    power = slots(_gen_pow(6, eps, n).nums)   # (Delta / q)^i E6^epsilon
+    for i in range(t + 1):
+        if i:
+            power = slots(_conv_trunc(power, tail, n - i))
+        yield slots(_conv_trunc(
+            power, slots(_gen_pow(4, delta + 3 * (t - i), n).nums), n - i))
+
+
 class InsufficientPrecision(ValueError):
     """A series is known through too few coefficients to certify a form."""
 
 
 class NotIdentifiable(ValueError):
     """A series known well enough to decide is no form of the weight asked."""
+
+
+def _back_substitute(residual, ladder, p=None):
+    """The coordinates of the integer slots `residual` on `ladder`, whose
+    member i is slots from exponent i led by 1 (read only below
+    len(residual)), over Z, or over F_p when p is given (residual and
+    members then hold residues).  `residual` is reduced in place, and a
+    slot left nonzero raises NotIdentifiable."""
+    coords = []
+    for i, col in enumerate(ladder):
+        k = residual[i] if p is None else residual[i] % p
+        if k:
+            residual[i:i + len(col)] = map(sub, residual[i:], map(k.__mul__, col))
+        coords.append(k)
+    for e, k in enumerate(residual):
+        if k if p is None else k % p:
+            raise NotIdentifiable(
+                "not identifiable: residual is nonzero at exponent %d" % e)
+    return coords
 
 
 IDENTIFY_MARGIN = 10     # coefficients identify demands beyond dim M_weight
@@ -337,25 +396,12 @@ def identify(y, weight):
         n = _ceil(y.prec)
     residual = [0] * off + y.nums
     residual += [0] * (n - len(residual))
-    delta, eps, t = _weight_shape(weight)
-    tail = _euler_product([0] + [24] * (n - 2), n - 1)    # Delta / q
-    power = _gen_pow(6, eps, n).nums          # (Delta / q)^i E6^epsilon
-    basis = _weight_basis(weight)
+    coords = _back_substitute(residual, _ladder(weight, n))
     solution = MFPoly.zero(weight)
-    for i in range(d):
-        if i:
-            power = _conv_trunc(power, tail, n - i)
-        k = residual[i]
+    for b, k in zip(_weight_basis(weight), coords):
         if k:
-            col = _conv_trunc(power, _gen_pow(4, delta + 3 * (t - i), n).nums,
-                              n - i)
-            residual[i:i + len(col)] = map(sub, residual[i:], map(k.__mul__, col))
             c = Fraction(k, y.den)
-            solution = solution + basis[i].map_coeffs(lambda x, c=c: c * x)
-    for e, k in enumerate(residual):
-        if k:
-            raise NotIdentifiable(
-                "not identifiable: residual is nonzero at exponent %d" % e)
+            solution = solution + b.map_coeffs(lambda x, c=c: c * x)
     return solution
 
 
@@ -364,8 +410,8 @@ def h_poly(k):
     if k % 2:
         raise ValueError("h_k is defined for even weights only")
     delta, eps, _ = _weight_shape(k)
-    x = Poly((0, 1))
-    return x ** delta * (x - 1728) ** eps
+    h = Poly([0] * delta + [1])
+    return h * Poly((-1728, 1)) if eps else h
 
 
 class DivisorData(NamedTuple):
@@ -385,16 +431,19 @@ def decompose(p):
         raise ValueError("cannot decompose the zero form")
     w = p.weight
     delta, eps, t = _weight_shape(w)
-    ftilde = [Fraction(0)] * (t + 1)
-    for (a, b), c in p.terms.items():
+    # summed in integers over the coefficients' common denominator
+    terms = [(ab, Fraction(c)) for ab, c in p.terms.items()]
+    den = lcm(*[c.denominator for _, c in terms])
+    acc = [0] * (t + 1)
+    for (a, b), c in terms:
         i = (a - delta) // 3
         s = (b - eps) // 2
         assert a - delta == 3 * i and b - eps == 2 * s and i + s == t
         # E4^a E6^b = E4^delta E6^eps (E4^3)^i (E4^3 - 1728*Delta)^s
-        c = Fraction(c)
+        k = c.numerator * (den // c.denominator)
         for r in range(s + 1):
-            ftilde[i + r] += c * (comb(s, r) * (-1728) ** (s - r))
-    ftilde = Poly(ftilde)
+            acc[i + r] += k * comb(s, r) * (-1728) ** (s - r)
+    ftilde = Poly([Fraction(x, den) for x in acc])
     return DivisorData(w, t, delta, eps, ftilde, h_poly(w) * ftilde)
 
 

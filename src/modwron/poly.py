@@ -201,9 +201,16 @@ class Poly:
         return self._new([i * c for i, c in enumerate(self.coeffs) if i])
 
     def __call__(self, a):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = _coeff(out * a + c, self.p)
+        """The value at a, by Horner's rule; over F_p, a is reduced first
+        and each step is reduced inline."""
+        p = self.p
+        a, out = _coeff(a, p), 0
+        if p is None:
+            for c in reversed(self.coeffs):
+                out = out * a + c
+        else:
+            for c in reversed(self.coeffs):
+                out = (out * a + c) % p
         return out
 
     def roots(self):

@@ -10,38 +10,97 @@ symmetric-power Wronskian quotient of the Weber pair at m = (p-3)/2
 The module also peels off the forced linear factors at j = 0 and j = 1728
 and splits the remainder into linear and irreducible quadratic factors
 over F_p by distinct- and equal-degree factorization.
+
+The routes and the constant congruence reduce mod p first and then work
+in F_p, on one table per prime: the Delta-ladder basis of weight p - 1
+reduced mod p, built once from the exact ladder and shared by Deligne's
+route and the congruence.
 """
 
-from fractions import Fraction
 from math import comb, factorial
+from operator import add
 from typing import NamedTuple
 
-from .modpoly import (_weight_shape, dim_modular, divisor_polynomial,
-                      eisenstein, h_poly, identify, to_qseries)
+from .modpoly import (_back_substitute, _ladder, _weight_shape, decompose,
+                      dim_modular, eisenstein, h_poly)
 from .poly import Poly, check_prime
 from .symmpow import sym_quotient_closed_form
+
+# coefficients of E_{p-1} that Deligne's route checks beyond dim M_{p-1}
+DELIGNE_MARGIN = 16
+
+# (weight, p) -> the Delta-ladder of M_weight reduced mod p (`_ladder_mod_p`)
+_LADDERS = {}
+
+
+def _window(p):
+    """The last exponent the congruence checks: q^50, and never less than
+    Sturm's bound floor((p-1)/12) for weight p - 1."""
+    return max(50, (p - 1) // 12)
+
+
+def _ladder_mod_p(weight, p):
+    """The Delta-ladder basis of M_weight reduced mod p, member i from
+    exponent i, through the slots both Deligne's route and the congruence
+    at p read.  Built once per (weight, p) from the exact ladder."""
+    table = _LADDERS.get((weight, p))
+    if table is None:
+        n = max(_window(p) + 1, dim_modular(weight) + DELIGNE_MARGIN)
+        table = _LADDERS[(weight, p)] = list(_ladder(weight, n, p))
+    return table
+
+
+def _residue(c, p, e):
+    """The Fraction c mod p, the coefficient at q^e of what is reduced."""
+    if c.denominator % p == 0:
+        raise ValueError("coefficient at exponent %s has denominator "
+                         "divisible by %d" % (e, p))
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _times_h(f_tilde, weight, p):
+    """monic h_weight f~ over F_p: the divisor polynomial of a form of the
+    weight, mod p, from the ascending coefficients of its f~ mod p."""
+    return (Poly(f_tilde, p) * Poly(h_poly(weight).coeffs, p)).monic()
 
 
 # ---- the two constructions ---------------------------------------------------
 
 def ss_poly_deligne(p):
-    """S_p(x) from the divisor polynomial of E_{p-1} reduced mod p."""
+    """S_p(x) from the divisor polynomial of E_{p-1} reduced mod p.
+
+    E_{p-1} is expanded exactly through dim M_{p-1} + DELIGNE_MARGIN
+    coefficients and reduced mod p; a coefficient with p in its denominator
+    raises a ValueError naming its exponent.  Back-substitution against the
+    ladder mod p gives its coordinates c_i, and every coefficient must
+    match (NotIdentifiable otherwise).  Then f~(x) = sum_i c_i x^(t-i).
+    """
     check_prime(p)
-    n = dim_modular(p - 1) + 16
-    form = identify(eisenstein(p - 1, "E", n), p - 1)
-    return Poly(divisor_polynomial(form).coeffs, p).monic()
+    w = p - 1
+    n = dim_modular(w) + DELIGNE_MARGIN
+    series = eisenstein(w, "E", n)
+    if series.den % p == 0:
+        # den is the lcm of the reduced denominators: name the first one
+        for e, c in series.coeffs():
+            _residue(c, p, e)
+    inv = pow(series.den, -1, p)
+    residual = [0] * int(series.offset) + [c * inv % p for c in series.nums]
+    residual += [0] * (n - len(residual))
+    coords = _back_substitute(residual, _ladder_mod_p(w, p), p)
+    return _times_h(coords[::-1], w, p)
 
 
 def ss_poly_wronskian(p):
     """S_p(x) from the symmetric-power Wronskian quotient at m = (p-3)/2.
 
-    The divisor polynomial of the closed-form quotient W'/W of the m-th
-    symmetric power of the Weber pair is reduced mod p and made monic,
-    which removes any scalar factor of the form.
+    The j-polynomial f~ of the closed-form quotient W'/W of the m-th
+    symmetric power of the Weber pair is reduced mod p, multiplied by the
+    forced factors and made monic, which removes any scalar factor of the
+    form.
     """
     check_prime(p)
-    form = sym_quotient_closed_form((p - 3) // 2)
-    return Poly(divisor_polynomial(form).coeffs, p).monic()
+    d = decompose(sym_quotient_closed_form((p - 3) // 2))
+    return _times_h(d.f_tilde.coeffs, d.weight, p)
 
 
 # ---- the Legendre-family oracle ----------------------------------------------
@@ -180,24 +239,27 @@ def congruence_constant_check(p):
 
     The coefficients are checked through q^50, and never through less
     than Sturm's bound floor((p-1)/12): a form of weight p - 1 whose
-    reduction vanishes through that exponent vanishes mod p.
+    reduction vanishes through that exponent vanishes mod p.  The form is
+    sum_i c_i L_i on its Delta-ladder, L_i = q^i + ... with integer
+    coefficients, so its expansion is summed mod p from the ladder mod p;
+    the first c_i with p in its denominator is also the first q-coefficient
+    with p in its denominator, which the ValueError names.
     """
     check_prime(p)
-    upto = max(50, (p - 1) // 12)
-    m = (p - 3) // 2
-    series = to_qseries(sym_quotient_closed_form(m), Fraction(upto + 1))
-    if series.den % p == 0:
-        # den is the lcm of the reduced denominators: name the first one
-        for e, c in series.coeffs():
-            if c.denominator % p == 0:
-                raise ValueError(
-                    "coefficient at exponent %s has denominator divisible by %d"
-                    % (e, p))
-    inv = pow(series.den, -1, p)
-    residues = [c * inv % p for c in series.nums]
-    # to_qseries starts at exponent 0 and strips leading zero slots
-    constant = residues.pop(0) if residues and series.offset == 0 else 0
-    vanish = not any(residues)
+    upto = _window(p)
+    form = sym_quotient_closed_form((p - 3) // 2)
+    residues = [0] * (upto + 1)
+    if not form.is_zero():
+        d = decompose(form)
+        ladder = _ladder_mod_p(d.weight, p)
+        for i in range(min(d.t, upto) + 1):
+            k = _residue(d.f_tilde.coeff(d.t - i), p, i)
+            if k:
+                col = ladder[i][:upto + 1 - i]
+                residues[i:i + len(col)] = map(add, residues[i:],
+                                               map(k.__mul__, col))
+    constant = residues.pop(0) % p
+    vanish = not any(r % p for r in residues)
     half = (p - 1) // 2
     expected = ((-1) ** half * legendre_symbol(2, p) * factorial(half)) % p
     return CongruenceReport(p=p, constant=constant, expected=expected,

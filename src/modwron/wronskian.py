@@ -253,7 +253,8 @@ def coarsen(fs):
     if bound is None:
         return fs
     out = list(fs)
-    lead = {g.offset: g for g in out if g.step_den == 1}
+    # a member with no known term leads nowhere
+    lead = {g.offset: g for g in out if g.step_den == 1 and g.nums}
     landed = True
     while landed:
         landed = False
@@ -265,7 +266,7 @@ def coarsen(fs):
                 if g is None:
                     break
                 f -= f.coeff_at(e) / g.leading_coefficient() * g
-                if f.step_den == 1:
+                if f.step_den == 1 and f.nums:
                     lead.setdefault(f.offset, f)
                     landed = True
             out[i] = f

@@ -556,6 +556,35 @@ def test_a_bad_prime_exits_2_before_any_row(capsys, monkeypatch, argv):
     assert err == "error: p must be a prime >= 5, got %s\n" % argv[2][-1]
 
 
+@pytest.mark.parametrize("argv,source", [
+    (("ssing", "--p", "1000000007"), "--p"),
+    (("ssing", "--p", "9223372036854775783", "--json"), "--p"),
+    (("run-all", "--primes", "1000000007"), "prime"),
+    (("run-all", "--primes", "5,7,1000000007", "--json"), "prime"),
+])
+def test_a_prime_above_the_cap_exits_2_before_trial_division(
+        capsys, monkeypatch, argv, source):
+    # 9223372036854775783 < sys.maxsize is prime: trial division alone
+    # would take billions of steps, and it is refused before it starts
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("check_prime", "verify", "symcheck_report",
+                 "supersingular_report", "run_all"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    p = int(argv[2].split(",")[-1])
+    assert code == 2 and out == ""
+    assert err == ("error: %s %d is above %d, the largest p the supersingular "
+                   "routes take\n" % (source, p, cli.P_MAX))
+
+
+def test_the_cap_admits_every_prime_up_to_it():
+    assert cli._prime_arg(cli.P_MAX, "--p") == cli.P_MAX == 3000
+    with pytest.raises(ValueError, match="above 3000"):
+        cli._prime_arg(cli.P_MAX + 1, "--p")
+
+
 def test_ssing_cli_bad_prime(capsys):
     code, _, err = run_cli(capsys, "ssing", "--p", "9")
     assert code == 2

@@ -264,6 +264,14 @@ def test_eisenstein_memo_matches_a_fresh_build(requests, decreasing):
     assert set(modpoly._EIS_POW) == built
 
 
+def test_eisenstein_power_chain_runs_past_the_recursion_limit():
+    # one product per power, from the highest power kept at that length
+    modpoly._EIS_POW.clear()
+    assert _gen_pow(4, 1500, 3) == eisenstein_power_by_sums(4, 1500, 3)
+    assert set(modpoly._EIS_POW) == {(4, j) for j in range(1, 1501)}
+    assert _gen_pow(4, 1502, 3) == eisenstein_power_by_sums(4, 1502, 3)
+
+
 # ---- the Fraction-per-term layer, kept as the reference -------------------------
 
 def to_qseries_by_terms(p, N):

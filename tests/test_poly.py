@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modwron.poly import Poly
+from modwron.poly import Poly, _coeff
 
 X = Poly((0, 1))
 
@@ -113,3 +113,27 @@ def test_division_with_remainder(a, b, p):
     g = u.gcd(v)
     assert g.coeffs[-1] == 1
     assert not u % g and not v % g
+
+
+def value_by_coeff(f, a):
+    """Reference: Horner's rule with each step normalized by _coeff."""
+    out = 0
+    for c in reversed(f.coeffs):
+        out = _coeff(out * a + c, f.p)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9),
+       st.sampled_from([5, 7, 13, 31, 97]))
+def test_values_and_roots_over_fp_match_coeff_evaluation(coeffs, p):
+    f = Poly(coeffs, p)
+    assert all(f(a) == value_by_coeff(f, a) for a in range(-p, 2 * p))
+    assert f.roots() == {a for a in range(p) if value_by_coeff(f, a) == 0}
+
+
+def test_values_over_q():
+    f = (X - F(1, 2)) * (X + 3)
+    assert f(F(1, 2)) == 0 and f(2) == F(15, 2) and type(f(2)) is F
+    assert f(F(1, 3)) == value_by_coeff(f, F(1, 3))
+    assert Poly((3, 1), 7)(F(1, 2)) == 0        # x + 3 at 1/2 = 4 in F_7

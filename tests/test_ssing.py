@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modwron.ssing as ssing
-from modwron.modpoly import DELTA, E4, E6, MFPoly, h_poly, to_qseries
+from modwron.modpoly import (DELTA, E4, E6, MFPoly, NotIdentifiable,
+                             _weight_basis, dim_modular, divisor_polynomial,
+                             eisenstein, h_poly, identify, to_qseries)
 from modwron.poly import Poly
+from modwron.qseries import QSeries
 from modwron.ssing import (CongruenceReport, congruence_constant_check,
                            epsilon_factors, hasse_oracle, legendre_symbol,
                            linear_quadratic_split, ss_poly_deligne,
@@ -113,6 +116,79 @@ def test_ss_wronskian_spot_values():
     assert ss_poly_wronskian(5) == Poly((0, 1), 5)
     assert ss_poly_wronskian(7) == Poly((1, 1), 7)
     assert ss_poly_wronskian(13) == Poly((-5, 1), 13)
+
+
+@pytest.mark.parametrize("p", primes_between(5, 199))
+def test_deligne_equals_the_identification_over_q(p):
+    # the reference identifies E_{p-1} over Q and reduces its divisor
+    # polynomial; the route reduces E_{p-1} and solves in F_p
+    n = dim_modular(p - 1) + ssing.DELIGNE_MARGIN
+    form = identify(eisenstein(p - 1, "E", n), p - 1)
+    assert (ss_poly_deligne(p)
+            == Poly(divisor_polynomial(form).coeffs, p).monic())
+
+
+@pytest.mark.parametrize("w,p", [(4, 7), (10, 7), (12, 7), (36, 37),
+                                 (96, 97), (150, 151), (198, 199)])
+def test_ladder_mod_p_is_the_exact_ladder_reduced(w, p):
+    table = ssing._ladder_mod_p(w, p)
+    n = len(table[0])
+    assert n == max(ssing._window(p) + 1, dim_modular(w) + ssing.DELIGNE_MARGIN)
+    basis = _weight_basis(w)
+    assert len(table) == len(basis)
+    for i, (col, b) in enumerate(zip(table, basis)):
+        exact = to_qseries(b, n)
+        assert exact.offset == i and exact.den == 1
+        slots = [c % p for c in exact.nums]
+        assert col == slots + [0] * (n - i - len(slots))
+
+
+def test_the_report_and_the_congruence_share_one_ladder(monkeypatch):
+    built = []
+    real = ssing._ladder
+
+    def counted(weight, n, p=None):
+        built.append((weight, n, p))
+        return real(weight, n, p)
+
+    monkeypatch.setattr(ssing, "_ladder", counted)
+    monkeypatch.setattr(ssing, "_LADDERS", {})
+    for p in (37, 41):
+        assert supersingular_report(p).routes_agree
+        assert congruence_constant_check(p).ok
+    assert built == [(36, 51, 37), (40, 51, 41)]
+    assert sorted(ssing._LADDERS) == [(36, 37), (40, 41)]
+
+
+def _plant(monkeypatch, *terms):
+    """E_{p-1} as the Deligne route builds it, plus the (c, e) monomials."""
+    def planted(k, norm, N):
+        out = eisenstein(k, norm, N)
+        for c, e in terms:
+            out = out + QSeries.monomial(c, e, N)
+        return out
+
+    monkeypatch.setattr(ssing, "eisenstein", planted)
+
+
+def test_deligne_rejects_a_planted_residual_slot(monkeypatch):
+    p = 37
+    n = dim_modular(p - 1) + ssing.DELIGNE_MARGIN
+    truth = ss_poly_deligne(p)
+    _plant(monkeypatch, (p, n - 1))             # zero mod p: no change
+    assert ss_poly_deligne(p) == truth
+    _plant(monkeypatch, (1, n - 1))
+    with pytest.raises(NotIdentifiable,
+                       match="residual is nonzero at exponent %d" % (n - 1)):
+        ss_poly_deligne(p)
+
+
+def test_deligne_names_a_denominator_divisible_by_p(monkeypatch):
+    p = 37
+    _plant(monkeypatch, (F(1, p * p), 7), (F(2, p), 3), (F(1, 3), 2))
+    with pytest.raises(ValueError, match="^coefficient at exponent 3 has "
+                                         "denominator divisible by 37$"):
+        ss_poly_deligne(p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -771,6 +771,10 @@ def coarsenable_family(draw):
 @example([QSeries(F(1, 6), [1]), QSeries(0, [1]), QSeries(0, [1]),
           QSeries(0, [1]), QSeries(0, [1, 1], prec=F(5, 4)),
           QSeries(0, [-2, 1, 0, 0, 0, 0, -2], 6, prec=F(5, 4))])
+# a member with no known term, O(q^(1/2)), sits on one class at offset 0,
+# where the other member has a term to clear; it must not be taken as a lead
+@example([QSeries(0, [], prec=F(1, 2)),
+          QSeries(F(-1, 2), [-1, -1], 2, prec=F(1, 2))])
 def test_coarsening_keeps_every_minor_and_precision(fs):
     assert_coarsening_keeps(fs)
 
