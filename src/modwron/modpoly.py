@@ -5,7 +5,8 @@ on the polynomial ring and on q-series), identification of q-series as
 modular forms, and divisor polynomials on the j-line.  q-expansion and
 identification work on integer slot lists over one denominator: a form is
 summed term by term into one list, and identify back-substitutes in
-integers against the Delta-ladder basis.
+integers against the Delta-ladder basis.  The same ladder and
+back-substitution, mod p, serve the supersingular routes (ssing).
 """
 
 from fractions import Fraction

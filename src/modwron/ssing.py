@@ -13,8 +13,8 @@ over F_p by distinct- and equal-degree factorization.
 
 The routes and the constant congruence reduce mod p first and then work
 in F_p, on one table per prime: the Delta-ladder basis of weight p - 1
-reduced mod p, built once from the exact ladder and shared by Deligne's
-route and the congruence.
+mod p, built once from the exact Eisenstein powers and Delta/q and shared
+by Deligne's route and the congruence.
 """
 
 from math import comb, factorial
@@ -42,7 +42,7 @@ def _window(p):
 def _ladder_mod_p(weight, p):
     """The Delta-ladder basis of M_weight reduced mod p, member i from
     exponent i, through the slots both Deligne's route and the congruence
-    at p read.  Built once per (weight, p) from the exact ladder."""
+    at p read.  Built once per (weight, p) by `_ladder` over F_p."""
     table = _LADDERS.get((weight, p))
     if table is None:
         n = max(_window(p) + 1, dim_modular(weight) + DELIGNE_MARGIN)
