@@ -5,8 +5,7 @@ import types
 
 from .qseries import QSeries, first_mismatch, DEFAULT_PREC, LATTICE_CAP
 from .poly import Poly
-from .etaprod import (ProductSpec, ThetaSpec, eta, named_series,
-                      product_series, theta_sum)
+from .etaprod import ProductSpec, eta, named_series, product_series
 from .modpoly import (DivisorData, MFPoly, E4, E6, DELTA, G4, G6, bernoulli,
                       decompose, dim_modular, divisor_polynomial, eisenstein,
                       identify, InsufficientPrecision, NotIdentifiable,

@@ -7,10 +7,9 @@ function is the product of 1/(1-q^j) taken once per color, and counting
 expands that product with the one Euler-product kernel of `qseries`.
 """
 
-from numbers import Real
 from typing import NamedTuple
 
-from .qseries import _euler_product
+from .qseries import _euler_product, _integral
 
 
 class _ColorCounts(NamedTuple):
@@ -31,7 +30,7 @@ class ColorSpec(_ColorCounts):
         if type(modulus) is bool or not isinstance(modulus, int) \
                 or modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        counts = tuple(map(_count, counts))
+        counts = tuple(_integral(c, "color counts") for c in counts)
         if len(counts) != modulus:
             raise ValueError("need exactly %d color counts, got %d"
                              % (modulus, len(counts)))
@@ -48,15 +47,6 @@ class ColorSpec(_ColorCounts):
         """Number of colors available to a part of size j."""
         r = j % self.modulus
         return self.counts[r - 1] if r else self.counts[self.modulus - 1]
-
-
-def _count(c):
-    """A color count as an int: integral numbers such as 2.0 are accepted,
-    anything that int() would truncate or parse (1.5, "3") or a bool is
-    refused."""
-    if type(c) is bool or not isinstance(c, Real) or c != c // 1:
-        raise ValueError("color counts must be integers, got %r" % (c,))
-    return int(c)
 
 
 def _count_array(colors_of, n):

@@ -14,19 +14,20 @@ the bit widths, the truncation and whether both lists are the same (a
 square packs once; the loop halves its products).  _solve is the exact
 triangular solve behind _euler_product and _divexact, which divides series
 and, on packed rows, every step of the Wronskian elimination (wronskian
-module).  Sparse taps (eta,
-theta sums) run the recurrence over the nonzero taps only, in O(n * nnz).
-Dense int taps split a run in half, and once the left half is solved,
-_packs chooses how it reaches the right half: one _kron middle product,
-which unpacks only the slots the right half needs, or the loop.  Non-int
-taps run the row-by-row loop.  Every step divides the same integer as that
-loop, so an inexact step still raises.  An operand on an s times coarser
-lattice meets the s residue classes of the other one by one (_by_class).
+module).  Sparse taps (an eta divisor) run the recurrence over the nonzero
+taps only, in O(n * nnz).  Dense int taps split a run in half, and once the
+left half is solved, _packs chooses how it reaches the right half: one _kron
+middle product, which unpacks only the slots the right half needs, or the
+loop.  Non-int taps run the row-by-row loop.  Every step divides the same
+integer as that loop, so an inexact step still raises.  An operand on an s
+times coarser lattice meets the s residue classes of the other one by one
+(_by_class).
 """
 
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from numbers import Real
 from operator import add, mul as _mul_op
 
 LATTICE_CAP = 120     # largest allowed exponent-lattice denominator
@@ -49,6 +50,15 @@ def _as_frac(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
+
+
+def _integral(x, what):
+    """x as an int: integral numbers such as 2.0 are accepted, anything
+    that int() would truncate or parse (1.5, 3/2, "3") or a bool is
+    refused."""
+    if type(x) is bool or not isinstance(x, Real) or x != x // 1:
+        raise ValueError("%s must be integers, got %r" % (what, x))
+    return int(x)
 
 
 def _check_cap(d):

@@ -1,9 +1,11 @@
-"""Tests for eta products, restricted q-products, and theta sums.
+"""Tests for eta products, restricted q-products, the named series, and
+the theta-sum reference they are compared against.
 
 Expected coefficient prefixes were computed by an independent integer
 convolution script and are frozen here verbatim.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,15 +15,13 @@ import modwron.etaprod as etaprod
 from modwron.etaprod import (
     NAMES,
     ProductSpec,
-    ThetaSpec,
     _int_window,
     eta,
     named_series,
     product_series,
-    theta_sum,
 )
 from modwron.qseries import QSeries, first_mismatch
-from test_qseries import euler_product_by_loop
+from test_qseries import ThetaSpec, euler_product_by_loop, theta_sum
 
 F = Fraction
 
@@ -39,20 +39,27 @@ W1_HALF = [1, 8, 28, 64, 134, 288, 568, 1024, 1809, 3152, 5316, 8704,
 ETA5_OVER_ETA = [1, 1, 2, 3, 5, 6, 10, 13, 19, 25, 34, 44, 60, 76, 100, 127]
 
 
-# ch1 and ch2 by the Jacobi triple product: q^prefactor * theta / eta, the
-# reference that the product rows of named_series are compared against
-CH_THETAS = {
+# the theta quotients by the Jacobi triple product: q^prefactor * theta / eta,
+# the reference that the product rows of named_series are compared against
+THETA_QUOTIENTS = {
     "ch1": (ThetaSpec(5, 3, "alternating"), F(9, 40)),
     "ch2": (ThetaSpec(5, 1, "alternating"), F(1, 40)),
+    "a1_f1": (ThetaSpec(2, 0), 0),
+    "a1_f2": (ThetaSpec(2, 2), F(1, 4)),
 }
 
 
-def ch_by_theta(name, N):
-    spec, prefactor = CH_THETAS[name]
+def by_theta(name, N):
+    spec, prefactor = THETA_QUOTIENTS[name]
     t = theta_sum(spec, N + 1)
     # eta is known through its leading term even when N + 1 <= 1/24
     d = eta(1, max(N + 1, 1))
     return (QSeries.monomial(1, prefactor) * t / d).truncate(N)
+
+
+def fields(s):
+    """Every field of a series, so that equal tuples mean equal builds."""
+    return (s.offset, s.step_den, s.nums, s.den, s.prec)
 
 
 def slots(s, count):
@@ -113,12 +120,11 @@ def test_ch2_product_prefix():
     assert slots(s, 16) == [F(c) for c in CH2]
 
 
-@pytest.mark.parametrize("name", ["ch1", "ch2"])
-def test_ch_theta_route_agrees_with_product(name):
-    a = named_series(name, 25)
-    b = ch_by_theta(name, 25)
-    assert first_mismatch(a, b) is None
-    assert a.prec == b.prec == 25
+@pytest.mark.parametrize("name", sorted(THETA_QUOTIENTS))
+def test_theta_route_agrees_with_product(name):
+    for N in (25, F(17, 3), 500):
+        a = named_series(name, N)
+        assert fields(a) == fields(by_theta(name, N)) and a.prec == N
 
 
 def test_rr_cf_prefix():
@@ -192,6 +198,21 @@ def test_product_spec_validates_residues():
         ProductSpec([(5, 5, 1)])
     with pytest.raises(ValueError):
         ProductSpec([(0, 0, 1)])
+
+
+@pytest.mark.parametrize("factor", [
+    (1, 2, F(3, 2)), (1, 2, 1.5), (1.7, 2.2, 1), (1, "3", 1), (1, 2, True),
+    (0, 2, float("nan"))], ids=repr)
+def test_product_spec_refuses_what_int_would_truncate_or_parse(factor):
+    bad = next(x for x in factor if type(x) is not int)
+    with pytest.raises(ValueError, match=re.escape("integers, got %r" % (bad,))):
+        ProductSpec([factor])
+
+
+def test_product_spec_accepts_integral_numbers():
+    spec = ProductSpec([(1.0, F(4, 2), -3.0)])
+    assert spec.factors == [(1, 2, -3)]
+    assert all(type(x) is int for x in spec.factors[0])
 
 
 def test_product_series_euler_inverse():
@@ -309,16 +330,15 @@ def test_eta_precision_soundness(scale, N, more):
        st.fractions(min_value=F(1, 120), max_value=4, max_denominator=120))
 def test_named_series_precision_soundness(name, N, more):
     """A larger N never changes a coefficient of a named series below the
-    precision reported at N, N < 0 too; ch1 and ch2 match the theta
-    reference at both precisions."""
+    precision reported at N, N < 0 too; the four theta quotients equal the
+    theta reference field for field at both precisions."""
     lo = named_series(name, N)
     hi = named_series(name, N + more)
     assert first_mismatch(lo, hi) is None
     assert lo.prec <= hi.prec
-    if name in CH_THETAS:
+    if name in THETA_QUOTIENTS:
         for s, n in ((lo, N), (hi, N + more)):
-            ref = ch_by_theta(name, n)
-            assert first_mismatch(s, ref) is None and s.prec == ref.prec
+            assert fields(s) == fields(by_theta(name, n))
 
 
 def _fresh(name, N):
@@ -356,26 +376,27 @@ def test_named_series_memo_matches_a_fresh_build(requests, decreasing):
 @pytest.mark.parametrize("name, route", [("ch1", "theta"), ("ch2", "theta"),
                                          ("a1_f1", None), ("a1_f2", None)])
 def test_named_series_theta_route_below_its_first_term(name, route):
-    """A fresh build at N = -3, where the theta sum is asked for no term at
-    all, is the empty series O(q^-3); so is the theta reference (route
-    "theta") of ch1 and ch2."""
+    """A fresh build at N = -3, below the first term of each name, is the
+    empty series O(q^-3); so is the theta reference (route "theta") of ch1
+    and ch2, where the theta sum is asked for no term at all."""
     assert _fresh(name, -3) == QSeries.zero(-3)
     if route == "theta":
-        assert ch_by_theta(name, -3) == QSeries.zero(-3)
+        assert by_theta(name, -3) == QSeries.zero(-3)
 
 
 @pytest.mark.parametrize("name, route", [("a1_f1", None), ("a1_f2", None),
                                          ("ch1", "theta")])
 def test_theta_route_too_large_for_memory_fails_at_once(name, route):
-    """The theta sum allocates its slot list before it enumerates a term,
-    so a precision no list can hold fails there, as eta and product_series
-    do, instead of walking ~sqrt(N) indices first: in named_series, and in
-    the theta reference (route "theta") of ch1."""
+    """A precision no list can hold fails at once, where the slot list is
+    allocated: in named_series, whose products allocate before they
+    expand, and in the theta reference (route "theta") of ch1, whose theta
+    sum allocates before it enumerates a term, instead of walking
+    ~sqrt(N) indices first."""
     with pytest.raises(OverflowError):
         named_series(name, 10**400)
     if route == "theta":
         with pytest.raises(OverflowError):
-            ch_by_theta(name, 10**400)
+            by_theta(name, 10**400)
 
 
 def test_theta_spec_validation():

@@ -1,7 +1,7 @@
 import random
 from contextlib import nullcontext
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import floor, gcd, lcm
 from operator import mul
 from unittest import mock
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modwron.qseries as qs
-from modwron.etaprod import THETAS, eta, theta_sum
+from modwron.etaprod import eta
 from modwron.modpoly import E4
 from modwron.poly import Poly
 from modwron.qseries import (QSeries, first_mismatch, DEFAULT_PREC, LATTICE_CAP,
@@ -595,6 +595,43 @@ def euler_product_by_loop(w, n):
     return c
 
 
+class ThetaSpec:
+    """Reference: sum over n in Z of sign(n) * q^((A*n^2 + B*n)/2), A > 0."""
+
+    SIGNS = ("trivial", "alternating")
+
+    def __init__(self, A, B, sign="trivial"):
+        self.A = F(A)
+        self.B = F(B)
+        if self.A <= 0:
+            raise ValueError("theta quadratic coefficient must be positive")
+        if sign not in self.SIGNS:
+            raise ValueError("sign must be one of %r" % (self.SIGNS,))
+        self.sign = sign
+
+
+def theta_sum(spec, N):
+    """Reference: a ThetaSpec expanded exactly, to absolute precision N.
+
+    The integer n0 nearest -B/(2A) has the lowest exponent e0, and
+    e(n0 + t) - e0 = A t(t-1)/2 + d t with d = e(n0 + 1) - e0: the slots
+    below N, on e0 + gcd(A, d) Z, are allocated before t walks out from 0."""
+    N = F(N)
+    A, B = spec.A, spec.B
+    alt = spec.sign == "alternating"
+    n0 = floor(F(1, 2) - B / (2 * A))
+    e0 = (A * n0 * n0 + B * n0) / 2
+    d = A * n0 + (A + B) / 2
+    step = lcm(A.denominator, d.denominator)
+    nums = [0] * max(_ceil((N - e0) * step), 0)
+    a, d = int(A * step), int(d * step)      # A and d in slots
+    for t, dt in ((0, 1), (-1, -1)):
+        while (s := a * t * (t - 1) // 2 + d * t) < len(nums):
+            nums[s] += -1 if alt and (n0 + t) % 2 else 1
+            t += dt
+    return QSeries(e0, nums, step, 1, N)
+
+
 def _sparse(tail):
     """True when _solve runs tap by tap on this tail."""
     return 4 * (len(tail) - tail.count(0)) < len(tail)
@@ -643,8 +680,8 @@ def _real_divisor(name, n):
     if name == "eta":
         return eta(1, n).nums[:n]
     if name == "theta":
-        # the a1_f2 theta sum: content 2, lead 2, taps at n(n+1)
-        return theta_sum(THETAS["a1_f2"][0], n).nums[:n]
+        # the theta sum of a1_f2: content 2, lead 2, taps at n(n+1)
+        return theta_sum(ThetaSpec(2, 2), n).nums[:n]
     # eta(5 tau) on the 1/5 lattice, as rw1 divides by it
     return _upsample(eta(5, n).nums, 5)[:n]
 
