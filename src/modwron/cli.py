@@ -77,8 +77,9 @@ def _fits(n, source):
 
 
 # The largest p that `ssing --p` and `run-all --primes` take, checked
-# before trial division: `ssing --p 1009` takes 0.6 s, `--p 2003` 3.0 s
-# and `--p 2999` 9.6 s on a 2-vCPU Xeon VM with CPython 3.11.
+# before trial division: `ssing --p 1009` takes 0.3 s, `--p 2003` 1.4 s
+# and `--p 2999` 4.7 s on a 2-vCPU Xeon VM with CPython 3.11, up to half
+# of it in the exact B_(p-1) behind E_(p-1).
 P_MAX = 3000
 
 

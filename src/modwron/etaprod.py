@@ -27,6 +27,9 @@ class ProductSpec:
             if m < 1 or not 0 <= r < m:
                 raise ValueError("factor residue %r out of range mod %r" % (r, m))
             self.factors.append((r, m, e))
+        if type(prefactor) not in (int, Fraction):
+            raise ValueError("prefactor must be an int or a Fraction, got %r"
+                             % (prefactor,))
         self.prefactor = Fraction(prefactor)
 
 

@@ -2,11 +2,13 @@
 
 Provides Eisenstein q-expansions, the weight-raising theta derivation (both
 on the polynomial ring and on q-series), identification of q-series as
-modular forms, and divisor polynomials on the j-line.  q-expansion and
-identification work on integer slot lists over one denominator: a form is
-summed term by term into one list, and identify back-substitutes in
-integers against the Delta-ladder basis.  The same ladder and
-back-substitution, mod p, serve the supersingular routes (ssing).
+modular forms, and divisor polynomials on the j-line.  Forms meet q-series
+at one place, the Delta-ladder basis Delta^i E4^(delta+3(t-i)) E6^epsilon
+of M_w in integer slots: q-expansion sums a form's `decompose` coordinates
+against it over one denominator, and identify back-substitutes in integers
+against it and composes the MFPoly from the coordinates.  The same ladder,
+built in F_p, and the same back-substitution serve the supersingular
+routes (ssing).
 """
 
 from fractions import Fraction
@@ -16,8 +18,8 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .poly import Poly
-from .qseries import (DEFAULT_PREC, QSeries, _ceil, _conv_trunc, _euler_product,
-                      _fmt_sum, _power)
+from .qseries import (DEFAULT_PREC, QSeries, _ceil, _conv_trunc, _divexact,
+                      _euler_product, _fmt_sum, _power)
 
 
 @lru_cache(maxsize=None)
@@ -44,40 +46,25 @@ def bernoulli(n):
     return b if k % 2 else -b
 
 
-# (k, e) -> E_k^e at the most slots built so far
-_EIS_POW = {}
+# k -> E_k at the most slots built so far
+_EIS = {}
 
 
-def _gen_pow(k, e, slots):
-    """E_k^e to `slots` coefficients, E-normalized (constant term 1).  A
-    shorter one is the truncation of the longest kept, which equals a fresh
-    build: a truncated product is prefix-stable.  A power missing at that
-    length is built by a loop from the highest power kept there, and every
-    power on the way is kept."""
-    built = _EIS_POW.get((k, e))
+def _eis(k, slots):
+    """E_k to `slots` coefficients, E-normalized (constant term 1):
+    1 - (2k / B_k) sum sigma_(k-1)(n) q^n.  A shorter one is the truncation
+    of the longest kept, which equals a fresh build."""
+    built = _EIS.get(k)
     if built is None or built.prec < slots:
-        if e > 1:
-            base = _gen_pow(k, 1, slots)
-            j = e - 1
-            while j > 1 and ((k, j) not in _EIS_POW
-                             or _EIS_POW[(k, j)].prec < slots):
-                j -= 1
-            built = _gen_pow(k, j, slots)
-            for j in range(j + 1, e + 1):
-                built = _EIS_POW[(k, j)] = built * base
-            return built
-        if e == 0:
-            built = QSeries.one(slots)
-        else:
-            sig = [0] * slots
-            for d in range(1, slots):
-                dk = d ** (k - 1)
-                for n in range(d, slots, d):
-                    sig[n] += dk
-            factor = Fraction(2 * k) / bernoulli(k)
-            coeffs = [Fraction(1)] + [-factor * sig[n] for n in range(1, slots)]
-            built = QSeries.from_fractions(0, coeffs, 1, slots)
-        _EIS_POW[(k, e)] = built
+        sig = [0] * slots
+        for d in range(1, slots):
+            dk = d ** (k - 1)
+            for n in range(d, slots, d):
+                sig[n] += dk
+        f = Fraction(2 * k) / bernoulli(k)
+        nums = [-f.numerator * x for x in sig]
+        nums[0] = f.denominator
+        built = _EIS[k] = QSeries(0, nums, 1, f.denominator, slots)
     return built if built.prec == slots else built.truncate(slots)
 
 
@@ -93,7 +80,7 @@ def eisenstein(k, normalization="E", N=DEFAULT_PREC):
     if norm not in ("E", "G"):
         raise ValueError("normalization must be 'E' or 'G'")
     N = Fraction(N)
-    series = _gen_pow(k, 1, max(_ceil(N), 1)).truncate(N)
+    series = _eis(k, max(_ceil(N), 1)).truncate(N)
     if norm == "G":
         series = series * (-bernoulli(k) / factorial(k))
     return series
@@ -137,10 +124,6 @@ class MFPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def map_coeffs(self, fn):
-        """New MFPoly of the same weight with fn applied to every coefficient."""
-        return MFPoly(self.weight, {k: fn(c) for k, c in self.terms.items()})
 
     def __neg__(self):
         return MFPoly(self.weight, {k: -c for k, c in self.terms.items()})
@@ -227,26 +210,20 @@ def theta_derivation(p):
     return MFPoly(p.weight + 2, out)
 
 
-def _monomial_slots(a, b, slots):
-    """E4^a E6^b as a list of at most `slots` integer slots (E4 and E6 have
-    integer coefficients)."""
-    x = _gen_pow(4, a, slots).nums
-    y = _gen_pow(6, b, slots).nums
-    return _conv_trunc(x, y, slots) if a and b else (y if not a else x)
-
-
 def to_qseries(p, N=DEFAULT_PREC):
-    """q-expansion of an MFPoly with rational coefficients, precision N,
-    summed in integer slots over the coefficients' common denominator."""
+    """q-expansion of an MFPoly with rational coefficients, precision N: its
+    `decompose` coordinates c_i = f~_(t-i) summed against the Delta-ladder in
+    integer slots over their common denominator."""
     N = Fraction(N)
+    if p.is_zero():
+        return QSeries.zero(N)
     slots = max(_ceil(N), 1)
-    terms = [(ab, Fraction(c)) for ab, c in p.terms.items()]
-    den = lcm(*[c.denominator for _, c in terms])
+    d = decompose(p)
+    coords = [d.f_tilde.coeff(d.t - i) for i in range(min(d.t + 1, slots))]
+    den = lcm(*[c.denominator for c in coords])
     acc = [0] * slots
-    for (a, b), c in terms:
-        k = c.numerator * (den // c.denominator)
-        x = _monomial_slots(a, b, slots)
-        acc[:len(x)] = map(add, acc, map(k.__mul__, x))
+    _ladder_sum(acc, [c.numerator * (den // c.denominator) for c in coords],
+                _ladder(p.weight, slots))
     return QSeries(0, acc, 1, den, N)
 
 
@@ -285,46 +262,56 @@ def dim_modular(w):
     return _weight_shape(w)[2] + 1
 
 
-def _weight_basis(w):
-    """Basis of M_w with valuations 0, 1, ..., dim-1 (Delta-power ladder):
-    Delta^i E4^(delta + 3(t-i)) E6^epsilon for i = 0..t; w even."""
-    delta, eps, t = _weight_shape(w)
-    basis = []
-    power = MFPoly.constant(Fraction(1))    # Delta^i, one product per step
-    for i in range(t + 1):
-        basis.append(power * MFPoly.monomial(Fraction(1), delta + 3 * (t - i), eps))
-        power = power * DELTA
-    return basis
+# Delta / (q E4^3) = 1 / (q j) at the most slots built so far
+_STEP = []
 
 
-# Delta / q = prod_{d>=1} (1 - q^d)^24 at the most slots built so far
-_DELTA_Q = []
-
-
-def _delta_over_q(n):
-    """The first n integer slots of Delta / q; a shorter one is a prefix of
-    the longest kept."""
-    if len(_DELTA_Q) < n:
-        _DELTA_Q[:] = _euler_product([0] + [24] * (n - 1), n)
-    return _DELTA_Q[:n]
+def _ladder_step(n):
+    """The first n integer slots of Delta / (q E4^3), the factor from one
+    member of the Delta-ladder to the next: Delta / q from the checked Euler
+    product, divided exactly by E4^3, which leads with 1.  A shorter one is
+    a prefix of the longest kept."""
+    if len(_STEP) < n:
+        e4 = _eis(4, n).nums
+        _STEP[:] = _divexact(_euler_product([0] + [24] * (n - 1), n),
+                             _conv_trunc(_conv_trunc(e4, e4, n), e4, n), n)
+    return _STEP[:n]
 
 
 def _ladder(weight, n, p=None):
-    """The Delta-ladder basis of M_weight (`_weight_basis`) in integer slots:
-    member i = 0..t, Delta^i E4^(delta+3(t-i)) E6^epsilon, as its slots from
-    exponent i, where it starts with 1, through exponent n - 1.  Given p,
-    every factor and product is reduced mod p: the ladder over F_p."""
-    def slots(xs):
-        return xs if p is None else [c % p for c in xs]
+    """The Delta-ladder basis of M_weight in integer slots: member i = 0..t,
+    Delta^i E4^(delta+3(t-i)) E6^epsilon, as a fresh list of its slots from
+    exponent i, where it starts with 1, through exponent n - 1.  Member 0
+    is a square-and-multiply power of E4 (times E6), and member i + 1 is
+    member i times Delta / (q E4^3), formed to the slots it reads.  Given p,
+    every factor and product is reduced mod p: the ladder over F_p, and no
+    exact power of E4 is formed."""
+    def red(xs):
+        return xs if p is None else [x % p for x in xs]
+
+    def times(a, b, m=n):
+        return red(_conv_trunc(a, b, m))
 
     delta, eps, t = _weight_shape(weight)
-    tail = slots(_delta_over_q(n - 1))
-    power = slots(_gen_pow(6, eps, n).nums)   # (Delta / q)^i E6^epsilon
+    if t < 0:
+        return
+    e = delta + 3 * t
+    member = _power(red(_eis(4, n).nums), e, times) if e else [1]
+    if eps:
+        member = times(member, red(_eis(6, n).nums))
+    step = red(_ladder_step(n - 1)) if t else []
     for i in range(t + 1):
         if i:
-            power = slots(_conv_trunc(power, tail, n - i))
-        yield slots(_conv_trunc(
-            power, slots(_gen_pow(4, delta + 3 * (t - i), n).nums), n - i))
+            member = times(member, step, n - i)
+        yield member[:]
+
+
+def _ladder_sum(acc, coords, ladder):
+    """Add sum_i coords[i] * (member i of `ladder`, from exponent i) into the
+    slot list acc, in place, through its last slot."""
+    for i, (k, col) in enumerate(zip(coords, ladder)):
+        if k:
+            acc[i:i + len(col)] = map(add, acc[i:], map(k.__mul__, col))
 
 
 class InsufficientPrecision(ValueError):
@@ -398,12 +385,24 @@ def identify(y, weight):
     residual = [0] * off + y.nums
     residual += [0] * (n - len(residual))
     coords = _back_substitute(residual, _ladder(weight, n))
-    solution = MFPoly.zero(weight)
-    for b, k in zip(_weight_basis(weight), coords):
+    return _compose(weight, coords, y.den)
+
+
+def _compose(weight, coords, den):
+    """The MFPoly sum_i (coords[i] / den) Delta^i E4^(delta+3(t-i)) E6^epsilon
+    of the weight, the inverse of `decompose`: with 1728 Delta = E4^3 - E6^2,
+    the coefficient of E4^(delta+3(t-s)) E6^(epsilon+2s) is summed in
+    integers over den * 1728^t."""
+    delta, eps, t = _weight_shape(weight)
+    acc = [0] * (t + 1)
+    for i, k in enumerate(coords):
         if k:
-            c = Fraction(k, y.den)
-            solution = solution + b.map_coeffs(lambda x, c=c: c * x)
-    return solution
+            k *= 1728 ** (t - i)
+            for s in range(i + 1):
+                acc[s] += (-1) ** s * comb(i, s) * k
+    scale = den * 1728 ** t
+    return MFPoly(weight, {(delta + 3 * (t - s), eps + 2 * s): Fraction(x, scale)
+                           for s, x in enumerate(acc)})
 
 
 def h_poly(k):

@@ -12,17 +12,16 @@ and splits the remainder into linear and irreducible quadratic factors
 over F_p by distinct- and equal-degree factorization.
 
 The routes and the constant congruence reduce mod p first and then work
-in F_p, on one table per prime: the Delta-ladder basis of weight p - 1
-mod p, built once from the exact Eisenstein powers and Delta/q and shared
+in F_p, on one table per prime: the Delta-ladder basis of weight p - 1,
+built once in F_p, with every factor and product reduced mod p, and shared
 by Deligne's route and the congruence.
 """
 
 from math import comb, factorial
-from operator import add
 from typing import NamedTuple
 
-from .modpoly import (_back_substitute, _ladder, _weight_shape, decompose,
-                      dim_modular, eisenstein, h_poly)
+from .modpoly import (_back_substitute, _ladder, _ladder_sum, _weight_shape,
+                      decompose, dim_modular, eisenstein, h_poly)
 from .poly import Poly, check_prime
 from .symmpow import sym_quotient_closed_form
 
@@ -251,13 +250,9 @@ def congruence_constant_check(p):
     residues = [0] * (upto + 1)
     if not form.is_zero():
         d = decompose(form)
-        ladder = _ladder_mod_p(d.weight, p)
-        for i in range(min(d.t, upto) + 1):
-            k = _residue(d.f_tilde.coeff(d.t - i), p, i)
-            if k:
-                col = ladder[i][:upto + 1 - i]
-                residues[i:i + len(col)] = map(add, residues[i:],
-                                               map(k.__mul__, col))
+        _ladder_sum(residues, [_residue(d.f_tilde.coeff(d.t - i), p, i)
+                               for i in range(min(d.t, upto) + 1)],
+                    _ladder_mod_p(d.weight, p))
     constant = residues.pop(0) % p
     vanish = not any(r % p for r in residues)
     half = (p - 1) // 2

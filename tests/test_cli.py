@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -713,6 +714,32 @@ def test_divpoly_cli_json_golden(capsys, monkeypatch):
     assert out == json.dumps({"weight": 12,
                               "divisor_polynomial": ["-432000/691", "1"]},
                              indent=2, sort_keys=True) + "\n"
+
+
+# taken before the form layer moved onto the Delta-ladder coordinates
+KZ24_SHA256 = "dfe0659c0993d5a7459eabec82004f8e6834e177319e6ab1e90e0941889ad3d2"
+KZ24_TERMS = {"0,8": "-239360/59049", "12,0": "-1179256/243",
+              "3,6": "-38536960/19683", "6,4": "-62622560/2187",
+              "9,2": "-32429540/729"}
+KZ24_DIVPOLY = ["-36142149795840", "30557685678080/3", "-2784021053440/27",
+                "406796867840/2187", "-4720011308/59049"]
+
+
+def test_kz_identify_divpoly_golden_at_weight_48(capsys, monkeypatch):
+    # t = 4: the ladder runs through Delta^4
+    code, out, err = run_cli(capsys, "kz", "--l", "24", "--alpha", "1/3",
+                             "--prec", "40", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == KZ24_SHA256
+    payload = json.loads(out)
+    assert payload["terms"] == KZ24_TERMS
+    blob = json.dumps(payload["series"])
+    for command, golden in (
+            ("identify", {"terms": KZ24_TERMS, "weight": 48}),
+            ("divpoly", {"divisor_polynomial": KZ24_DIVPOLY, "weight": 48})):
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        assert run_cli(capsys, command, "--weight", "48", "--json") == (
+            0, json.dumps(golden, indent=2, sort_keys=True) + "\n", "")
 
 
 def test_identify_human_line_uses_mfpoly_str(capsys, monkeypatch):

@@ -215,6 +215,20 @@ def test_product_spec_accepts_integral_numbers():
     assert all(type(x) is int for x in spec.factors[0])
 
 
+@pytest.mark.parametrize("prefactor", ["1/3", 0.1, True], ids=repr)
+def test_product_spec_refuses_a_prefactor_fraction_would_parse(prefactor):
+    with pytest.raises(ValueError, match=re.escape(
+            "prefactor must be an int or a Fraction, got %r" % (prefactor,))):
+        ProductSpec([(0, 1, 1)], prefactor)
+
+
+def test_product_spec_accepts_int_and_fraction_prefactors():
+    assert ProductSpec([(0, 1, 1)], F(-1, 60)).prefactor == F(-1, 60)
+    spec = ProductSpec([(0, 1, 1)], 0)
+    assert type(spec.prefactor) is F and spec.prefactor == 0
+    assert product_series(spec, 2) == QSeries(0, [1, -1], 1, 1, 2)
+
+
 def test_product_series_euler_inverse():
     spec = ProductSpec([(0, 1, -1)])
     p = product_series(spec, 10)

@@ -18,11 +18,13 @@ from modwron.modpoly import (
     E6,
     G4,
     G6,
+    IDENTIFY_MARGIN,
     InsufficientPrecision,
     MFPoly,
     NotIdentifiable,
-    _gen_pow,
-    _weight_basis,
+    _compose,
+    _eis,
+    _ladder,
     _weight_shape,
     bernoulli,
     decompose,
@@ -247,40 +249,70 @@ def eisenstein_power_by_sums(k, e, slots):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([2, 4, 6, 12, 22]), st.integers(0, 4),
-                          st.integers(1, 40)), min_size=1, max_size=8),
+@given(st.lists(st.tuples(st.sampled_from([2, 4, 6, 12, 22]), st.integers(1, 40)),
+                min_size=1, max_size=8),
        st.booleans())
 def test_eisenstein_memo_matches_a_fresh_build(requests, decreasing):
-    """Powers served from the longest expansion kept equal a fresh build,
-    for slot counts that rise and fall, and the memo holds one entry per
-    (k, e) built."""
+    """E_k served from the longest expansion kept equals a fresh build, for
+    slot counts that rise and fall, and the memo holds one entry per k."""
     if decreasing:
-        requests = sorted(requests, key=lambda r: r[2], reverse=True)
-    modpoly._EIS_POW.clear()
-    built = set()
-    for k, e, slots in requests:
-        assert _gen_pow(k, e, slots) == eisenstein_power_by_sums(k, e, slots)
-        built |= {(k, 0)} if e == 0 else {(k, j) for j in range(1, e + 1)}
-    assert set(modpoly._EIS_POW) == built
+        requests = sorted(requests, key=lambda r: r[1], reverse=True)
+    modpoly._EIS.clear()
+    for k, slots in requests:
+        assert _eis(k, slots) == eisenstein_power_by_sums(k, 1, slots)
+    assert set(modpoly._EIS) == {k for k, _ in requests}
+    assert all(modpoly._EIS[k].prec == max(n for j, n in requests if j == k)
+               for k in modpoly._EIS)
 
 
-def test_eisenstein_power_chain_runs_past_the_recursion_limit():
-    # one product per power, from the highest power kept at that length
-    modpoly._EIS_POW.clear()
-    assert _gen_pow(4, 1500, 3) == eisenstein_power_by_sums(4, 1500, 3)
-    assert set(modpoly._EIS_POW) == {(4, j) for j in range(1, 1501)}
-    assert _gen_pow(4, 1502, 3) == eisenstein_power_by_sums(4, 1502, 3)
+def test_ladder_power_chain_runs_as_a_loop():
+    # weight 6000 reaches E4^1500, past the default recursion limit
+    members = list(_ladder(6000, 3))
+    assert len(members) == 501
+    assert members[0] == eisenstein_power_by_sums(4, 1500, 3).nums
+    assert members[1] == (eisenstein_power_by_sums(4, 1497, 2)
+                          * QSeries(0, [1, -24], 1, 1, 2)).nums
+    assert members[2] == [1] and not any(members[3:])
+
+
+def test_ladder_members_are_fresh_lists():
+    e4 = eisenstein_power_by_sums(4, 1, 20)
+    for w in (4, 6, 10, 12, 16, 36):
+        for member in _ladder(w, 20):
+            member[:] = [7] * len(member)
+    assert eisenstein(4, "E", 20) == e4
+    assert eisenstein(6, "E", 20) == eisenstein_power_by_sums(6, 1, 20)
+    assert list(_ladder(4, 20))[0] == e4.nums
 
 
 # ---- the Fraction-per-term layer, kept as the reference -------------------------
 
+def weight_basis(w):
+    """Reference: the Delta-ladder basis of M_w as MFPolys, Delta^i
+    E4^(delta + 3(t-i)) E6^epsilon for i = 0..t, by products of DELTA."""
+    delta, eps, t = _weight_shape(w)
+    basis = []
+    power = MFPoly.constant(F(1))
+    for i in range(t + 1):
+        basis.append(power * MFPoly.monomial(F(1), delta + 3 * (t - i), eps))
+        power = power * DELTA
+    return basis
+
+
 def to_qseries_by_terms(p, N):
-    """Reference: one Fraction times QSeries and one QSeries sum per term."""
+    """Reference: E4^a E6^b by repeated QSeries products of the Eisenstein
+    series, then one Fraction times QSeries and one QSeries sum per term."""
     N = F(N)
     slots = max(_ceil(N), 1)
+    powers = []
+    for k, g in ((4, 0), (6, 1)):
+        e, pw = eisenstein(k, "E", slots), [QSeries.one(slots)]
+        for _ in range(max((ab[g] for ab in p.terms), default=0)):
+            pw.append(pw[-1] * e)
+        powers.append(pw)
     out = QSeries.zero(N)
     for (a, b), c in sorted(p.terms.items()):
-        out = out + F(c) * (_gen_pow(4, a, slots) * _gen_pow(6, b, slots))
+        out = out + F(c) * (powers[0][a] * powers[1][b])
     return out.truncate(N)
 
 
@@ -299,7 +331,7 @@ def identify_by_fractions(y, weight, margin=10):
             "not identifiable: series has negative or non-integral exponents")
     if d == 0:
         raise NotIdentifiable("not identifiable: no nonzero forms of weight %d" % weight)
-    basis = _weight_basis(weight)
+    basis = weight_basis(weight)
     basis_q = [to_qseries_by_terms(b, y.prec) for b in basis]
     residual = y
     solution = MFPoly.zero(weight)
@@ -307,7 +339,7 @@ def identify_by_fractions(y, weight, margin=10):
         c = residual.coeff_at(i)
         if c:
             residual = residual - c * basis_q[i]
-            solution = solution + basis[i].map_coeffs(lambda x, c=c: c * x)
+            solution = solution + c * basis[i]
     if not residual.is_zero():
         raise NotIdentifiable(
             "not identifiable: residual is nonzero at exponent %s"
@@ -344,9 +376,8 @@ def test_integer_slot_layer_matches_fractions_on_every_weight():
                         == _outcome(identify_by_fractions, y, w))
                 continue
             form = MFPoly.zero(w)
-            for i, b in enumerate(_weight_basis(w)):
-                form = form + b.map_coeffs(
-                    lambda x, c=F((-1) ** i * (i + 2), 2 * i + 3): c * x)
+            for i, b in enumerate(weight_basis(w)):
+                form = form + F((-1) ** i * (i + 2), 2 * i + 3) * b
             assert _same_as_reference(form, w, N) == form
             assert _same_as_reference(form, w, N - 3)[0] is InsufficientPrecision
 
@@ -513,7 +544,39 @@ def test_weight_table_matches_retired_encodings():
         expected = [delta_powers[i] * MFPoly.monomial(
                         F(1), *gen_for_weight_reference(w - 12 * i))
                     for i in range(d)]
-        assert _weight_basis(w) == expected
+        assert weight_basis(w) == expected
+        # coordinate vector e_i composes to basis element i
+        assert [_compose(w, [0] * i + [1] + [0] * (d - 1 - i), 1)
+                for i in range(d)] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-2, 100), st.data())
+def test_compose_is_the_inverse_of_decompose(h, data):
+    w = 2 * h
+    delta, eps, t = _weight_shape(w)
+    coords = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                min_size=t + 1, max_size=t + 1))
+    den = data.draw(st.integers(1, 10 ** 4))
+    form = _compose(w, coords, den)
+    if not any(coords):
+        assert form.is_zero()
+        return
+    d = decompose(form)
+    assert (d.weight, d.t, d.delta, d.epsilon) == (w, t, delta, eps)
+    assert d.f_tilde == Poly([F(k, den) for k in reversed(coords)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([w for w in range(0, 121, 2) if dim_modular(w)]),
+       st.integers(0, 12), st.data())
+def test_identify_inverts_to_qseries(w, extra, data):
+    monomials = [((w - 6 * b) // 4, b) for b in range(w // 6 + 1)
+                 if (w - 6 * b) % 4 == 0]
+    coeff = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
+    form = MFPoly(w, {ab: data.draw(coeff) for ab in monomials})
+    y = to_qseries(form, dim_modular(w) + IDENTIFY_MARGIN + extra)
+    assert identify(y, w) == form
 
 
 def theta_power(y, j):

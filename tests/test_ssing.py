@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import modwron.ssing as ssing
 from modwron.modpoly import (DELTA, E4, E6, MFPoly, NotIdentifiable,
-                             _weight_basis, dim_modular, divisor_polynomial,
-                             eisenstein, h_poly, identify, to_qseries)
+                             dim_modular, divisor_polynomial, eisenstein,
+                             h_poly, identify, to_qseries)
 from modwron.poly import Poly
 from modwron.qseries import QSeries
 from modwron.ssing import (CongruenceReport, congruence_constant_check,
@@ -17,6 +17,7 @@ from modwron.ssing import (CongruenceReport, congruence_constant_check,
                            linear_quadratic_split, ss_poly_deligne,
                            ss_poly_wronskian, ss_tilde, supersingular_report)
 from modwron.symmpow import kz_coeff
+from test_modpoly import to_qseries_by_terms, weight_basis
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -134,10 +135,10 @@ def test_ladder_mod_p_is_the_exact_ladder_reduced(w, p):
     table = ssing._ladder_mod_p(w, p)
     n = len(table[0])
     assert n == max(ssing._window(p) + 1, dim_modular(w) + ssing.DELIGNE_MARGIN)
-    basis = _weight_basis(w)
+    basis = weight_basis(w)
     assert len(table) == len(basis)
     for i, (col, b) in enumerate(zip(table, basis)):
-        exact = to_qseries(b, n)
+        exact = to_qseries_by_terms(b, n)
         assert exact.offset == i and exact.den == 1
         slots = [c % p for c in exact.nums]
         assert col == slots + [0] * (n - i - len(slots))
