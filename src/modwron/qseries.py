@@ -11,17 +11,20 @@ each into one integer at the slot width of the widest product below the
 truncation and multiplies once (Kronecker substitution), when the one cost
 function _packs prices that below the schoolbook loop, from the lengths,
 the bit widths, the truncation and whether both lists are the same (a
-square packs once; the loop halves its products).  _solve is the exact
-triangular solve behind _euler_product and _divexact, which divides series
-and, on packed rows, every step of the Wronskian elimination (wronskian
-module).  Sparse taps (an eta divisor) run the recurrence over the nonzero
-taps only, in O(n * nnz).  Dense int taps split a run in half, and once the
-left half is solved, _packs chooses how it reaches the right half: one _kron
-middle product, which unpacks only the slots the right half needs, or the
-loop.  Non-int taps run the row-by-row loop.  Every step divides the same
-integer as that loop, so an inexact step still raises.  An operand on an s
-times coarser lattice meets the s residue classes of the other one by one
-(_by_class).
+square packs once; the loop halves its products).  A slot of at most 8
+bytes is widened to 1, 2, 4 or 8 and goes through struct, in C, both ways;
+a wider one is packed in one biased pass, one to_bytes per entry, and read
+back by one from_bytes per slot.  _solve is the exact triangular solve
+behind _euler_product and _divexact, which divides series and, on packed
+rows, every step of the Wronskian elimination (wronskian module).
+Sparse taps (an eta divisor) run the recurrence over the nonzero taps
+only, in O(n * nnz).  Dense int taps split a run in half, and once the
+left half is solved, _packs chooses how it reaches the right half: one
+_kron middle product, which unpacks only the slots the right half needs,
+or the loop.  Non-int taps run the row-by-row loop.  Every step divides
+the same integer as that loop, so an inexact step still raises.  An
+operand on an s times coarser lattice meets the s residue classes of the
+other one by one (_by_class).
 """
 
 from fractions import Fraction
@@ -29,6 +32,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from numbers import Real
 from operator import add, mul as _mul_op
+import struct
 
 LATTICE_CAP = 120     # largest allowed exponent-lattice denominator
 DEFAULT_PREC = 100    # truncation order used when fully exact inputs need one
@@ -36,12 +40,17 @@ DEFAULT_PREC = 100    # truncation order used when fully exact inputs need one
 SPARSE_DENSITY = 4
 # _packs prices in 30-bit digit products (about 1 ns) the interpreter's
 # overhead per product of the loop, per slot _kron packs or unpacks and per
-# _kron call, fitted to timings of both on 4-1000 slots of 1-20000 bits;
-# CPython multiplies ints of KARATSUBA_CUTOFF digits or more by Karatsuba.
+# _kron call, fitted to timings of both on 4-1000 slots of 1-20000 bits
+# with a to_bytes and a from_bytes per slot.  Struct slots (at most 8
+# bytes) cost less, but PACK_SLOT 90 or 160 and PACK_CALL 6000 or 15000
+# won no paired identities_ssing runs against these.  CPython multiplies
+# ints of KARATSUBA_CUTOFF digits or more by Karatsuba.
 LOOP_STEP = 70
 PACK_SLOT = 125
 PACK_CALL = 10000
 KARATSUBA_CUTOFF = 70
+# struct's signed codes for the slot widths that _pack and _kron take in C
+_STRUCT_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _as_frac(x):
@@ -131,19 +140,36 @@ def _packs(la, lb, ba, bb, n, start=0, square=False):
             < products * (LOOP_STEP + _digit_work(-(-ba // 30), -(-bb // 30))))
 
 
+def _bias(nbytes, count):
+    """half = 2^(8 nbytes - 1) in each of count nbytes-byte slots: the top
+    bit of every slot."""
+    return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
+                          * count, "little")
+
+
 def _pack(xs, nbytes):
-    """xs as one integer, nbytes little-endian bytes per slot; the positive
-    and the negative parts are packed apart and subtracted."""
-    z = bytes(nbytes)
-    pos = b"".join([x.to_bytes(nbytes, "little") if x > 0 else z for x in xs])
-    neg = b"".join([(-x).to_bytes(nbytes, "little") if x < 0 else z for x in xs])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """xs as one integer sum x_i 2^(8 nbytes i), packed in one pass: each
+    entry in two's complement in one little-endian slot of nbytes bytes,
+    by struct in C for 1, 2, 4 or 8 bytes and by one to_bytes each for
+    wider slots.  Flipping the top bit of every slot adds half =
+    2^(8 nbytes - 1), so the packed biases are subtracted once.  An entry
+    outside [-half, half) raises (struct.error or OverflowError)."""
+    if nbytes in _STRUCT_CODE:
+        raw = struct.pack("<%d%s" % (len(xs), _STRUCT_CODE[nbytes]), *xs)
+    else:
+        raw = b"".join([x.to_bytes(nbytes, "little", signed=True)
+                        for x in xs])
+    bias = _bias(nbytes, len(xs))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _kron(a, b, n, start=0):
     """Coefficients start..n-1 of the product of the nonempty int lists a
     and b, as one product of two packed integers (Kronecker substitution).
-    A square (b is a) packs once and squares the packed integer."""
+    A square (b is a) packs once and squares the packed integer.  A slot
+    of at most 8 bytes is widened to 1, 2, 4 or 8 and struct packs and
+    unpacks it in C; a wider one is read back by one from_bytes per slot.
+    """
     n = min(n, len(a) + len(b) - 1)
     square = a is b
     a = a[:n]
@@ -160,19 +186,27 @@ def _kron(a, b, n, start=0):
         j0 = n - len(a)
         top = max(_width(b[:j0]) + reach[-1], max(map(add, map(
             int.bit_length, b[j0:]), reversed(reach[n - len(b):n - j0]))))
-    # every slot below n: |slot| < min(len) * 2^top, plus a sign bit
+    # every slot below n: |slot| < min(len) * 2^top, plus a sign bit; top
+    # is at least the widest entry of a and of b, so _pack takes them too
     nbytes = (top + min(len(a), len(b)).bit_length() + 8) // 8
-    size = nbytes * max(n - start, 0)
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()
+    count = max(n - start, 0)
+    size = nbytes * count
+    bias = _bias(nbytes, n)
     pa = _pack(a, nbytes)
     # each biased slot lies in [0, 2^(8 nbytes)), so none borrows from the
-    # next; the shift drops the first start slots and the mask keeps the
-    # slots up to n
-    packed = (((pa * (pa if square else _pack(b, nbytes)) + bias)
-               >> (8 * nbytes * start)) & ((1 << (8 * size)) - 1))
+    # next, and flipping its top bit again leaves the slot in two's
+    # complement; the shift drops the first start slots and the mask keeps
+    # the slots up to n
+    packed = (((pa * (pa if square else _pack(b, nbytes)) + bias) ^ bias)
+              >> (8 * nbytes * start)) & ((1 << (8 * size)) - 1)
     buf = packed.to_bytes(size, "little")
-    return [int.from_bytes(buf[i:i + nbytes], "little") - half
+    if nbytes in _STRUCT_CODE:
+        return list(struct.unpack(
+            "<%d%s" % (count, _STRUCT_CODE[nbytes]), buf))
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[i:i + nbytes], "little", signed=True)
             for i in range(0, size, nbytes)]
 
 
@@ -721,9 +755,7 @@ def _power(x, e, mul):
 
 def _upsample(nums, stride):
     out = [0] * ((len(nums) - 1) * stride + 1)
-    for i, c in enumerate(nums):
-        if c:
-            out[i * stride] = c
+    out[::stride] = nums
     return out
 
 

@@ -28,12 +28,15 @@ member on one class that leads at that exponent.  That member leads above
 the reduced one, so each reduced member keeps its offset and is known to at
 least offset + bound.  The reduced family is returned only when Lv drops
 and the window covers the same exponents, so a minor that vanishes on it
-is reported to the same precision.  The elimination takes its family as
-given.  By Weber's identity f^8 = f_1^8 + f_2^8 the terms of weber8_1 off
-its class are 8 weber8_2, so coarsen turns the Weber pair into
-(weber8_1 - 8 weber8_2, weber8_2), both on the integer lattice.  The CLI
-builds Sym^m from that pair: (f - 8g)^i g^(m-i) is a unit-triangular change
-of the Sym^m basis with the same minors, and the window halves.
+is reported to the same precision.  wronskian, wronskian_derived and
+wronskians eliminate coarsen of their family; a family already on the
+integer lattice passes through untouched.  By Weber's identity f^8 =
+f_1^8 + f_2^8 the terms of weber8_1 off its class are 8 weber8_2, so
+coarsen turns the Weber pair into (weber8_1 - 8 weber8_2, weber8_2), both
+on the integer lattice, and every Sym^m member of the named pair lands
+there too.  The CLI builds Sym^m from the reduced pair: (f - 8g)^i g^(m-i)
+is a unit-triangular change of the Sym^m basis with the same minors, and
+the window halves, so only two series are reduced, not m+1 members.
 
 Each step works on whole rows (E. H. Bareiss, Math. Comp. 22, 1968, for
 the elimination).  Slot s of a row's remaining entries packs into one
@@ -114,20 +117,20 @@ def _series_list(family):
 
 def wronskian(family):
     """det[D^j f_i] for j = 0..k-1, columns in the given order, D = q d/dq."""
-    return _bareiss(_series_list(family), (0,))[0]
+    return _bareiss(coarsen(_series_list(family)), (0,))[0]
 
 
 def wronskian_derived(family):
     """Wronskian of the termwise derivatives (D f_1, ..., D f_k), which is
     det[D^j f_i] for j = 1..k."""
     fs = _series_list(family)
-    return _bareiss(fs, (len(fs),))[0]
+    return _bareiss(coarsen(fs), (len(fs),))[0]
 
 
 def wronskians(family):
     """(W, W') of a family, both from one elimination."""
     fs = _series_list(family)
-    return tuple(_bareiss(fs, (0, len(fs))))
+    return tuple(_bareiss(coarsen(fs), (0, len(fs))))
 
 
 def _vec_val(v, w):
@@ -246,8 +249,11 @@ def coarsen(fs):
     lattice that can reach further, and a minor that vanishes on the window
     is then known to vanish further.  An exact family takes its window from
     its members' lengths on their lattice, which the reduction changes, so
-    it is returned as given.
+    it is returned as given, and so is a family on the integer lattice,
+    whose Lv = 1 cannot drop.
     """
+    if all(f.step_den == 1 for f in fs):
+        return fs
     bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
                         for f in fs))
     if bound is None:

@@ -1,5 +1,6 @@
 import random
-from contextlib import nullcontext
+import struct
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction as F
 from math import floor, gcd, lcm
 from operator import mul
@@ -1093,6 +1094,111 @@ def test_kron_slot_width_worst_case_on_widening_entries(step, sign):
             assert _kron(a, b, n) == full
             assert _kron(a, b, n, n // 2) == full[n // 2:]
         assert _kron(a, a, la) == conv_by_loop(a, list(a), la)
+
+
+@contextmanager
+def pack_widths():
+    """The slot width in bytes of every _pack call inside the block."""
+    widths = []
+    real = qs._pack
+
+    def spy(xs, nbytes):
+        widths.append(nbytes)
+        return real(xs, nbytes)
+
+    with mock.patch.object(qs, "_pack", spy):
+        yield widths
+
+
+# the slot a _kron call takes for each exact need of 1-9 bytes: up to 8
+# bytes widened to a struct size, 9 the first wide slot
+STRUCT_WIDTH = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 9}
+
+
+@pytest.mark.parametrize("need", sorted(STRUCT_WIDTH))
+@pytest.mark.parametrize("length", [1, 2, 5, 40])
+@pytest.mark.parametrize("edge", ["low", "high"])
+def test_kron_takes_each_slot_width_exactly(need, length, edge):
+    # lists of maximal entries +-(2^w - 1) whose summed widths top put the
+    # slot need (top + bit length of the length + 8 bits, a sign bit and
+    # the carries) at either end of `need` bytes: all positive, all
+    # negative and alternating signs; products, middle products, and the
+    # square of the narrower list
+    room = 8 * need - 8 - length.bit_length()
+    top = max(room, 0) if edge == "low" else room + 7
+    assert (top + length.bit_length() + 8) // 8 == need or top == 0
+    wa, wb = top // 2, top - top // 2
+    for signs in ((1, 1), (-1, -1), (1, -1)):
+        a = [signs[i % 2] * ((1 << wa) - 1) for i in range(length)]
+        b = [-signs[i % 2] * ((1 << wb) - 1) for i in range(length)]
+        full = conv_by_loop(a, b)
+        with pack_widths() as widths:
+            assert _kron(a, b, len(full)) == full
+            for start in (1, length - 1, len(full) - 1, len(full)):
+                assert _kron(a, b, len(full), start) == full[start:]
+        assert set(widths) == {STRUCT_WIDTH[need]}, widths
+        square = conv_by_loop(a, list(a))
+        with pack_widths() as widths:
+            assert _kron(a, a, len(square)) == square
+        assert widths == [STRUCT_WIDTH[
+            (2 * wa + length.bit_length() + 8) // 8]], widths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 80),
+       st.integers(0, 80), st.integers(0, 2 ** 32), st.data())
+def test_kron_matches_the_loop_on_every_slot_width(la, lb, ba, bb, seed,
+                                                   data):
+    # entries at their width's extremes as often as inside it, on both
+    # paths, for products, squares and windows starting anywhere up to and
+    # past the clamped n = la + lb - 1
+    rng = random.Random(seed)
+
+    def entry(bits):
+        x = rng.choice([(1 << bits) - 1, rng.randint(0, (1 << bits) - 1)])
+        return rng.choice([1, -1]) * x
+
+    a = [entry(ba) for _ in range(la)]
+    b = a if data.draw(st.booleans()) else [entry(bb) for _ in range(lb)]
+    n = data.draw(st.integers(1, len(a) + len(b) + 3))
+    start = data.draw(st.integers(0, n + 2))
+    full = conv_by_loop(a, list(b), n)
+    assert _kron(a, b, n, start) == full[start:]
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_kron_window_past_the_clamped_length_is_empty(n):
+    # n is clamped to len(a) + len(b) - 1 = n; a window from there or
+    # further holds no slot on either path
+    for bits in (1, 50, 100):
+        a = [(1 << bits) - 1] * ((n + 1) // 2)
+        b = [-(1 << bits) + 1] * (n + 1 - len(a))
+        for start in (n, n + 1, 3 * n):
+            assert _kron(a, b, 4 * n, start) == []
+            assert _kron(a, a, 4 * n, start) == []
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9, 16])
+def test_pack_takes_every_entry_of_its_field_and_refuses_the_rest(nbytes):
+    half = 1 << (8 * nbytes - 1)
+    xs = [-half, half - 1, 0, -1, 1, -half + 1, half - 2]
+    assert qs._pack(xs, nbytes) == sum(
+        x << (8 * nbytes * i) for i, x in enumerate(xs))
+    assert qs._pack([], nbytes) == 0
+    for bad in (half, -half - 1, 2 * half):
+        with pytest.raises((struct.error, OverflowError)):
+            qs._pack([0, bad, 0], nbytes)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 5])
+def test_upsample_spreads_the_slots_stride_apart(stride):
+    assert _upsample([], stride) == []
+    assert _upsample([7], stride) == [7]
+    nums = [3, 0, -1, 5]
+    out = _upsample(nums, stride)
+    assert len(out) == 3 * stride + 1
+    assert out == [nums[i // stride] if i % stride == 0 else 0
+                   for i in range(len(out))]
 
 
 @settings(max_examples=25, deadline=None)

@@ -715,15 +715,27 @@ def wronskian_list(fs):
     return [wronskian(fs)]
 
 
-CALLS = (wronskians, wronskian_list, lambda fs: [wronskian_derived(fs)])
+# each public call, with the end orders of the _bareiss run it makes
+CALLS = ((wronskians, lambda k: (0, k)),
+         (wronskian_list, lambda k: (0,)),
+         (lambda fs: [wronskian_derived(fs)], lambda k: (k,)))
+
+
+def assert_calls_keep(fs, given, calls=CALLS):
+    """Each call on fs returns field for field what _bareiss returns on the
+    family `given` as given, not coarsened, or raises the same error."""
+    assert ([_fields(call, fs) for call, _ in calls]
+            == [_minors(given, ends(len(given))) for _, ends in calls])
 
 
 def assert_coarsening_keeps(fs):
-    """Each call returns on coarsen(fs) field for field what it returns on
-    fs, or raises the same error."""
+    """The calls, which eliminate coarsen(fs), report what _bareiss reports
+    on fs itself, and so does _bareiss on coarsen(fs)."""
+    assert_calls_keep(fs, fs)
     coarse = coarsen(fs)
-    assert ([_fields(call, coarse) for call in CALLS]
-            == [_fields(call, fs) for call in CALLS])
+    k = len(fs)
+    assert ([_minors(coarse, ends(k)) for _, ends in CALLS]
+            == [_minors(fs, ends(k)) for _, ends in CALLS])
 
 
 @st.composite
@@ -780,18 +792,18 @@ def test_coarsening_keeps_every_minor_and_precision(fs):
 
 
 def assert_reduced_pair_keeps(pair, prec, ms, calls=CALLS):
-    """Sym^m of the named pair and of the reduced pair the CLI builds from
-    give the same fields for each m in ms, and so does the pair Wronskian
-    W(g, f).  Returns whether the pair was reduced."""
+    """The calls on Sym^m of the reduced pair the CLI builds from give, for
+    each m in ms, the fields _bareiss gives on Sym^m of the named pair as
+    given; so does the pair Wronskian W(g, f).  Returns whether the pair
+    was reduced."""
     f, g = _pair(pair, prec)
     rf, rg = _reduced_pair(pair, prec)
     if (rf, rg) == (f, g):
         # every elimination sees the very same family
         return False
-    assert _fields(wronskian_list, [g, f]) == _fields(wronskian_list, [rg, rf])
+    assert _fields(wronskian_list, [rg, rf]) == _minors([g, f], (0,))
     for m in ms:
-        assert ([_fields(call, sym_basis(f, g, m)) for call in calls]
-                == [_fields(call, sym_basis(rf, rg, m)) for call in calls]), m
+        assert_calls_keep(sym_basis(rf, rg, m), sym_basis(f, g, m), calls)
     return True
 
 
@@ -855,16 +867,48 @@ def eliminated_families():
         yield families
 
 
+@contextmanager
+def coarsen_passes():
+    """Whether each coarsen call inside the block returned its family."""
+    passes = []
+    real = W_MOD.coarsen
+
+    def spy(fs):
+        out = real(fs)
+        passes.append(out is fs)
+        return out
+
+    with mock.patch.object(W_MOD, "coarsen", spy):
+        yield passes
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_cli_weber_sym_reaches_the_elimination_on_the_integer_lattice(m):
-    # the CLI builds Sym^m from (weber8_1 - 8 weber8_2, weber8_2), so no
-    # member needs coarsening inside the elimination
-    with eliminated_families() as families, step_windows() as windows:
+    # the CLI builds Sym^m from (weber8_1 - 8 weber8_2, weber8_2), so the
+    # elimination's own coarsen passes every family through untouched
+    with eliminated_families() as families, step_windows() as windows, \
+            coarsen_passes() as passes:
         assert symcheck_report("weber", m, 16).status == "pass"
         wronskians(_parse_basis("sym:weber:%d" % m, 16))
-    assert len(families) == 3
+    assert len(families) == 3 and passes == [True] * 3
     assert all(h.step_den == 1 for fs in families for h in fs)
     assert windows and max(windows) <= 16
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 12])
+def test_named_weber_sym_is_coarsened_before_the_elimination(m):
+    # Sym^m of the named pair lies on the half-integer lattice; every call
+    # coarsens it, so the elimination runs on the integer lattice and its
+    # window takes 16 slots at prec 16, not 32, for the same fields
+    fs = sym_basis(*_pair("weber", 16), m)
+    assert max(h.step_den for h in fs) == 2
+    with eliminated_families() as families, step_windows() as windows, \
+            coarsen_passes() as passes:
+        got = [_fields(call, fs) for call, _ in CALLS]
+    assert len(families) == 3 and passes == [False] * 3
+    assert all(h.step_den == 1 for fs in families for h in fs)
+    assert windows and max(windows) <= 16
+    assert got == [_minors(fs, ends(len(fs))) for _, ends in CALLS]
 
 
 @pytest.mark.parametrize("pair", ["rr", "a1"])
