@@ -140,26 +140,19 @@ def _packs(la, lb, ba, bb, n, start=0, square=False):
             < products * (LOOP_STEP + _digit_work(-(-ba // 30), -(-bb // 30))))
 
 
-def _bias(nbytes, count):
-    """half = 2^(8 nbytes - 1) in each of count nbytes-byte slots: the top
-    bit of every slot."""
-    return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
-                          * count, "little")
-
-
-def _pack(xs, nbytes):
+def _pack(xs, nbytes, bias):
     """xs as one integer sum x_i 2^(8 nbytes i), packed in one pass: each
     entry in two's complement in one little-endian slot of nbytes bytes,
     by struct in C for 1, 2, 4 or 8 bytes and by one to_bytes each for
-    wider slots.  Flipping the top bit of every slot adds half =
-    2^(8 nbytes - 1), so the packed biases are subtracted once.  An entry
+    wider slots.  bias holds half = 2^(8 nbytes - 1) in each of at least
+    len(xs) slots: flipping the top bit of every slot adds it, and it is
+    subtracted once (a slot past xs goes 0 -> half -> 0).  An entry
     outside [-half, half) raises (struct.error or OverflowError)."""
     if nbytes in _STRUCT_CODE:
         raw = struct.pack("<%d%s" % (len(xs), _STRUCT_CODE[nbytes]), *xs)
     else:
         raw = b"".join([x.to_bytes(nbytes, "little", signed=True)
                         for x in xs])
-    bias = _bias(nbytes, len(xs))
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
@@ -193,14 +186,17 @@ def _kron(a, b, n, start=0):
         nbytes = 1 << (nbytes - 1).bit_length()
     count = max(n - start, 0)
     size = nbytes * count
-    bias = _bias(nbytes, n)
-    pa = _pack(a, nbytes)
+    # half in each of the n slots, for the operands and the product
+    bias = int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
+                          * n, "little")
+    pa = _pack(a, nbytes, bias)
     # each biased slot lies in [0, 2^(8 nbytes)), so none borrows from the
     # next, and flipping its top bit again leaves the slot in two's
     # complement; the shift drops the first start slots and the mask keeps
     # the slots up to n
-    packed = (((pa * (pa if square else _pack(b, nbytes)) + bias) ^ bias)
-              >> (8 * nbytes * start)) & ((1 << (8 * size)) - 1)
+    pb = pa if square else _pack(b, nbytes, bias)
+    packed = ((((pa * pb + bias) ^ bias) >> (8 * nbytes * start))
+              & ((1 << (8 * size)) - 1))
     buf = packed.to_bytes(size, "little")
     if nbytes in _STRUCT_CODE:
         return list(struct.unpack(

@@ -1102,9 +1102,9 @@ def pack_widths():
     widths = []
     real = qs._pack
 
-    def spy(xs, nbytes):
+    def spy(xs, nbytes, bias):
         widths.append(nbytes)
-        return real(xs, nbytes)
+        return real(xs, nbytes, bias)
 
     with mock.patch.object(qs, "_pack", spy):
         yield widths
@@ -1180,14 +1180,18 @@ def test_kron_window_past_the_clamped_length_is_empty(n):
 
 @pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9, 16])
 def test_pack_takes_every_entry_of_its_field_and_refuses_the_rest(nbytes):
+    # the bias may reach past the entries: _kron passes the one of its
+    # n slots to both operands
     half = 1 << (8 * nbytes - 1)
-    xs = [-half, half - 1, 0, -1, 1, -half + 1, half - 2]
-    assert qs._pack(xs, nbytes) == sum(
-        x << (8 * nbytes * i) for i, x in enumerate(xs))
-    assert qs._pack([], nbytes) == 0
-    for bad in (half, -half - 1, 2 * half):
-        with pytest.raises((struct.error, OverflowError)):
-            qs._pack([0, bad, 0], nbytes)
+    xs = [-half, half - 1, 0, -1, 1, -half + 1, half - 2, -half]
+    for extra in (0, 1, 5):
+        bias = sum(half << (8 * nbytes * i) for i in range(len(xs) + extra))
+        assert qs._pack(xs, nbytes, bias) == sum(
+            x << (8 * nbytes * i) for i, x in enumerate(xs))
+        assert qs._pack([], nbytes, bias) == 0
+        for bad in (half, -half - 1, 2 * half):
+            with pytest.raises((struct.error, OverflowError)):
+                qs._pack([0, bad, 0], nbytes, bias)
 
 
 @pytest.mark.parametrize("stride", [1, 2, 5])
