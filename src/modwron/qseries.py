@@ -7,16 +7,18 @@ All arithmetic is exact rational; nothing here ever touches floating point.
 
 Two integer kernels carry every product and quotient.  _conv_trunc is the
 truncated product of coefficient lists: int lists go to _kron, which packs
-each into one integer at the slot width of the widest product below the
-truncation and multiplies once (Kronecker substitution), when the one cost
-function _packs prices that below the schoolbook loop, from the lengths,
-the bit widths, the truncation and whether both lists are the same (a
-square packs once; the loop halves its products).  A slot of at most 8
-bytes is widened to 1, 2, 4 or 8 and goes through struct, in C, both ways;
-a wider one is packed in one biased pass, one to_bytes per entry, and read
-back by one from_bytes per slot.  _solve is the exact triangular solve
-behind _euler_product and _divexact, which divides series and, on packed
-rows, every step of the Wronskian elimination (wronskian module).
+the even and the odd entries of each at the slot width of the widest
+product below the truncation and forms the product's even and odd slots
+from two products of half-size integers, its values at +-2^(W/2) for slot
+width W (two-point Kronecker substitution), when the one cost function
+_packs prices that below the schoolbook loop, from the lengths, the bit
+widths, the truncation and whether both lists are the same (a square
+squares its two values; the loop halves its products).  A slot of at most
+8 bytes is widened to 1, 2, 4 or 8 and goes through struct, in C, both
+ways; a wider one is packed in one biased pass, one to_bytes per entry,
+and read back by one from_bytes per slot.  _solve is the exact triangular
+solve behind _euler_product and _divexact, which divides series and, on
+packed rows, every step of the Wronskian elimination (wronskian module).
 Sparse taps (an eta divisor) run the recurrence over the nonzero taps
 only, in O(n * nnz).  Dense int taps split a run in half, and once the
 left half is solved, _packs chooses how it reaches the right half: one
@@ -41,9 +43,12 @@ SPARSE_DENSITY = 4
 # _packs prices in 30-bit digit products (about 1 ns) the interpreter's
 # overhead per product of the loop, per slot _kron packs or unpacks and per
 # _kron call, fitted to timings of both on 4-1000 slots of 1-20000 bits
-# with a to_bytes and a from_bytes per slot.  Struct slots (at most 8
-# bytes) cost less, but PACK_SLOT 90 or 160 and PACK_CALL 6000 or 15000
-# won no paired identities_ssing runs against these.  CPython multiplies
+# with a to_bytes and a from_bytes per slot, when _kron made one product
+# at the full slot width.  Struct slots (at most 8 bytes) cost less, but
+# PACK_SLOT 90 or 160 and PACK_CALL 6000 or 15000 won no paired
+# identities_ssing runs against these, and pricing the two half-size
+# products of two-point substitution ran at parity with pricing one
+# full-size product under these constants.  CPython multiplies
 # ints of KARATSUBA_CUTOFF digits or more by Karatsuba.
 LOOP_STEP = 70
 PACK_SLOT = 125
@@ -128,15 +133,16 @@ def _packs(la, lb, ba, bb, n, start=0, square=False):
 
     The one cost function of the kernels.  The loop pays LOOP_STEP and the
     digit products of each a_i b_j; _kron pays PACK_CALL, PACK_SLOT per slot
-    and one product at the summed slot width, so it loses when one side is
-    much wider.  A square halves both and packs one list.
+    and two products of half the packed lengths at the summed slot width,
+    so it loses when one side is much wider.  A square halves both and
+    packs one list.
     """
     halve = 2 if square else 1
     products = (_pairs(la, lb, n) - _pairs(la, lb, start)) / halve
     slots = la + n - start + (0 if square else lb)
     digits = (ba + bb + min(la, lb).bit_length() + 8) // 8 * 8 / 30
     return (PACK_CALL + PACK_SLOT * slots
-            + _digit_work(la * digits, lb * digits) / halve
+            + _digit_work(la * digits / 2, lb * digits / 2) * 2 / halve
             < products * (LOOP_STEP + _digit_work(-(-ba // 30), -(-bb // 30))))
 
 
@@ -157,13 +163,17 @@ def _pack(xs, nbytes, bias):
 
 
 def _kron(a, b, n, start=0):
-    """Coefficients start..n-1 of the product of the nonempty int lists a
-    and b, as one product of two packed integers (Kronecker substitution).
-    A square (b is a) packs once and squares the packed integer.  A slot
-    of at most 8 bytes is widened to 1, 2, 4 or 8 and struct packs and
-    unpacks it in C; a wider one is read back by one from_bytes per slot.
+    """Coefficients start..n-1 of the product h of the nonempty int lists
+    a and b, by two-point Kronecker substitution: at slot width W = 8 nbytes
+    and X = 2^(W/2), h(X) and h(-X) are two products of half-size packed
+    integers, and (h(X) + h(-X)) / 2 and (h(X) - h(-X)) / 2X pack the even
+    and the odd coefficients at width W.  A square (b is a) squares its
+    two values.  A slot of at most 8 bytes is widened to 1, 2, 4 or 8 and
+    struct packs and unpacks it in C; a wider one is read back by one
+    from_bytes per slot.
     """
     n = min(n, len(a) + len(b) - 1)
+    start = min(start, n)
     square = a is b
     a = a[:n]
     b = a if square else b[:n]
@@ -184,26 +194,37 @@ def _kron(a, b, n, start=0):
     nbytes = (top + min(len(a), len(b)).bit_length() + 8) // 8
     if nbytes <= 8:
         nbytes = 1 << (nbytes - 1).bit_length()
-    count = max(n - start, 0)
-    size = nbytes * count
-    # half in each of the n slots, for the operands and the product
+    w = 4 * nbytes
+    # half in each of the (n + 1) // 2 slots of an even or odd half, for
+    # the operands and the product
     bias = int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
-                          * n, "little")
-    pa = _pack(a, nbytes, bias)
-    # each biased slot lies in [0, 2^(8 nbytes)), so none borrows from the
-    # next, and flipping its top bit again leaves the slot in two's
-    # complement; the shift drops the first start slots and the mask keeps
-    # the slots up to n
-    pb = pa if square else _pack(b, nbytes, bias)
-    packed = ((((pa * pb + bias) ^ bias) >> (8 * nbytes * start))
-              & ((1 << (8 * size)) - 1))
-    buf = packed.to_bytes(size, "little")
-    if nbytes in _STRUCT_CODE:
-        return list(struct.unpack(
-            "<%d%s" % (count, _STRUCT_CODE[nbytes]), buf))
+                          * ((n + 1) // 2), "little")
+    ea, oa = _pack(a[::2], nbytes, bias), _pack(a[1::2], nbytes, bias) << w
+    if square:
+        plus, minus = (ea + oa) ** 2, (ea - oa) ** 2
+    else:
+        eb, ob = _pack(b[::2], nbytes, bias), _pack(b[1::2], nbytes, bias) << w
+        plus, minus = (ea + oa) * (eb + ob), (ea - oa) * (eb - ob)
+    # both divisions are exact: h(X) +- h(-X) is 2 He(X^2) or 2X Ho(X^2)
+    even, odd = (plus + minus) >> 1, (plus - minus) >> (w + 1)
+    del plus, minus
+    out = [0] * (n - start)
     from_bytes = int.from_bytes
-    return [from_bytes(buf[i:i + nbytes], "little", signed=True)
-            for i in range(0, size, nbytes)]
+    for x, i, lo, hi in ((even, start & 1, (start + 1) // 2, (n + 1) // 2),
+                         (odd, 1 - (start & 1), start // 2, n // 2)):
+        # each biased slot lies in [0, 2^(8 nbytes)), so none borrows from
+        # the next, and flipping its top bit again leaves the slot in two's
+        # complement; the shift drops the first lo slots of the half and
+        # the mask keeps the slots up to hi
+        size = nbytes * (hi - lo)
+        buf = ((((x + bias) ^ bias) >> (8 * nbytes * lo))
+               & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        out[i::2] = (
+            struct.unpack("<%d%s" % (hi - lo, _STRUCT_CODE[nbytes]), buf)
+            if nbytes in _STRUCT_CODE else
+            [from_bytes(buf[k:k + nbytes], "little", signed=True)
+             for k in range(0, size, nbytes)])
+    return out
 
 
 def _conv_trunc(a, b, n=None):

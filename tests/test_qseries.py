@@ -1140,7 +1140,8 @@ def test_kron_takes_each_slot_width_exactly(need, length, edge):
         square = conv_by_loop(a, list(a))
         with pack_widths() as widths:
             assert _kron(a, a, len(square)) == square
-        assert widths == [STRUCT_WIDTH[
+        # a square packs its even and its odd entries, at one width
+        assert widths == 2 * [STRUCT_WIDTH[
             (2 * wa + length.bit_length() + 8) // 8]], widths
 
 
@@ -1176,6 +1177,31 @@ def test_kron_window_past_the_clamped_length_is_empty(n):
         for start in (n, n + 1, 3 * n):
             assert _kron(a, b, 4 * n, start) == []
             assert _kron(a, a, 4 * n, start) == []
+
+
+# entry widths whose slots take 1, 2, 4 and 8 bytes through struct, and 9
+# and 16 bytes wide
+@pytest.mark.parametrize("bits", [1, 5, 12, 28, 33, 60])
+@pytest.mark.parametrize("la, lb", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 6),
+                                    (6, 1), (2, 7), (7, 2), (5, 8), (8, 5),
+                                    (6, 6), (7, 7)])
+def test_kron_even_and_odd_halves_match_the_loop(bits, la, lb):
+    # entries +-(2^bits - 1): all positive, all negative, alternating and
+    # mixed signs; every n up to and past the clamped la + lb - 1, odd and
+    # even; windows from 0, 1, an odd slot, n - 1, n and past n; products
+    # and squares.  The even and the odd slots of the product come from
+    # h(X) +- h(-X), so each of them, and their interleave, is checked
+    rng = random.Random(bits * 100 + la * 10 + lb)
+    top = (1 << bits) - 1
+    for signs in ((1,), (-1,), (1, -1), tuple(rng.choice([1, -1])
+                                             for _ in range(la + lb))):
+        a = [signs[i % len(signs)] * top for i in range(la)]
+        b = [-signs[(i + 1) % len(signs)] * top for i in range(lb)]
+        for n in range(1, la + lb + 2):
+            full, square = conv_by_loop(a, b, n), conv_by_loop(a, list(a), n)
+            for start in (0, 1, 3, n - 1, n, n + 2):
+                assert _kron(a, b, n, start) == full[start:]
+                assert _kron(a, a, n, start) == square[start:]
 
 
 @pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9, 16])
