@@ -205,7 +205,8 @@ def _kron(a, b, n, start=0):
     else:
         eb, ob = _pack(b[::2], nbytes, bias), _pack(b[1::2], nbytes, bias) << w
         plus, minus = (ea + oa) * (eb + ob), (ea - oa) * (eb - ob)
-    # both divisions are exact: h(X) +- h(-X) is 2 He(X^2) or 2X Ho(X^2)
+    # both divisions are exact: h(X) +- h(-X) is 2 He(X^2) or 2X Ho(X^2);
+    # the unpacking then holds the two halves, one full product's size
     even, odd = (plus + minus) >> 1, (plus - minus) >> (w + 1)
     del plus, minus
     out = [0] * (n - start)
