@@ -10,59 +10,61 @@ form of weight 2k, and a certificate that W'/W vanishes based on
 leading-exponent data alone: the exponents decide both the forcing pattern
 and the holomorphy of W'/W it rests on.
 
-Every determinant comes from one fraction-free (Bareiss) elimination on
-integer coefficient vectors.  Each column's leading exponent h_i and
-denominator are pulled out first, so the vectors only need the lattice Lv =
-lcm of the step denominators; the finer L that also clears the offset
-denominators only scales the derivative factors L*h_i + n*L/Lv.  Every
-division is an exact integer division because the intermediate entries are
-again minors of the integer matrix, and pivots are chosen with minimal
-q-valuation, so each division costs as little of the known coefficient
-window as possible.
+Every determinant comes from one fraction-free recursion on integer
+coefficient vectors, the Wronskian form of Sylvester's identity,
+W(W(F, g), W(F, h)) = W(F) W(F, g, h), the identity behind E. H. Bareiss,
+Math. Comp. 22, 1968 (_bareiss): one row step per pivot.  Each column's
+leading exponent h_i and denominator are pulled out first, so the vectors
+only need the lattice Lv = lcm of the step denominators; the finer L that
+also clears the offset denominators only scales the derivative factors
+L*h_i + n*L/Lv.  Every division is an exact integer division because the
+quotients are again minors of the integer matrix.
 
 Column operations f_i -= c f_j (j != i, no member ever scaled) leave
 every minor of the derivative stack, and so W and W', exactly as they
-were.  coarsen uses them to move members onto single exponent classes
-where it can: a member's term off its class offset + Z is cleared by a
-member on one class that leads at that exponent.  That member leads above
-the reduced one, so each reduced member keeps its offset and is known to at
-least offset + bound.  The reduced family is returned only when Lv drops
-and the window covers the same exponents, so a minor that vanishes on it
-is reported to the same precision.  wronskian, wronskian_derived and
-wronskians eliminate coarsen of their family; a family already on the
-integer lattice passes through untouched.  By Weber's identity f^8 =
+were.  The recursion first applies them until the leading exponents are
+distinct, so each pivot W(f_1..f_t) leads at slot 0, with the product of
+the leading coefficients times the Vandermonde of the h_i: no pivot is
+searched for, and no division spends any of the known window.  coarsen
+uses them to move members onto single exponent classes where it can: a
+member's term off its class offset + Z is cleared by a member on one
+class that leads at that exponent.  That member leads above the reduced
+one, so each reduced member keeps its offset and is known to at least
+offset + bound.  The reduced family is returned only when its leads are
+distinct, Lv drops and the window covers the same exponents, so its
+minors are reported to the same precision.  wronskian, wronskian_derived
+and wronskians eliminate coarsen of their family; a family already on
+the integer lattice passes through untouched.  By Weber's identity f^8 =
 f_1^8 + f_2^8 the terms of weber8_1 off its class are 8 weber8_2, so
 coarsen turns the Weber pair into (weber8_1 - 8 weber8_2, weber8_2), both
 on the integer lattice, and every Sym^m member of the named pair lands
-there too.  The CLI builds Sym^m from the reduced pair: (f - 8g)^i g^(m-i)
-is a unit-triangular change of the Sym^m basis with the same minors, and
-the window halves, so only two series are reduced, not m+1 members.
+there too.  The CLI builds Sym^m from the reduced pair: (f - 8g)^i
+g^(m-i) is a unit-triangular change of the Sym^m basis with the same
+minors, and the window halves, so only two series are reduced, not m+1
+members.
 
-Each step works on whole rows (E. H. Bareiss, Math. Comp. 22, 1968, for
-the elimination).  Slot s of a row's remaining entries packs into one
-integer sum_c x_c 2^(w c) with balanced w-bit fields, so the numerator
-a_c * piv - mrt * b_c costs two scalar-times-packed dot products per
-(row, slot), not per entry, and the division by the previous pivot is one
-run of the integer triangular solve (qseries._divexact) on the packed
-numerators.  The packed arithmetic is exact, so a packed remainder means
-an inexact field division, and the solve raises.  w comes from a bound on the
-numerator fields, and a row is redone at twice the width whenever the
-accumulator bound could reach 2^(w-1).  Below that bound a balanced
-representation is unique: a packed accumulator that divides by the leading
-slot, with lead times every quotient field below 2^(w-1) as well, divided
-exactly field by field, and any other outcome raises.
+Each step works on one whole row.  Slot s of the row's remaining entries
+packs into one integer sum_c x_c 2^(w c) with balanced w-bit fields, so
+the numerator a_c * piv - mrt * b_c costs two scalar-times-packed dot
+products per slot, not per entry, and the division by the previous pivot
+is one run of the integer triangular solve (qseries._divexact) on the
+packed numerators.  The packed arithmetic is exact, so a packed remainder
+means an inexact field division, and the solve raises.  w comes from a
+bound on the numerator fields, and a row is redone at twice the width
+whenever the accumulator bound could reach 2^(w-1).  Below that bound a
+balanced representation is unique: a packed accumulator that divides by
+the leading slot, with lead times every quotient field below 2^(w-1) as
+well, divided exactly field by field, and any other outcome raises.
 
-W and W' share the derivative orders 1..k-1: the elimination runs on the
-stack of orders 1..k-1, 0 and k with pivots from orders 1..k-1 only, and
-after k-1 steps the two remaining entries are W and W' up to sign.  A
-reported precision never exceeds the sum of the offsets plus the smallest
-prec_i - h_i, which bounds the effect of any change of an input beyond its
-precision.
+W and W' share one pass, as W' = (-1)^k W(f_1, ..., f_k, 1).  A reported
+precision is the sum of the offsets plus the smallest prec_i - h_i once
+the leads are distinct, which bounds the effect of any change of an input
+beyond its precision.
 """
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from math import lcm, prod
 from operator import mul as _mul_op
 from typing import NamedTuple
 
@@ -78,31 +80,45 @@ _INEXACT = "inexact division in fraction-free elimination"
 def echelonize(series):
     """Column-reduce a family until the leading exponents are all distinct.
 
-    Returns the tuple of members sorted by leading exponent.  Whenever two
-    members share a leading exponent, the one appearing later in the input
-    absorbs a multiple of the earlier one; members are never rescaled, so a
-    member that already leads at a fresh exponent comes back unchanged, and
-    an echelon family comes back as itself in order.  The span is preserved
+    Returns the tuple of members sorted by leading exponent, as
+    _distinct_leads reduces them: members are never rescaled, so a member
+    that already leads at a fresh exponent comes back unchanged, and an
+    echelon family comes back as itself in order.  The span is preserved
     throughout.  A member that reduces to zero -- to its known precision --
     raises a ValueError naming its position in the input.
     """
-    work = [(f, idx) for idx, f in enumerate(_series_list(series))]
-    out = []
+    reduced, zero = _distinct_leads(_series_list(series))
+    if zero is not None:
+        raise ValueError("series at index %d is linearly dependent on the "
+                         "others to working precision" % zero)
+    return tuple(f for _, f in reduced)
+
+
+def _distinct_leads(fs):
+    """Column operations f_i -= c f_j on fs, no member rescaled, until the
+    leading exponents of the members not zero to their precision are
+    distinct.
+
+    Returns the pairs (position in fs, member), the nonzero members by
+    increasing leading exponent and then the zero ones, with the position
+    of the first member found zero, or None.  Each pass sets the zero
+    members aside and finishes the member of lowest leading exponent, the
+    earliest on a tie; every later member that shares its lead absorbs a
+    multiple of it.
+    """
+    work, done, zeros = list(enumerate(fs)), [], []
     while work:
-        for f, idx in work:
-            if f.is_zero():
-                raise ValueError(
-                    "series at index %d is linearly dependent on the others "
-                    "to working precision" % idx)
-        at = min(range(len(work)), key=lambda i: work[i][0].valuation())
-        piv, _ = work.pop(at)
-        h = piv.valuation()
-        lead = piv.leading_coefficient()
-        work = [(f - (f.leading_coefficient() / lead) * piv, idx)
-                if f.valuation() == h else (f, idx)
-                for f, idx in work]
-        out.append(piv)
-    return tuple(out)
+        zeros += [(idx, f) for idx, f in work if f.is_zero()]
+        work = [(idx, f) for idx, f in work if not f.is_zero()]
+        if not work:
+            break
+        at = min(range(len(work)), key=lambda i: work[i][1].valuation())
+        done.append(work.pop(at))
+        piv = done[-1][1]
+        h, lead = piv.valuation(), piv.leading_coefficient()
+        work = [(idx, f - (f.leading_coefficient() / lead) * piv)
+                if f.valuation() == h else (idx, f) for idx, f in work]
+    return done + zeros, zeros[0][0] if zeros else None
 
 
 def _series_list(family):
@@ -167,9 +183,9 @@ def _height(cols):
 
 
 def _row_step(a, mrt, piv, b, prev, wcur):
-    """One Bareiss step on one row: the lists (a_c * piv - mrt * b_c) / prev
-    over the columns c, known to wcur - val(prev) slots (to wcur slots, with
-    no division, when prev is None).
+    """One step of the fraction-free recursion on one row: the lists
+    (a_c * piv - mrt * b_c) / prev over the columns c, known to wcur -
+    val(prev) slots (to wcur slots, with no division, when prev is None).
 
     The row's slots pack into balanced w-bit fields, and _divexact divides
     the packed numerators by prev (module docstring).  The quotients unpack
@@ -250,9 +266,13 @@ def coarsen(fs):
     is then known to vanish further.  An exact family takes its window from
     its members' lengths on their lattice, which the reduction changes, so
     it is returned as given, and so is a family on the integer lattice,
-    whose Lv = 1 cannot drop.
+    whose Lv = 1 cannot drop.  So is a family whose nonzero members share
+    a leading exponent: the elimination reduces those members first, and
+    the precision it reports then rests on the precisions of the members
+    it combines, which the walk can lower.
     """
-    if all(f.step_den == 1 for f in fs):
+    leads = [f.offset for f in fs if f.nums]
+    if all(f.step_den == 1 for f in fs) or len(set(leads)) < len(leads):
         return fs
     bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
                         for f in fs))
@@ -284,19 +304,25 @@ def coarsen(fs):
 
 
 def _bareiss(fs, ends):
-    """The minors det[D^j f_i] over the orders j in {1..k-1, e}, one for
-    each end order e in ends (0 gives W, k gives W').
+    """The minors det[D^j f_i] over the orders j = 0..k-1 (end 0, W) and
+    j = 1..k (end k, W'), one for each end order in ends.
 
-    Rows 1..k-1 of the derivative stack come first, then one row per end
-    order.  After k-1 pivots drawn from rows 1..k-1 only, the last column
-    of each end row holds its minor up to sign.
+    _distinct_leads runs first, and a member it leaves zero to its
+    precision makes every minor vanish.  Otherwise the row A_t(c) =
+    W(f_1..f_t, f_c) over the columns c past t leads at slot 0, and
+    Sylvester's identity gives A_{t+1}(c) = (A_t(p) D A_t(c) - D A_t(p)
+    A_t(c)) / W(f_1..f_t) for the pivot p = f_{t+1}; the divisor is the
+    previous pivot A_{t-1}(f_t), or 1 at t = 0.  The constant 1 is a last
+    column for W' = (-1)^k W(f_1..f_k, 1), so W is the row after k-1 steps
+    and W' the row after k.
     """
     k = len(fs)
     if not k:
         raise ValueError("cannot take the Wronskian of an empty family")
-    zeros = [f for f in fs if f.is_zero()]
-    if zeros:
-        if any(f.prec is None for f in zeros):
+    reduced, zero = _distinct_leads(fs)
+    fs = [f for _, f in sorted(reduced)]
+    if zero is not None:
+        if any(f.prec is None for f in fs if f.is_zero()):
             return [QSeries.zero()] * len(ends)
         total = sum((f.offset if f.nums else f.prec for f in fs), Fraction(0))
         return [QSeries.zero(total)] * len(ends)
@@ -305,83 +331,46 @@ def _bareiss(fs, ends):
     # base + bound on, whatever lattice it sits on
     bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
                         for f in fs))
-    # slot vectors live on Lv; L also clears the offset denominators, so
-    # the derivative factor of slot n in column i is L*h_i + n*L/Lv
+    # slot vectors live on Lv; L also clears the offset denominators, so D
+    # multiplies slot n of a minor over the columns S by L*sum_S h_i +
+    # n*L/Lv.  The pivots' share of the sum is common to A_t(p) and A_t(c)
+    # and cancels in A_t(p) D A_t(c) - D A_t(p) A_t(c), which leaves column
+    # c the factor L*h_c + n*L/Lv at every step.
     Lv = lcm(*(f.step_den for f in fs))
     L = lcm(Lv, *(f.offset.denominator for f in fs))
     _check_cap(L)
-    exact = bound is None
-    if exact:
+    if bound is None:
+        # exact inputs give polynomial minors of degree below window
         window = sum((len(f.nums) - 1) * (Lv // f.step_den) for f in fs) + 1
     else:
+        # a nonzero member is known past its offset, so window >= 1
         window = _ceil(bound * Lv)
 
-    orders = list(range(1, k)) + list(ends)
-    M = [[None] * k for _ in orders]
-    denprod = 1
-    for i, f in enumerate(fs):
-        stride = Lv // f.step_den
-        run = (f.nums if stride == 1 else _upsample(f.nums, stride))[:window]
-        denprod *= f.den
-        hl = int(f.offset * L)
-        facs = [hl + n * (L // Lv) for n in range(len(run))]
-        for j in range(max(orders) + 1):
-            if j:
-                run = [x * y for x, y in zip(run, facs)]
-            if j in orders:
-                M[orders.index(j)][i] = run
-
-    def result(nums, e, w_end):
-        # row j carries a factor L^j, so the minor over orders 1..k-1 and e
-        # carries L^(k(k-1)/2 + e)
-        den = denprod * L ** (k * (k - 1) // 2 + e)
-        # exact inputs give polynomial minors of degree below window, known
-        # in full while no pivot valuation has been spent
-        known = exact and wcur == window
-        prec = None if known else base + _min_prec(bound, Fraction(w_end, Lv))
-        return QSeries(base, nums, Lv, den, prec)
-
-    sign = 1
+    row = [(f.nums if f.step_den == Lv else
+            _upsample(f.nums, Lv // f.step_den))[:window] for f in fs]
+    hls = [int(f.offset * L) for f in fs]
+    if k in ends:
+        row.append([1])
+        hls.append(0)
+    facs = [[h + n * (L // Lv) for n in range(window)] for h in hls]
     prev = None
-    prev_val = 0
-    wcur = window
-    for t in range(k - 1):
-        best, br, bc = None, t, t
-        for r in range(t, k - 1):
-            for c in range(t, k):
-                v = _vec_val(M[r][c], wcur)
-                if v is not None and (best is None or v < best):
-                    best, br, bc = v, r, c
-            if best == 0:
-                break
-        if best is None:
-            # the remaining pivot rows vanish on the window; by Sylvester's
-            # identity each minor times prev^(k-1-t) is a determinant with
-            # k-1-t such rows, which bounds its valuation
-            w0 = max((k - 1 - t) * (wcur - prev_val), 0)
-            return [result([], e, w0) for e in ends]
-        if br != t:
-            M[br], M[t] = M[t], M[br]
-            sign = -sign
-        if bc != t:
-            for row in M:
-                row[bc], row[t] = row[t], row[bc]
-            sign = -sign
-        piv = M[t][t]
-        for r in range(t + 1, len(orders)):
-            M[r][t + 1:] = _row_step(M[r][t + 1:], M[r][t], piv, M[t][t + 1:],
-                                     prev, wcur)
-            M[r][t] = None
-        wcur -= prev_val
-        prev = piv
-        prev_val = best
-
+    while len(row) > 1:
+        if not row[0][0]:
+            raise ArithmeticError("a Wronskian pivot does not lead at the sum "
+                                  "of its members' offsets")
+        da = [list(map(_mul_op, a, fac)) for a, fac in zip(row, facs)]
+        del facs[0]
+        prev, row = row[0], _row_step(da[1:], da[0], row[0], row[1:], prev,
+                                      window)
+    w, wd = (prev, row[0]) if k in ends else (row[0], None)
+    denprod = prod(f.den for f in fs)
+    prec = None if bound is None else base + bound
     out = []
-    for r, e in enumerate(ends, start=k - 1):
-        # row e sits below rows 1..k-1; moving row 0 to the top takes k-1 swaps
-        s = -sign if e == 0 and k % 2 == 0 else sign
-        nums = M[r][k - 1]
-        out.append(result([-x for x in nums] if s < 0 else nums, e, wcur))
+    for e in ends:
+        nums = w if e == 0 else wd if k % 2 == 0 else [-x for x in wd]
+        # D^j carries L^j, so the minor carries L^(k(k-1)/2 + e)
+        den = denprod * L ** (k * (k - 1) // 2 + e)
+        out.append(QSeries(base, nums, Lv, den, prec))
     return out
 
 

@@ -2,10 +2,11 @@
 
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 from fractions import Fraction as F
 from importlib import import_module
 from itertools import permutations
-from math import prod
+from math import lcm, prod
 from unittest import mock
 
 import pytest
@@ -15,11 +16,13 @@ from modwron.cli import (IDENTITIES, PAIR_NAMES, _pair, _parse_basis,
                          _reduced_pair, symcheck_report)
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
-from modwron.qseries import QSeries, _conv_trunc, _divexact, first_mismatch
+from modwron.qseries import (QSeries, _ceil, _check_cap, _conv_trunc,
+                             _divexact, _min_prec, _upsample, first_mismatch)
 from modwron.symmpow import sym_basis
-from modwron.wronskian import (coarsen, echelonize, identify_quotient,
-                               normalize, quotient_form, vanishing_check,
-                               wronskian, wronskian_derived, wronskians)
+from modwron.wronskian import (_row_step, _vec_val, coarsen, echelonize,
+                               identify_quotient, normalize, quotient_form,
+                               vanishing_check, wronskian, wronskian_derived,
+                               wronskians)
 
 N = F(20)
 
@@ -783,6 +786,11 @@ def coarsenable_family(draw):
 # where the other member has a term to clear; it must not be taken as a lead
 @example([QSeries(0, [], prec=F(1, 2)),
           QSeries(F(-1, 2), [-1, -1], 2, prec=F(1, 2))])
+# members that share a leading exponent, which the elimination reduces
+# first: coarsening q^(-1/6) - 2 to q^(-1/6) by the exact 1 would make the
+# minors exact zeros, where the family as given reports them to q^(11/6)
+@example([QSeries(F(-1, 6), [1]), QSeries(0, [1], prec=1), QSeries(0, [1]),
+          QSeries(F(-1, 6), [1, -2], 6)])
 def test_coarsening_keeps_every_minor_and_precision(fs):
     assert_coarsening_keeps(fs)
 
@@ -914,3 +922,217 @@ def test_coarsening_leaves_integer_lattice_pairs_alone(pair):
     for m in range(1, 13):
         fs = sym_family(*pair, m)
         assert coarsen(fs) is fs
+
+
+# ---- the full-pivot elimination, kept as the reference ---------------------
+
+# The elimination that came before the Wronskian recursion, as it was: every
+# row of the stack of orders 1..k-1 and the end orders is updated at every
+# step, pivots of minimal valuation are searched for and swapped in, each
+# pivot spends its valuation of the window, and Sylvester's identity bounds
+# the minors once the pivot rows vanish on it.
+
+def reference_bareiss(fs, ends):
+    """The minors det[D^j f_i] over the orders j in {1..k-1, e}, one for
+    each end order e in ends (0 gives W, k gives W').
+
+    Rows 1..k-1 of the derivative stack come first, then one row per end
+    order.  After k-1 pivots drawn from rows 1..k-1 only, the last column
+    of each end row holds its minor up to sign.
+    """
+    k = len(fs)
+    if not k:
+        raise ValueError("cannot take the Wronskian of an empty family")
+    zeros = [f for f in fs if f.is_zero()]
+    if zeros:
+        if any(f.prec is None for f in zeros):
+            return [QSeries.zero()] * len(ends)
+        total = sum((f.offset if f.nums else f.prec for f in fs), Fraction(0))
+        return [QSeries.zero(total)] * len(ends)
+    base = sum((f.offset for f in fs), Fraction(0))
+    # every input term beyond its prec moves the minors only from
+    # base + bound on, whatever lattice it sits on
+    bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
+                        for f in fs))
+    # slot vectors live on Lv; L also clears the offset denominators, so
+    # the derivative factor of slot n in column i is L*h_i + n*L/Lv
+    Lv = lcm(*(f.step_den for f in fs))
+    L = lcm(Lv, *(f.offset.denominator for f in fs))
+    _check_cap(L)
+    exact = bound is None
+    if exact:
+        window = sum((len(f.nums) - 1) * (Lv // f.step_den) for f in fs) + 1
+    else:
+        window = _ceil(bound * Lv)
+
+    orders = list(range(1, k)) + list(ends)
+    M = [[None] * k for _ in orders]
+    denprod = 1
+    for i, f in enumerate(fs):
+        stride = Lv // f.step_den
+        run = (f.nums if stride == 1 else _upsample(f.nums, stride))[:window]
+        denprod *= f.den
+        hl = int(f.offset * L)
+        facs = [hl + n * (L // Lv) for n in range(len(run))]
+        for j in range(max(orders) + 1):
+            if j:
+                run = [x * y for x, y in zip(run, facs)]
+            if j in orders:
+                M[orders.index(j)][i] = run
+
+    def result(nums, e, w_end):
+        # row j carries a factor L^j, so the minor over orders 1..k-1 and e
+        # carries L^(k(k-1)/2 + e)
+        den = denprod * L ** (k * (k - 1) // 2 + e)
+        # exact inputs give polynomial minors of degree below window, known
+        # in full while no pivot valuation has been spent
+        known = exact and wcur == window
+        prec = None if known else base + _min_prec(bound, Fraction(w_end, Lv))
+        return QSeries(base, nums, Lv, den, prec)
+
+    sign = 1
+    prev = None
+    prev_val = 0
+    wcur = window
+    for t in range(k - 1):
+        best, br, bc = None, t, t
+        for r in range(t, k - 1):
+            for c in range(t, k):
+                v = _vec_val(M[r][c], wcur)
+                if v is not None and (best is None or v < best):
+                    best, br, bc = v, r, c
+            if best == 0:
+                break
+        if best is None:
+            # the remaining pivot rows vanish on the window; by Sylvester's
+            # identity each minor times prev^(k-1-t) is a determinant with
+            # k-1-t such rows, which bounds its valuation
+            w0 = max((k - 1 - t) * (wcur - prev_val), 0)
+            return [result([], e, w0) for e in ends]
+        if br != t:
+            M[br], M[t] = M[t], M[br]
+            sign = -sign
+        if bc != t:
+            for row in M:
+                row[bc], row[t] = row[t], row[bc]
+            sign = -sign
+        piv = M[t][t]
+        for r in range(t + 1, len(orders)):
+            M[r][t + 1:] = _row_step(M[r][t + 1:], M[r][t], piv, M[t][t + 1:],
+                                     prev, wcur)
+            M[r][t] = None
+        wcur -= prev_val
+        prev = piv
+        prev_val = best
+
+    out = []
+    for r, e in enumerate(ends, start=k - 1):
+        # row e sits below rows 1..k-1; moving row 0 to the top takes k-1 swaps
+        s = -sign if e == 0 and k % 2 == 0 else sign
+        nums = M[r][k - 1]
+        out.append(result([-x for x in nums] if s < 0 else nums, e, wcur))
+    return out
+
+
+def _no_lower(new, ref):
+    """new.prec is at least ref.prec, None counting as the highest."""
+    return new.prec is None or (ref.prec is not None and new.prec >= ref.prec)
+
+
+def assert_matches_the_reference(fs):
+    """On every end, the minors agree with the reference through the
+    smaller precision, and no precision is lower than the reference's."""
+    k = len(fs)
+    for ends in ((0,), (k,), (0, k)):
+        got, ref = W_MOD._bareiss(fs, ends), reference_bareiss(fs, ends)
+        assert all(agree(g, r) and _no_lower(g, r) for g, r in zip(got, ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_family(), coarsenable_family()))
+def test_recursion_matches_the_reference(fs):
+    assert_matches_the_reference(fs)
+
+
+@pytest.mark.parametrize("prec", [F(9, 2), F(16), F(60)])
+@pytest.mark.parametrize("pair", sorted(PAIR_NAMES))
+def test_recursion_equals_the_reference_on_the_paper_pairs(pair, prec):
+    # the distinct leading exponents of Sym^m leave every pivot at slot 0,
+    # where the reference spends no window either
+    fs = _reduced_pair(pair, prec)
+    for m in range(1, 13):
+        basis = sym_basis(*fs, m)
+        ends = (0, m + 1)
+        assert _minors(basis, ends) == _fields(
+            lambda f: reference_bareiss(f, ends), basis)
+
+
+@st.composite
+def refined_family(draw):
+    """A family of integer_family or coarsenable_family, and the exact
+    family that keeps each member's known terms and adds random terms at
+    and beyond its precision, on its lattice or off it."""
+    fs = draw(st.one_of(integer_family(), coarsenable_family()))
+    refined = []
+    for f in fs:
+        g = QSeries(f.offset, f.nums, f.step_den, f.den)
+        if f.prec is not None:
+            for j, d, c in draw(st.lists(st.tuples(
+                    st.integers(0, 4), st.sampled_from([1, 2, 3, 6]),
+                    st.sampled_from([1, -2, 3, 2 ** 20])),
+                    min_size=1, max_size=3)):
+                g = g + QSeries.monomial(c, f.prec + F(j, d))
+        refined.append(g)
+    return fs, refined
+
+
+@settings(max_examples=150, deadline=None)
+@given(refined_family())
+def test_reported_precision_is_sound(fc):
+    """W and W' equal the determinant of every refinement of the family
+    through their reported precision, and exactly for an exact family."""
+    fs, refined = fc
+    got, truth = wronskians(fs), oracle_pair(refined)
+    for g, t in zip(got, truth):
+        assert first_mismatch(g, t) is None
+        if all(f.prec is None for f in fs):
+            assert g == t
+
+
+@pytest.mark.parametrize("fs", [
+    # two members share a leading exponent, so the lead reduction runs
+    [QSeries.from_fractions(0, [1, 1]), QSeries.from_fractions(0, [1, 2]),
+     QSeries.monomial(1, F(1, 3))],
+    [QSeries.from_fractions(0, [1, 1], prec=F(7)),
+     QSeries.from_fractions(0, [1, 2, 0, 5], prec=F(6)),
+     QSeries.monomial(1, F(1, 3), prec=F(13, 3))],
+    # a dependent member, exact and truncated
+    [QSeries.from_fractions(F(1, 2), [1, 0, 3]), QSeries.monomial(2, 1),
+     QSeries.from_fractions(F(1, 2), [2, -3, 6])],
+    [QSeries.from_fractions(F(1, 2), [1, 0, 3], prec=F(9)),
+     QSeries.monomial(2, 1, prec=F(8)),
+     QSeries.from_fractions(F(1, 2), [2, -3, 6], prec=F(17, 2))],
+])
+def test_minors_equal_the_cofactor_oracle(fs):
+    w, wd = wronskians(fs)
+    assert (w, wd) == (wronskian(fs), wronskian_derived(fs))
+    truth = oracle_pair(fs)
+    if all(f.prec is None for f in fs):
+        assert (w, wd) == truth
+    else:
+        assert first_mismatch(w, truth[0]) is None
+        assert first_mismatch(wd, truth[1]) is None
+        assert w.prec is not None and wd.prec is not None
+    assert_matches_the_reference(fs)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_one_row_step_per_pivot(m):
+    # k - 1 pivots give W, and the constant column takes one more for W'
+    fs = sym_basis(*_reduced_pair("weber", 16), m)
+    k = m + 1
+    for call, steps in ((wronskian, k - 1), (wronskian_derived, k),
+                        (wronskians, k)):
+        with step_windows() as windows:
+            call(fs)
+        assert len(windows) == steps
