@@ -10,10 +10,9 @@ from .modpoly import (DivisorData, MFPoly, E4, E6, DELTA, G4, G6, bernoulli,
                       decompose, dim_modular, divisor_polynomial, eisenstein,
                       identify, InsufficientPrecision, NotIdentifiable,
                       theta_derivation, theta_h, to_qseries)
-from .wronskian import (VanishingReport, coarsen, echelonize,
-                        identify_quotient, normalize, quotient_form,
-                        vanishing_check, wronskian, wronskian_derived,
-                        wronskians)
+from .wronskian import (VanishingReport, echelonize, identify_quotient,
+                        normalize, quotient_form, vanishing_check, wronskian,
+                        wronskian_derived, wronskians)
 from .symmpow import (SymWronskianMismatch, SymWronskianReport, apply,
                       d_operator, kz_coeff, r12_vanishing_roots, r_recursion,
                       sym_basis, sym_quotient_closed_form, sym_wronskian_check)

@@ -29,8 +29,8 @@ from .ssing import (congruence_constant_check, hasse_oracle, ss_poly_deligne,
 from .symmpow import (SymWronskianMismatch, apply, d_operator, kz_coeff,
                       r12_vanishing_roots, r_recursion, sym_basis,
                       sym_quotient_closed_form, sym_wronskian_check)
-from .wronskian import coarsen, identify_quotient, wronskian, \
-    wronskian_derived, wronskians
+from .wronskian import identify_quotient, wronskian, wronskian_derived, \
+    wronskians
 
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -55,13 +55,21 @@ def _pair(pair, prec):
 
 
 def _reduced_pair(pair, prec):
-    """The pair after wronskian.coarsen: (weber8_1 - 8 weber8_2,
-    weber8_2) on the integer lattice at every integer prec, rr and a1 as
-    named.  Its Sym^m is a unit-triangular change of basis, with the same
-    minors.  Each Sym^m member of the named pair has the pair's bound and
-    Lv, so coarsen's window test on the pair is the one on Sym^m, and the
-    precisions stay too."""
-    return coarsen(_pair(pair, prec))
+    """The pair whose Sym^m the command line eliminates: (weber8_1 -
+    8 weber8_2, weber8_2) for the Weber pair, rr and a1 as named.
+
+    By Weber's identity f^8 = f_1^8 + f_2^8 the terms of weber8_1 off its
+    class offset + Z are 8 weber8_2, so weber8_1 - 8 weber8_2 lies on one
+    class and QSeries compresses its stride: both members sit on the
+    integer lattice, where the window of the elimination takes half the
+    slots it takes on the named pair.  (f - c g)^i g^(m-i) is a
+    unit-triangular change of the Sym^m basis for any c, column operations
+    f_i -= c f_j that leave every minor of the derivative stack, so W, W'
+    and their precisions are those of Sym^m of the named pair: the 8 fixes
+    only the lattice, never a minor.  Only two series are reduced, not m+1
+    members."""
+    f, g = _pair(pair, prec)
+    return (f - 8 * g, g) if pair == "weber" else (f, g)
 
 
 _TOO_LARGE = "precision %s is too large: its series do not fit in memory"
@@ -77,9 +85,10 @@ def _fits(n, source):
 
 
 # The largest p that `ssing --p` and `run-all --primes` take, checked
-# before trial division: `ssing --p 1009` takes 0.3 s, `--p 2003` 1.4 s
-# and `--p 2999` 4.7 s on a 2-vCPU Xeon VM with CPython 3.11, up to half
-# of it in the exact B_(p-1) behind E_(p-1).
+# before trial division: `ssing --p 1009` takes 0.3 s, `--p 2003` 0.9-1.2 s
+# and `--p 2999` 2.5-2.7 s on a 2-vCPU Xeon VM with CPython 3.11, most of
+# it in the exact binomials of the Legendre oracle and in the closed form
+# over Q that the Wronskian route and the congruence decompose.
 P_MAX = 3000
 
 

@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .modpoly import (_back_substitute, _ladder, _ladder_sum, _weight_shape,
-                      decompose, dim_modular, eisenstein, h_poly)
+                      decompose, dim_modular, h_poly)
 from .poly import Poly, check_prime
 from .symmpow import sym_quotient_closed_form
 
@@ -68,23 +68,17 @@ def _times_h(f_tilde, weight, p):
 def ss_poly_deligne(p):
     """S_p(x) from the divisor polynomial of E_{p-1} reduced mod p.
 
-    E_{p-1} is expanded exactly through dim M_{p-1} + DELIGNE_MARGIN
-    coefficients and reduced mod p; a coefficient with p in its denominator
-    raises a ValueError naming its exponent.  Back-substitution against the
-    ladder mod p gives its coordinates c_i, and every coefficient must
-    match (NotIdentifiable otherwise).  Then f~(x) = sum_i c_i x^(t-i).
+    By von Staudt-Clausen p divides the denominator of B_{p-1} exactly
+    once, so the factor 2(p-1)/B_{p-1} of every nonconstant coefficient of
+    E_{p-1} is 0 mod p, and E_{p-1} = 1 (mod p) as a q-series: no exact
+    E_{p-1} (nor B_{p-1}) is formed.  Back-substitution of 1 through
+    dim M_{p-1} + DELIGNE_MARGIN coefficients against the ladder mod p
+    gives its coordinates c_i, and every coefficient must match
+    (NotIdentifiable otherwise).  Then f~(x) = sum_i c_i x^(t-i).
     """
     check_prime(p)
     w = p - 1
-    n = dim_modular(w) + DELIGNE_MARGIN
-    series = eisenstein(w, "E", n)
-    if series.den % p == 0:
-        # den is the lcm of the reduced denominators: name the first one
-        for e, c in series.coeffs():
-            _residue(c, p, e)
-    inv = pow(series.den, -1, p)
-    residual = [0] * int(series.offset) + [c * inv % p for c in series.nums]
-    residual += [0] * (n - len(residual))
+    residual = [1] + [0] * (dim_modular(w) + DELIGNE_MARGIN - 1)
     coords = _back_substitute(residual, _ladder_mod_p(w, p), p)
     return _times_h(coords[::-1], w, p)
 

@@ -25,23 +25,9 @@ every minor of the derivative stack, and so W and W', exactly as they
 were.  The recursion first applies them until the leading exponents are
 distinct, so each pivot W(f_1..f_t) leads at slot 0, with the product of
 the leading coefficients times the Vandermonde of the h_i: no pivot is
-searched for, and no division spends any of the known window.  coarsen
-uses them to move members onto single exponent classes where it can: a
-member's term off its class offset + Z is cleared by a member on one
-class that leads at that exponent.  That member leads above the reduced
-one, so each reduced member keeps its offset and is known to at least
-offset + bound.  The reduced family is returned only when its leads are
-distinct, Lv drops and the window covers the same exponents, so its
-minors are reported to the same precision.  wronskian, wronskian_derived
-and wronskians eliminate coarsen of their family; a family already on
-the integer lattice passes through untouched.  By Weber's identity f^8 =
-f_1^8 + f_2^8 the terms of weber8_1 off its class are 8 weber8_2, so
-coarsen turns the Weber pair into (weber8_1 - 8 weber8_2, weber8_2), both
-on the integer lattice, and every Sym^m member of the named pair lands
-there too.  The CLI builds Sym^m from the reduced pair: (f - 8g)^i
-g^(m-i) is a unit-triangular change of the Sym^m basis with the same
-minors, and the window halves, so only two series are reduced, not m+1
-members.
+searched for, and no division spends any of the known window.  wronskian,
+wronskian_derived and wronskians eliminate their family as given, on the
+lattice of its members.
 
 Each step works on one whole row.  Slot s of the row's remaining entries
 packs into one integer sum_c x_c 2^(w c) with balanced w-bit fields, so
@@ -133,20 +119,20 @@ def _series_list(family):
 
 def wronskian(family):
     """det[D^j f_i] for j = 0..k-1, columns in the given order, D = q d/dq."""
-    return _bareiss(coarsen(_series_list(family)), (0,))[0]
+    return _bareiss(_series_list(family), (0,))[0]
 
 
 def wronskian_derived(family):
     """Wronskian of the termwise derivatives (D f_1, ..., D f_k), which is
     det[D^j f_i] for j = 1..k."""
     fs = _series_list(family)
-    return _bareiss(coarsen(fs), (len(fs),))[0]
+    return _bareiss(fs, (len(fs),))[0]
 
 
 def wronskians(family):
     """(W, W') of a family, both from one elimination."""
     fs = _series_list(family)
-    return tuple(_bareiss(coarsen(fs), (0, len(fs))))
+    return tuple(_bareiss(fs, (0, len(fs))))
 
 
 def _vec_val(v, w):
@@ -232,75 +218,6 @@ def _row_step(a, mrt, piv, b, prev, wcur):
         else:
             return [list(col) for col in zip(*rows)]
         w *= 2
-
-
-def _off_class(f, above):
-    """The lowest exponent above `above` of a term of f off its class
-    f.offset + Z, or None."""
-    s = f.step_den
-    rel = (above - f.offset) * s
-    for n in range(rel.numerator // rel.denominator + 1, len(f.nums)):
-        if f.nums[n] and n % s:
-            return f.offset + Fraction(n, s)
-    return None
-
-
-def coarsen(fs):
-    """The family with members moved onto single exponent classes by
-    column operations f_i -= c f_j, when that puts it on a coarser lattice
-    and the elimination reports every minor of it exactly as of fs;
-    otherwise fs itself.
-
-    Walking up a member's terms off its class offset + Z, each is cleared
-    by a member on one class (step_den 1) that leads at its exponent, until
-    none does or the member lies on one class too.  The subtracted member
-    leads above the reduced one, whose offset and lead stay as they were.
-    A member that lands on one class may clear terms of the others, so the
-    walk repeats until no member lands.
-
-    The reduced family is returned only when it lowers the lattice lcm Lv
-    of the steps and the elimination window covers the same exponents on
-    both lattices.  The window holds the slots below bound = min(prec_i -
-    offset_i) on Lv, the exponents below ceil(bound Lv)/Lv; on a coarser
-    lattice that can reach further, and a minor that vanishes on the window
-    is then known to vanish further.  An exact family takes its window from
-    its members' lengths on their lattice, which the reduction changes, so
-    it is returned as given, and so is a family on the integer lattice,
-    whose Lv = 1 cannot drop.  So is a family whose nonzero members share
-    a leading exponent: the elimination reduces those members first, and
-    the precision it reports then rests on the precisions of the members
-    it combines, which the walk can lower.
-    """
-    leads = [f.offset for f in fs if f.nums]
-    if all(f.step_den == 1 for f in fs) or len(set(leads)) < len(leads):
-        return fs
-    bound = _min_prec(*(None if f.prec is None else f.prec - f.offset
-                        for f in fs))
-    if bound is None:
-        return fs
-    out = list(fs)
-    # a member with no known term leads nowhere
-    lead = {g.offset: g for g in out if g.step_den == 1 and g.nums}
-    landed = True
-    while landed:
-        landed = False
-        for i, f in enumerate(out):
-            e = f.offset
-            while f.step_den > 1:
-                e = _off_class(f, e)
-                g = lead.get(e)
-                if g is None:
-                    break
-                f -= f.coeff_at(e) / g.leading_coefficient() * g
-                if f.step_den == 1 and f.nums:
-                    lead.setdefault(f.offset, f)
-                    landed = True
-            out[i] = f
-    lv, lv_out = (lcm(*(f.step_den for f in g)) for g in (fs, out))
-    if lv_out < lv and (_ceil(bound * lv) * lv_out
-                        == _ceil(bound * lv_out) * lv):
-        return out
-    return fs
 
 
 def _bareiss(fs, ends):

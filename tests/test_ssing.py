@@ -11,7 +11,6 @@ from modwron.modpoly import (DELTA, E4, E6, MFPoly, NotIdentifiable,
                              dim_modular, divisor_polynomial, eisenstein,
                              h_poly, identify, to_qseries)
 from modwron.poly import Poly
-from modwron.qseries import QSeries
 from modwron.ssing import (CongruenceReport, congruence_constant_check,
                            epsilon_factors, hasse_oracle, legendre_symbol,
                            linear_quadratic_split, ss_poly_deligne,
@@ -161,34 +160,39 @@ def test_the_report_and_the_congruence_share_one_ladder(monkeypatch):
     assert sorted(ssing._LADDERS) == [(36, 37), (40, 41)]
 
 
-def _plant(monkeypatch, *terms):
-    """E_{p-1} as the Deligne route builds it, plus the (c, e) monomials."""
-    def planted(k, norm, N):
-        out = eisenstein(k, norm, N)
-        for c, e in terms:
-            out = out + QSeries.monomial(c, e, N)
-        return out
-
-    monkeypatch.setattr(ssing, "eisenstein", planted)
+@pytest.mark.parametrize("p", primes_between(5, 199))
+def test_eisenstein_p_minus_1_is_1_mod_p(p):
+    # von Staudt-Clausen: p divides the denominator of B_{p-1} once, so
+    # Deligne's route may back-substitute 1 in place of E_{p-1}
+    n = dim_modular(p - 1) + ssing.DELIGNE_MARGIN
+    series = eisenstein(p - 1, "E", n)
+    assert series.offset == 0 and series.prec == n and series.step_den == 1
+    inv = pow(series.den, -1, p)                # p is not in the denominator
+    residues = [c * inv % p for c in series.nums]
+    assert residues + [0] * (n - len(residues)) == [1] + [0] * (n - 1)
 
 
 def test_deligne_rejects_a_planted_residual_slot(monkeypatch):
     p = 37
     n = dim_modular(p - 1) + ssing.DELIGNE_MARGIN
     truth = ss_poly_deligne(p)
-    _plant(monkeypatch, (p, n - 1))             # zero mod p: no change
+    real = ssing._ladder_mod_p
+
+    def plant(c):
+        # member 0 leads the solve with coordinate 1; slot n - 1 lies past
+        # dim M_{p-1}, where only the residual check reads it
+        def planted(w, q):
+            table = [list(col) for col in real(w, q)]
+            table[0][n - 1] = (table[0][n - 1] + c) % q
+            return table
+        monkeypatch.setattr(ssing, "_ladder_mod_p", planted)
+
+    assert dim_modular(p - 1) < n - 1
+    plant(p)                                    # zero mod p: no change
     assert ss_poly_deligne(p) == truth
-    _plant(monkeypatch, (1, n - 1))
+    plant(1)
     with pytest.raises(NotIdentifiable,
                        match="residual is nonzero at exponent %d" % (n - 1)):
-        ss_poly_deligne(p)
-
-
-def test_deligne_names_a_denominator_divisible_by_p(monkeypatch):
-    p = 37
-    _plant(monkeypatch, (F(1, p * p), 7), (F(2, p), 3), (F(1, 3), 2))
-    with pytest.raises(ValueError, match="^coefficient at exponent 3 has "
-                                         "denominator divisible by 37$"):
         ss_poly_deligne(p)
 
 

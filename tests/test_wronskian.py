@@ -19,7 +19,7 @@ from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
 from modwron.qseries import (QSeries, _ceil, _check_cap, _conv_trunc,
                              _divexact, _min_prec, _upsample, first_mismatch)
 from modwron.symmpow import sym_basis
-from modwron.wronskian import (_row_step, _vec_val, coarsen, echelonize,
+from modwron.wronskian import (_row_step, _vec_val, echelonize,
                                identify_quotient, normalize, quotient_form,
                                vanishing_check, wronskian, wronskian_derived,
                                wronskians)
@@ -712,30 +712,7 @@ def test_row_step_raises_when_only_the_packed_integer_divides():
     assert widths == [2, 2]
 
 
-# ---- coarsening onto single exponent classes -------------------------------
-
-def wronskian_list(fs):
-    return [wronskian(fs)]
-
-
-# each public call, with the end orders of the _bareiss run it makes
-CALLS = ((wronskians, lambda k: (0, k)),
-         (wronskian_list, lambda k: (0,)),
-         (lambda fs: [wronskian_derived(fs)], lambda k: (k,)))
-
-
-def assert_calls_keep(fs, given, calls=CALLS):
-    """Each call on fs returns field for field what _bareiss returns on the
-    family `given` as given, not coarsened, or raises the same error."""
-    assert ([_fields(call, fs) for call, _ in calls]
-            == [_minors(given, ends(len(given))) for _, ends in calls])
-
-
-def assert_coarsening_keeps(fs):
-    """The calls, which eliminate coarsen(fs), report what _bareiss reports
-    on fs as given."""
-    assert_calls_keep(fs, fs)
-
+# ---- families off the integer lattice --------------------------------------
 
 @st.composite
 def coarsenable_family(draw):
@@ -773,26 +750,41 @@ def coarsenable_family(draw):
     return [fs[i] for i in draw(st.permutations(range(len(fs))))]
 
 
-@settings(max_examples=200, deadline=None)
-@given(coarsenable_family())
-# dependent families, whose minors vanish: one exact, and one known to
-# q^(5/4), whose window reaches q^(4/3) on step 1/6 and q^2 on step 1
-@example([QSeries(F(-1, 6), [1]), QSeries(0, [1]), QSeries(F(-1, 6), [1, 1]),
-          QSeries(0, [1, 1]), QSeries(F(-1, 6), [1, -2, 0, 0, 0, 0, 0, -2], 6)])
-@example([QSeries(F(1, 6), [1]), QSeries(0, [1]), QSeries(0, [1]),
-          QSeries(0, [1]), QSeries(0, [1, 1], prec=F(5, 4)),
-          QSeries(0, [-2, 1, 0, 0, 0, 0, -2], 6, prec=F(5, 4))])
-# a member with no known term, O(q^(1/2)), sits on one class at offset 0,
-# where the other member has a term to clear; it must not be taken as a lead
-@example([QSeries(0, [], prec=F(1, 2)),
-          QSeries(F(-1, 2), [-1, -1], 2, prec=F(1, 2))])
+# dependent families, whose minors vanish: one exact, one known to q^(5/4)
+DEPENDENT_EXACT = [QSeries(F(-1, 6), [1]), QSeries(0, [1]),
+                   QSeries(F(-1, 6), [1, 1]), QSeries(0, [1, 1]),
+                   QSeries(F(-1, 6), [1, -2, 0, 0, 0, 0, 0, -2], 6)]
+DEPENDENT_TRUNCATED = [QSeries(F(1, 6), [1]), QSeries(0, [1]),
+                       QSeries(0, [1]), QSeries(0, [1]),
+                       QSeries(0, [1, 1], prec=F(5, 4)),
+                       QSeries(0, [-2, 1, 0, 0, 0, 0, -2], 6, prec=F(5, 4))]
+# a member with no known term, O(q^(1/2)), on one class at offset 0, where
+# the other member has a term off its class
+UNKNOWN_MEMBER = [QSeries(0, [], prec=F(1, 2)),
+                  QSeries(F(-1, 2), [-1, -1], 2, prec=F(1, 2))]
 # members that share a leading exponent, which the elimination reduces
-# first: coarsening q^(-1/6) - 2 to q^(-1/6) by the exact 1 would make the
-# minors exact zeros, where the family as given reports them to q^(11/6)
-@example([QSeries(F(-1, 6), [1]), QSeries(0, [1], prec=1), QSeries(0, [1]),
-          QSeries(F(-1, 6), [1, -2], 6)])
-def test_coarsening_keeps_every_minor_and_precision(fs):
-    assert_coarsening_keeps(fs)
+# first; W is reported to q^(11/6), though the exact members make it 0
+SHARED_LEADS = [QSeries(F(-1, 6), [1]), QSeries(0, [1], prec=1),
+                QSeries(0, [1]), QSeries(F(-1, 6), [1, -2], 6)]
+
+
+# ---- the reduced Weber pair ----------------------------------------------
+
+def wronskian_list(fs):
+    return [wronskian(fs)]
+
+
+# each public call, with the end orders of the _bareiss run it makes
+CALLS = ((wronskians, lambda k: (0, k)),
+         (wronskian_list, lambda k: (0,)),
+         (lambda fs: [wronskian_derived(fs)], lambda k: (k,)))
+
+
+def assert_calls_keep(fs, given, calls=CALLS):
+    """Each call on fs returns field for field what _bareiss returns on the
+    family `given`, or raises the same error."""
+    assert ([_fields(call, fs) for call, _ in calls]
+            == [_minors(given, ends(len(given))) for _, ends in calls])
 
 
 def assert_reduced_pair_keeps(pair, prec, ms, calls=CALLS):
@@ -814,18 +806,20 @@ def assert_reduced_pair_keeps(pair, prec, ms, calls=CALLS):
 @pytest.mark.parametrize("prec", [F(9, 2), F(16), F(60), F(1, 3)])
 @pytest.mark.parametrize("pair", sorted(PAIR_NAMES))
 def test_coarsening_keeps_the_paper_sym_minors(pair, prec):
-    # only the Weber pair reduces, and not at prec 9/2, where the window on
-    # the integer lattice would reach further than on the named pair's; at
-    # prec 60 one elimination gives W and W' for all three calls
+    # only the Weber pair reduces, at 9/2 too, once weber8_2 has a known
+    # term: it leads at q^(1/3); at prec 60 one elimination gives W and W'
+    # for all three calls
     reduced = assert_reduced_pair_keeps(pair, prec, range(1, 13),
                                         CALLS[:1] if prec == 60 else CALLS)
-    assert reduced == (pair == "weber" and prec.denominator == 1)
+    assert reduced == (pair == "weber" and prec > F(1, 3))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 240), st.integers(1, 6))
 def test_reduced_pair_keeps_the_sym_minors_at_any_prec(twelfths, m):
-    assert_reduced_pair_keeps("weber", F(twelfths, 12), [m])
+    prec = F(twelfths, 12)
+    assert all(h.step_den == 1 for h in _reduced_pair("weber", prec))
+    assert_reduced_pair_keeps("weber", prec, [m])
 
 
 @contextmanager
@@ -845,9 +839,11 @@ def step_windows():
 def test_weber_sym_eliminates_on_the_integer_lattice():
     # weber8_1's terms off its class are 8 * weber8_2 exactly, so the pair
     # reduces onto one class and Sym^m of it at prec 16 takes 16 slots, not 32
-    f, g = (named_series(name, 16) for name in PAIR_NAMES["weber"])
-    assert f.step_den == 2
-    rf, rg = coarsen([f, g])
+    f, g = _pair("weber", 16)
+    assert f.step_den == 2 and g.step_den == 1
+    off = [f.offset + n + F(1, 2) for n in range(16)]
+    assert all(f.coeff_at(e) == 8 * g.coeff_at(e) for e in off)
+    rf, rg = _reduced_pair("weber", 16)
     assert (rf, rg) == (f - 8 * g, g) and rf.step_den == 1
     for m in range(1, 13):
         fs = sym_basis(rf, rg, m)
@@ -871,57 +867,24 @@ def eliminated_families():
         yield families
 
 
-@contextmanager
-def coarsen_passes():
-    """Whether each coarsen call inside the block returned its family."""
-    passes = []
-    real = W_MOD.coarsen
-
-    def spy(fs):
-        out = real(fs)
-        passes.append(out is fs)
-        return out
-
-    with mock.patch.object(W_MOD, "coarsen", spy):
-        yield passes
-
-
 @pytest.mark.parametrize("m", range(1, 13))
 def test_cli_weber_sym_reaches_the_elimination_on_the_integer_lattice(m):
-    # the CLI builds Sym^m from (weber8_1 - 8 weber8_2, weber8_2), so the
-    # elimination's own coarsen passes every family through untouched
-    with eliminated_families() as families, step_windows() as windows, \
-            coarsen_passes() as passes:
+    # the CLI builds Sym^m from (weber8_1 - 8 weber8_2, weber8_2)
+    with eliminated_families() as families, step_windows() as windows:
         assert symcheck_report("weber", m, 16).status == "pass"
         wronskians(_parse_basis("sym:weber:%d" % m, 16))
-    assert len(families) == 3 and passes == [True] * 3
+    assert len(families) == 3
     assert all(h.step_den == 1 for fs in families for h in fs)
     assert windows and max(windows) <= 16
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 12])
-def test_named_weber_sym_is_coarsened_before_the_elimination(m):
-    # Sym^m of the named pair lies on the half-integer lattice; every call
-    # coarsens it, so the elimination runs on the integer lattice and its
-    # window takes 16 slots at prec 16, not 32, for the same fields
-    fs = sym_basis(*_pair("weber", 16), m)
-    assert max(h.step_den for h in fs) == 2
-    with eliminated_families() as families, step_windows() as windows, \
-            coarsen_passes() as passes:
-        got = [_fields(call, fs) for call, _ in CALLS]
-    assert len(families) == 3 and passes == [False] * 3
-    assert all(h.step_den == 1 for fs in families for h in fs)
-    assert windows and max(windows) <= 16
-    assert got == [_minors(fs, ends(len(fs))) for _, ends in CALLS]
 
 
 @pytest.mark.parametrize("pair", ["rr", "a1"])
 def test_coarsening_leaves_integer_lattice_pairs_alone(pair):
-    pair = tuple(named_series(name, 16) for name in PAIR_NAMES[pair])
-    assert coarsen(pair) is pair
+    # rr and a1 already lie on the integer lattice: the CLI takes them as named
+    named = _pair(pair, 16)
+    assert _reduced_pair(pair, 16) == named
     for m in range(1, 13):
-        fs = sym_family(*pair, m)
-        assert coarsen(fs) is fs
+        assert all(h.step_den == 1 for h in sym_family(*named, m))
 
 
 # ---- the full-pivot elimination, kept as the reference ---------------------
@@ -1050,6 +1013,10 @@ def assert_matches_the_reference(fs):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(integer_family(), coarsenable_family()))
+@example(DEPENDENT_EXACT)
+@example(DEPENDENT_TRUNCATED)
+@example(UNKNOWN_MEMBER)
+@example(SHARED_LEADS)
 def test_recursion_matches_the_reference(fs):
     assert_matches_the_reference(fs)
 
@@ -1086,8 +1053,19 @@ def refined_family(draw):
     return fs, refined
 
 
+def _refined(fs):
+    """fs, and the exact family with a term added at each member's prec."""
+    return fs, [QSeries(f.offset, f.nums, f.step_den, f.den)
+                + (0 if f.prec is None else QSeries.monomial(3, f.prec))
+                for f in fs]
+
+
 @settings(max_examples=150, deadline=None)
 @given(refined_family())
+@example(_refined(DEPENDENT_EXACT))
+@example(_refined(DEPENDENT_TRUNCATED))
+@example(_refined(UNKNOWN_MEMBER))
+@example(_refined(SHARED_LEADS))
 def test_reported_precision_is_sound(fc):
     """W and W' equal the determinant of every refinement of the family
     through their reported precision, and exactly for an exact family."""
