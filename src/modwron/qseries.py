@@ -40,6 +40,7 @@ LATTICE_CAP = 120     # largest allowed exponent-lattice denominator
 DEFAULT_PREC = 100    # truncation order used when fully exact inputs need one
 # _solve: taps with fewer than 1/SPARSE_DENSITY nonzero entries run tap by tap
 SPARSE_DENSITY = 4
+_INEXACT = "inexact division in fraction-free elimination"
 # _packs prices in 30-bit digit products (about 1 ns) the interpreter's
 # overhead per product of the loop, per slot _kron packs or unpacks and per
 # _kron call, fitted to timings of both on 4-1000 slots of 1-20000 bits
@@ -353,23 +354,18 @@ def _relaxed(acc, t, rt, div, out, lo, hi, what, bt):
             out[i] = q
 
 
-def _divexact(u, v, w):
-    """Exact quotient u/v of integer slot vectors, known to w - val(v) slots.
+def _divexact(u, v, n):
+    """Exact quotient u/v of integer slot vectors through n slots.
 
-    One run of _solve: every step must divide exactly by the leading slot
-    of v, and an inexact step raises.
+    v must lead at slot 0.  Each caller guarantees it: a series divisor
+    has no leading zero slot, E4^3 leads with 1, and _bareiss checks every
+    Wronskian pivot before it becomes a divisor.  One run of _solve: every
+    step must divide exactly by v[0], and an inexact step raises.
     """
-    v0 = 0
-    while not v[v0]:
-        v0 += 1
-    n = w - v0
-    if n <= 0:
-        return []
-    acc = u[v0:v0 + n]
+    acc = u[:n]
     acc += [0] * (n - len(acc))
     out = [0] * n
-    _solve(acc, [-c for c in v[v0 + 1:]], [v[v0]] * n, out, 0, n,
-           "inexact division in fraction-free elimination")
+    _solve(acc, [-c for c in v[1:]], [v[0]] * n, out, 0, n, _INEXACT)
     return out
 
 

@@ -25,9 +25,11 @@ every minor of the derivative stack, and so W and W', exactly as they
 were.  The recursion first applies them until the leading exponents are
 distinct, so each pivot W(f_1..f_t) leads at slot 0, with the product of
 the leading coefficients times the Vandermonde of the h_i: no pivot is
-searched for, and no division spends any of the known window.  wronskian,
-wronskian_derived and wronskians eliminate their family as given, on the
-lattice of its members.
+searched for, and no division spends any of the known window.  That an
+exact divisor leads at slot 0 is the contract of the row step and of
+qseries._divexact; the guard in _bareiss is the one place it is checked.
+wronskian, wronskian_derived and wronskians eliminate their family as
+given, on the lattice of its members.
 
 Each step works on one whole row.  Slot s of the row's remaining entries
 packs into one integer sum_c x_c 2^(w c) with balanced w-bit fields, so
@@ -55,10 +57,8 @@ from operator import mul as _mul_op
 from typing import NamedTuple
 
 from .modpoly import identify
-from .qseries import (QSeries, _ceil, _check_cap, _divexact, _min_prec,
-                      _upsample, first_mismatch)
-
-_INEXACT = "inexact division in fraction-free elimination"
+from .qseries import (QSeries, _INEXACT, _ceil, _check_cap, _divexact,
+                      _min_prec, _upsample, first_mismatch)
 
 
 # ---- echelon bases -------------------------------------------------------
@@ -68,8 +68,9 @@ def echelonize(series):
 
     Returns the tuple of members sorted by leading exponent, as
     _distinct_leads reduces them: members are never rescaled, so a member
-    that already leads at a fresh exponent comes back unchanged, and an
-    echelon family comes back as itself in order.  The span is preserved
+    that already leads at a fresh exponent comes back unchanged, and so
+    does the most precise of the members that share one.  An echelon
+    family comes back as itself in order.  The span is preserved
     throughout.  A member that reduces to zero -- to its known precision --
     raises a ValueError naming its position in the input.
     """
@@ -88,9 +89,11 @@ def _distinct_leads(fs):
     Returns the pairs (position in fs, member), the nonzero members by
     increasing leading exponent and then the zero ones, with the position
     of the first member found zero, or None.  Each pass sets the zero
-    members aside and finishes the member of lowest leading exponent, the
-    earliest on a tie; every later member that shares its lead absorbs a
-    multiple of it.
+    members aside and finishes the member of lowest leading exponent;
+    every other member that shares its lead absorbs a multiple of it.  On
+    a tie an exact member goes first, then the largest prec, then the
+    earliest: f - c piv keeps min(prec_f, prec_piv), so the most precise
+    pivot leaves every member as precise as any pivot could.
     """
     work, done, zeros = list(enumerate(fs)), [], []
     while work:
@@ -98,7 +101,9 @@ def _distinct_leads(fs):
         work = [(idx, f) for idx, f in work if not f.is_zero()]
         if not work:
             break
-        at = min(range(len(work)), key=lambda i: work[i][1].valuation())
+        ranks = [(f.valuation(), f.prec is not None, -(f.prec or 0))
+                 for _, f in work]
+        at = ranks.index(min(ranks))
         done.append(work.pop(at))
         piv = done[-1][1]
         h, lead = piv.valuation(), piv.leading_coefficient()
@@ -135,14 +140,6 @@ def wronskians(family):
     return tuple(_bareiss(fs, (0, len(fs))))
 
 
-def _vec_val(v, w):
-    """Index of the first nonzero slot within the window, or None."""
-    for i in range(min(len(v), w)):
-        if v[i]:
-            return i
-    return None
-
-
 def _pack_slots(cols, n, w):
     """Slots 0..n-1 of the int lists cols, each packed into one integer
     sum_c cols[c][s] * 2^(w c); an entry past the end of its list is 0."""
@@ -152,26 +149,23 @@ def _pack_slots(cols, n, w):
     return out
 
 
-def _dots(x, ys, lo, hi):
-    """Slots lo..hi-1 of the product of the int list x and the list ys,
-    which holds at least hi slots."""
-    x0 = _vec_val(x, hi)
-    if x0 is None:
-        return [0] * (hi - lo)
-    x, yr = x[x0:hi], ys[hi - 1::-1]
-    # slot e pairs x[x0 + j] with ys[e - x0 - j]
-    return [sum(map(_mul_op, x, yr[hi - 1 - d:]))
-            for d in range(lo - x0, hi - x0)]
+def _dots(x, ys, n):
+    """Slots 0..n-1 of the product of the int list x and the list ys,
+    which holds at least n slots."""
+    x, yr = x[:n], ys[n - 1::-1]
+    # slot e pairs x[j] with ys[e - j]
+    return [sum(map(_mul_op, x, yr[n - 1 - e:])) for e in range(n)]
 
 
 def _height(cols):
     return max(max(map(abs, c), default=0) for c in cols)
 
 
-def _row_step(a, mrt, piv, b, prev, wcur):
+def _row_step(a, mrt, piv, b, prev, n):
     """One step of the fraction-free recursion on one row: the lists
-    (a_c * piv - mrt * b_c) / prev over the columns c, known to wcur -
-    val(prev) slots (to wcur slots, with no division, when prev is None).
+    (a_c * piv - mrt * b_c) / prev over the columns c, through n slots
+    (with no division when prev is None).  prev leads at slot 0, as every
+    pivot does once _bareiss has checked it.
 
     The row's slots pack into balanced w-bit fields, and _divexact divides
     the packed numerators by prev (module docstring).  The quotients unpack
@@ -181,30 +175,27 @@ def _row_step(a, mrt, piv, b, prev, wcur):
     2^(w-1), the division was inexact and ArithmeticError is raised.  w
     starts with room for x_0 = numerator / lead in every slot.
     """
-    v0 = 0 if prev is None else _vec_val(prev, wcur)
-    if wcur <= v0:
-        return [[] for _ in a]
-    lead = 1 if prev is None else prev[v0]
+    lead = 1 if prev is None else prev[0]
     alead = abs(lead)
-    taps = 0 if prev is None else sum(map(abs, prev[v0 + 1:wcur]))
+    taps = 0 if prev is None else sum(map(abs, prev[1:n]))
     # a numerator field is at most nb; an accumulator field is at most
     # nb + taps * max|x| over the quotient fields solved before it
-    nb = (sum(map(abs, piv[:wcur])) * _height(a)
-          + sum(map(abs, mrt[:wcur])) * _height(b))
+    nb = (sum(map(abs, piv[:n])) * _height(a)
+          + sum(map(abs, mrt[:n])) * _height(b))
     w = (nb + taps * (nb // alead)).bit_length() + 1
     while True:
         half, top = 1 << (w - 1), w * (len(a) - 1)
         mask, bias = (1 << w) - 1, sum(half << s for s in range(0, top + 1, w))
         low = range(0, top, w)
         num = [p - q for p, q in zip(
-            _dots(piv, _pack_slots(a, wcur, w), v0, wcur),
-            _dots(mrt, _pack_slots(b, wcur, w), v0, wcur))]
+            _dots(piv, _pack_slots(a, n, w), n),
+            _dots(mrt, _pack_slots(b, n, w), n))]
         # below xlim the accumulator bound stays below half; fields of
         # lead * x must stay below half too
         xlim = (half - 1 - nb) // taps if taps else half
         lim = min(xlim, (half - 1) // alead)
         # with no division every field is a numerator field, at most nb < half
-        xs = num if prev is None else _divexact(num, prev[v0:wcur], wcur - v0)
+        xs = num if prev is None else _divexact(num, prev[:n], n)
         rows = []
         for x in xs:
             x += bias

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from importlib import import_module
 from itertools import permutations
 from math import lcm, prod
+from operator import mul as _mul_op
 from unittest import mock
 
 import pytest
@@ -16,13 +17,12 @@ from modwron.cli import (IDENTITIES, PAIR_NAMES, _pair, _parse_basis,
                          _reduced_pair, symcheck_report)
 from modwron.etaprod import eta, named_series
 from modwron.modpoly import E4, G4, InsufficientPrecision, MFPoly
-from modwron.qseries import (QSeries, _ceil, _check_cap, _conv_trunc,
-                             _divexact, _min_prec, _upsample, first_mismatch)
+from modwron.qseries import (QSeries, _INEXACT, _ceil, _check_cap,
+                             _conv_trunc, _min_prec, _upsample, first_mismatch)
 from modwron.symmpow import sym_basis
-from modwron.wronskian import (_row_step, _vec_val, echelonize,
-                               identify_quotient, normalize, quotient_form,
-                               vanishing_check, wronskian, wronskian_derived,
-                               wronskians)
+from modwron.wronskian import (echelonize, identify_quotient, normalize,
+                               quotient_form, vanishing_check, wronskian,
+                               wronskian_derived, wronskians)
 
 N = F(20)
 
@@ -582,13 +582,38 @@ def _vec_sub(a, b):
     return a
 
 
+def _vec_val(v, w):
+    """Index of the first nonzero slot within the window, or None."""
+    for i in range(min(len(v), w)):
+        if v[i]:
+            return i
+    return None
+
+
+def divexact_by_loop(u, v, w):
+    """u / v slot by slot, known to w - val(v) slots: unlike
+    qseries._divexact, v may lead past slot 0."""
+    v0 = _vec_val(v, w)
+    lead, tail = v[v0], v[v0 + 1:]
+    out = []
+    for n in range(v0, w):
+        acc = u[n] if n < len(u) else 0
+        q, r = divmod(acc - sum(map(_mul_op, tail, reversed(out))), lead)
+        if r:
+            raise ArithmeticError(_INEXACT)
+        out.append(q)
+    return out
+
+
 def row_step_by_entry(a, mrt, piv, b, prev, wcur):
     """The elimination step entry by entry: two truncated products, one
-    subtraction and one exact triangular division per (row, column)."""
+    subtraction and one exact triangular division per (row, column),
+    known to wcur - val(prev) slots.  prev may lead past slot 0, as the
+    pivots of reference_bareiss may."""
     out = []
     for ac, bc in zip(a, b):
         num = _vec_sub(_conv_trunc(ac, piv, wcur), _conv_trunc(mrt, bc, wcur))
-        out.append(num if prev is None else _divexact(num, prev, wcur))
+        out.append(num if prev is None else divexact_by_loop(num, prev, wcur))
     return out
 
 
@@ -614,8 +639,9 @@ def bareiss_by_entry(fs, ends):
 @st.composite
 def integer_family(draw):
     """Families on lattices up to 1/6, exact or truncated close to their
-    leading terms, with offsets that zero out derivative rows (so pivots
-    swap), entries up to 2^60, and an optional dependent last member."""
+    leading terms, with offsets that zero out derivative rows (so the
+    pivots of reference_bareiss swap), entries up to 2^60, and an optional
+    dependent last member."""
     fs = []
     for _ in range(draw(st.integers(1, 5))):
         off = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
@@ -763,7 +789,7 @@ DEPENDENT_TRUNCATED = [QSeries(F(1, 6), [1]), QSeries(0, [1]),
 UNKNOWN_MEMBER = [QSeries(0, [], prec=F(1, 2)),
                   QSeries(F(-1, 2), [-1, -1], 2, prec=F(1, 2))]
 # members that share a leading exponent, which the elimination reduces
-# first; W is reported to q^(11/6), though the exact members make it 0
+# first; the exact members make W and W' 0
 SHARED_LEADS = [QSeries(F(-1, 6), [1]), QSeries(0, [1], prec=1),
                 QSeries(0, [1]), QSeries(F(-1, 6), [1, -2], 6)]
 
@@ -824,13 +850,13 @@ def test_reduced_pair_keeps_the_sym_minors_at_any_prec(twelfths, m):
 
 @contextmanager
 def step_windows():
-    """The window wcur of every _row_step call made inside the block."""
+    """The window n of every _row_step call made inside the block."""
     windows = []
     step = W_MOD._row_step
 
-    def spy(a, mrt, piv, b, prev, wcur):
-        windows.append(wcur)
-        return step(a, mrt, piv, b, prev, wcur)
+    def spy(a, mrt, piv, b, prev, n):
+        windows.append(n)
+        return step(a, mrt, piv, b, prev, n)
 
     with mock.patch.object(W_MOD, "_row_step", spy):
         yield windows
@@ -879,7 +905,7 @@ def test_cli_weber_sym_reaches_the_elimination_on_the_integer_lattice(m):
 
 
 @pytest.mark.parametrize("pair", ["rr", "a1"])
-def test_coarsening_leaves_integer_lattice_pairs_alone(pair):
+def test_rr_and_a1_pairs_are_taken_as_named(pair):
     # rr and a1 already lie on the integer lattice: the CLI takes them as named
     named = _pair(pair, 16)
     assert _reduced_pair(pair, 16) == named
@@ -893,7 +919,8 @@ def test_coarsening_leaves_integer_lattice_pairs_alone(pair):
 # row of the stack of orders 1..k-1 and the end orders is updated at every
 # step, pivots of minimal valuation are searched for and swapped in, each
 # pivot spends its valuation of the window, and Sylvester's identity bounds
-# the minors once the pivot rows vanish on it.
+# the minors once the pivot rows vanish on it.  Its pivots may lead past
+# slot 0, so it steps by row_step_by_entry, not by the _row_step it checks.
 
 def reference_bareiss(fs, ends):
     """The minors det[D^j f_i] over the orders j in {1..k-1, e}, one for
@@ -981,8 +1008,8 @@ def reference_bareiss(fs, ends):
             sign = -sign
         piv = M[t][t]
         for r in range(t + 1, len(orders)):
-            M[r][t + 1:] = _row_step(M[r][t + 1:], M[r][t], piv, M[t][t + 1:],
-                                     prev, wcur)
+            M[r][t + 1:] = row_step_by_entry(M[r][t + 1:], M[r][t], piv,
+                                             M[t][t + 1:], prev, wcur)
             M[r][t] = None
         wcur -= prev_val
         prev = piv
@@ -1019,6 +1046,25 @@ def assert_matches_the_reference(fs):
 @example(SHARED_LEADS)
 def test_recursion_matches_the_reference(fs):
     assert_matches_the_reference(fs)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 1, 3)])
+def test_shared_leads_pivot_on_the_most_precise_member(order):
+    # 1 + O(q) and the exact 1 share a lead: the exact one is the pivot in
+    # either order, which leaves 1 + O(q) as O(q), so W and W' are exact 0
+    fs = [SHARED_LEADS[i] for i in order]
+    assert wronskians(fs) == (QSeries.zero(), QSeries.zero())
+
+
+def test_bareiss_guard_raises_on_a_pivot_past_slot_0():
+    # 1 and 1 + q share a lead; left unreduced, the pivot W(1, 1 + q) = q
+    # leads at slot 1, and the guard raises once it is the pivot
+    fs = [QSeries(0, [1]), QSeries(0, [1, 1])]
+    assert wronskians(fs) == (QSeries.monomial(1, 1), QSeries.zero())
+    with mock.patch.object(W_MOD, "_distinct_leads",
+                           lambda fs: (list(enumerate(fs)), None)), \
+            pytest.raises(ArithmeticError, match="does not lead at the sum"):
+        wronskians(fs)
 
 
 @pytest.mark.parametrize("prec", [F(9, 2), F(16), F(60)])
