@@ -205,12 +205,18 @@ def _a1_quot(n):
 
 def _a1_const(n):
     """f1^5 f2 - f2^5 f1 = 2, with the left side formed as
-    f1 f2 (a - b)(a + b), a = f1^2, b = f2^2."""
+    f1 f2 (a^2 - b^2), a = f1^2, b = f2^2.
+
+    That is one product more than f1 f2 (a - b)(a + b), but the product it
+    replaces ran on the half-integer lattice: a and b lead at q^(-1/12) and
+    q^(5/12), so a - b and a + b have terms half an exponent apart.  a^2
+    and b^2 lead at q^(-1/6) and q^(5/6), so both squares and a^2 - b^2
+    stay on the integer lattice."""
     m = n + SERIES_MARGIN
     f1 = named_series("a1_f1", m)
     f2 = named_series("a1_f2", m)
     a, b = f1 ** 2, f2 ** 2
-    lhs = f1 * f2 * ((a - b) * (a + b))
+    lhs = f1 * f2 * (a * a - b * b)
     return [(lhs, 2 * QSeries.one(m))]
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
-from .etaprod import eta
+from .etaprod import ProductSpec, product_series
 from .modpoly import (InsufficientPrecision, MFPoly, theta_derivation,
                       theta_h, to_qseries)
 from .poly import Poly
@@ -129,6 +129,14 @@ def _normalized(w, name):
     return normalize(w)
 
 
+def _eta_power(k, bound):
+    """eta^k as one Euler product, to the precision eta(1, bound) ** k has:
+    a k-th power of a series of valuation 1/24 known below bound is known
+    below bound + (k - 1)/24."""
+    return product_series(ProductSpec([(0, 1, k)], Fraction(k, 24)),
+                          bound + Fraction(k - 1, 24))
+
+
 def sym_wronskian_check(f, g, m, ws=None):
     """Verify W(f^i g^(m-i)) = (prod k!) * W(g, f)^(m(m+1)/2) exactly.
 
@@ -151,10 +159,10 @@ def sym_wronskian_check(f, g, m, ws=None):
         raise SymWronskianMismatch("factorization", at)
     eta_power = None
     bound = ws.prec if ws.prec is not None else Fraction(DEFAULT_PREC)
-    eta4 = eta(1, bound) ** 4
-    if first_mismatch(_normalized(wu, "pair"), eta4) is None:
+    if first_mismatch(_normalized(wu, "pair"), _eta_power(4, bound)) is None:
         eta_power = 4 * power
-        at = first_mismatch(_normalized(ws, "Sym^%d" % m), eta4 ** power)
+        at = first_mismatch(_normalized(ws, "Sym^%d" % m),
+                            _eta_power(eta_power, bound))
         if at is not None:
             raise SymWronskianMismatch("eta power", at)
     return SymWronskianReport(m=m, constant=constant, power=power,

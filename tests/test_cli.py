@@ -85,12 +85,14 @@ def test_planted_slot_fails_where_the_expanded_form_does(monkeypatch,
     assert rep.precision == ref.precision
 
 
-@pytest.mark.parametrize("identity,most", [("rw2_char", 10), ("a1_const", 5)])
+@pytest.mark.parametrize("identity,most", [("rw2_char", 10), ("a1_const", 6)])
 def test_identity_runs_its_factored_products(monkeypatch, identity, most):
     verify(identity, 40)        # the named series are built and kept
     calls = series_products(monkeypatch)
     assert verify(identity, 40).status == "pass"
     assert 0 < len(calls) <= most
+    # no product runs on the half-integer lattice that a - b would need
+    assert all(x.step_den == y.step_den == 1 for x, y in calls)
 
 
 def test_verify_unknown_identity():

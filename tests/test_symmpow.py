@@ -12,8 +12,9 @@ from modwron.modpoly import (E4, E6, G4, MFPoly, theta_derivation, theta_h,
                              to_qseries)
 from modwron.poly import Poly
 from modwron.qseries import DEFAULT_PREC, QSeries, first_mismatch
-from modwron.symmpow import (SymWronskianMismatch, _divisors, _rational_roots,
-                             apply, d_operator,
+from modwron import symmpow
+from modwron.symmpow import (SymWronskianMismatch, _divisors, _eta_power,
+                             _rational_roots, apply, d_operator,
                              kz_coeff, r12_vanishing_roots, r_recursion,
                              sym_basis, sym_quotient_closed_form,
                              sym_wronskian_check)
@@ -127,6 +128,28 @@ def test_sym_wronskian_check_reuses_given_wronskian(weber_pair):
     assert info.value.check == "factorization"
     assert info.value.exponent == ws.valuation() + 1
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("bound", [F(16), F(149, 6), F(30), F(45), F(60),
+                                   F(DEFAULT_PREC)])
+def test_eta_power_is_the_pentagonal_power(bound):
+    # the pentagonal series raised by repeated products is the reference;
+    # prec must agree too, since it bounds the window the check compares
+    for k in [4] + [2 * m * (m + 1) for m in range(1, 15)]:
+        assert fields(_eta_power(k, bound)) == fields(eta(1, bound) ** k), k
+
+
+def test_sym_wronskian_check_rejects_a_wrong_eta_power(monkeypatch,
+                                                        weber_pair):
+    f, g = weber_pair
+    right = _eta_power
+    monkeypatch.setattr(symmpow, "_eta_power",
+                        lambda k, bound: right(k if k == 4 else k + 1, bound))
+    with pytest.raises(SymWronskianMismatch) as info:
+        sym_wronskian_check(f, g, 3)
+    assert info.value.check == "eta power"
+    # eta^24 and eta^25 part at the valuation of eta^24
+    assert info.value.exponent == 1
 
 
 # ---- r_recursion -------------------------------------------------------------
