@@ -43,8 +43,6 @@ def product_series(spec, N):
     N = Fraction(N)
     h = spec.prefactor
     L = _int_window(N, h)
-    if L == 0:
-        return QSeries.zero(N)
     w = [0] * L
     for r, m, e in spec.factors:
         for n in range(r if r else m, L, m):

@@ -233,15 +233,19 @@ def _conv_trunc(a, b, n=None):
     """The first n coefficients (all when n is None) of the product of the
     coefficient lists a and b.
 
-    Int lists go to _kron when _packs prices it below the schoolbook loop;
-    every other call, Fraction entries included, runs the loop.  A square
-    (b is a) forms each product a_i a_j, i < j, once and doubles it.
+    An operand of one slot scales the other.  Int lists go to _kron when
+    _packs prices it below the schoolbook loop; every other call, Fraction
+    entries included, runs the loop.  A square (b is a) forms each product
+    a_i a_j, i < j, once and doubles it.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
     if n is None or n > la + lb - 1:
         n = la + lb - 1
+    if la == 1 or lb == 1:
+        c, xs = (a[0], b) if la == 1 else (b[0], a)
+        return [c * x for x in xs[:n]]
     square = a is b
     # products whose loop overhead is below _kron's own loop without a look
     # at their entries

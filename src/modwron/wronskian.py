@@ -163,9 +163,9 @@ def _height(cols):
 
 def _row_step(a, mrt, piv, b, prev, n):
     """One step of the fraction-free recursion on one row: the lists
-    (a_c * piv - mrt * b_c) / prev over the columns c, through n slots
-    (with no division when prev is None).  prev leads at slot 0, as every
-    pivot does once _bareiss has checked it.
+    (a_c * piv - mrt * b_c) / prev over the columns c, through n slots.
+    prev leads at slot 0, as every pivot does once _bareiss has checked
+    it, and the first divisor is 1.
 
     The row's slots pack into balanced w-bit fields, and _divexact divides
     the packed numerators by prev (module docstring).  The quotients unpack
@@ -175,9 +175,8 @@ def _row_step(a, mrt, piv, b, prev, n):
     2^(w-1), the division was inexact and ArithmeticError is raised.  w
     starts with room for x_0 = numerator / lead in every slot.
     """
-    lead = 1 if prev is None else prev[0]
-    alead = abs(lead)
-    taps = 0 if prev is None else sum(map(abs, prev[1:n]))
+    alead = abs(prev[0])
+    taps = sum(map(abs, prev[1:n]))
     # a numerator field is at most nb; an accumulator field is at most
     # nb + taps * max|x| over the quotient fields solved before it
     nb = (sum(map(abs, piv[:n])) * _height(a)
@@ -194,10 +193,8 @@ def _row_step(a, mrt, piv, b, prev, n):
         # lead * x must stay below half too
         xlim = (half - 1 - nb) // taps if taps else half
         lim = min(xlim, (half - 1) // alead)
-        # with no division every field is a numerator field, at most nb < half
-        xs = num if prev is None else _divexact(num, prev[:n], n)
         rows = []
-        for x in xs:
+        for x in _divexact(num, prev[:n], n):
             x += bias
             row = [((x >> s) & mask) - half for s in low] + [(x >> top) - half]
             big = max(max(row), -min(row))
@@ -261,7 +258,7 @@ def _bareiss(fs, ends):
         row.append([1])
         hls.append(0)
     facs = [[h + n * (L // Lv) for n in range(window)] for h in hls]
-    prev = None
+    prev = [1]
     while len(row) > 1:
         if not row[0][0]:
             raise ArithmeticError("a Wronskian pivot does not lead at the sum "

@@ -9,10 +9,10 @@ from fractions import Fraction as F
 from math import factorial, prod
 from time import perf_counter
 
-from modwron.cli import verify
+from modwron.cli import symcheck_report, verify
 from modwron.etaprod import ProductSpec, eta, named_series, product_series
-from modwron.modpoly import (G4, MFPoly, theta_derivation, theta_h,
-                             to_qseries)
+from modwron.modpoly import (G4, IDENTIFY_MARGIN, MFPoly, dim_modular,
+                             theta_derivation, theta_h, to_qseries)
 from modwron.partitions import ColorSpec, colored_count, verify_recurrences
 from modwron.qseries import QSeries
 from modwron.poly import Poly
@@ -209,3 +209,18 @@ def test_a11_property_suites():
         for l in range(0, 9):
             assert kz_coeff(l, alpha) == kz_by_recursion(l, alpha), (l, m)
     assert perf_counter() - t0 < 60
+
+
+def test_a12_identify_window_through_p59():
+    # W'/W of Sym^m of the Weber pair, identified in M_(2m+2) from
+    # dim M_(2m+2) + IDENTIFY_MARGIN coefficients, equals the recursion and
+    # the closed form for every m = (p-3)/2 up to p = 59 at prec need + 2;
+    # at prec need the row is insufficient-precision, never a pass
+    t0 = perf_counter()
+    for m in range(1, 29):
+        need = dim_modular(2 * m + 2) + IDENTIFY_MARGIN
+        rep = symcheck_report("weber", m, need + 2)
+        assert rep.status == "pass", (m, rep.detail)
+        short = symcheck_report("weber", m, need)
+        assert short.status == "insufficient-precision", (m, short.status)
+    assert perf_counter() - t0 < 20

@@ -131,6 +131,41 @@ def test_assess_pass_at_target():
     assert rep.status == "pass" and rep.precision == 50
 
 
+def test_assess_counts_two_zero_series_as_compared():
+    # an ODE row compares zeros; a pair whose terms start at the bound does
+    # not compare anything
+    zero = QSeries.zero(F(1, 2))
+    assert _assess("demo", [(zero, zero)], F(1, 2), 0.0).status == "pass"
+    late = QSeries.monomial(1, F(1, 2), F(5))
+    rep = _assess("demo", [(zero, zero), (late, late)], F(1, 2), 0.0)
+    assert rep.status == "pass"
+    rep = _assess("demo", [(late, late)], F(1, 2), 0.0)
+    assert rep.status == "insufficient-precision" and rep.precision == F(1, 2)
+
+
+# rows whose sides have no term below the bound: chprod and f1f2 lead at
+# q^(1/6)
+EMPTY_AT = {F(1, 1000): {"chprod", "f1f2"}, F(1, 7): {"chprod", "f1f2"},
+            F(1, 5): set()}
+
+
+@pytest.mark.parametrize("prec", sorted(EMPTY_AT))
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_no_row_passes_on_an_empty_window(name, prec):
+    """Every row passes with a slot compared below the bound (a term, or
+    two zero sides), or is insufficient-precision; the CLI exits 1 on it."""
+    compared = False
+    for lhs, rhs in IDENTITIES[name](prec):
+        p = min(lhs.prec, rhs.prec, prec)
+        below = lhs.truncate(p).coeffs() + rhs.truncate(p).coeffs()
+        compared |= bool(below) or lhs.is_zero() and rhs.is_zero()
+    assert compared == (name not in EMPTY_AT[prec])
+    rep = verify(name, prec)
+    assert rep.status == ("pass" if compared else "insufficient-precision")
+    assert main(["verify", name, "--prec", str(prec)]) == (0 if compared
+                                                          else 1)
+
+
 def test_report_json_shape():
     rep = verify("chprod", 20)
     d = rep.to_json()
@@ -366,13 +401,14 @@ def test_too_small_prec_is_an_insufficient_precision_row(capsys, argv, ids):
 
 
 @pytest.mark.parametrize("argv, ids", [
-    # the pair Wronskian, or the Sym^m one, has no known nonzero term
+    # the pair Wronskian, or the Sym^m one, has no known nonzero term; in
+    # run-all, chprod and f1f2 lead at q^(1/6) and compare no slot
     (("symcheck", "--m", "1", "--prec", "1/6"), ["sym_weber_m1"]),
     (("symcheck", "--m", "3", "--prec", "1/3"), ["sym_weber_m3"]),
     (("symcheck", "--pair", "rr", "--m", "2", "--prec", "1/20"), ["sym_rr_m2"]),
     (("symcheck", "--pair", "a1", "--m", "2", "--prec", "1/20"), ["sym_a1_m2"]),
     (("run-all", "--prec", "1/6"),
-     ["sym_weber_m%d" % m for m in range(1, 13)]
+     ["chprod", "f1f2"] + ["sym_weber_m%d" % m for m in range(1, 13)]
      + ["eta_power_rr", "eta_power_weber"]),
 ])
 def test_vanishing_wronskian_is_an_insufficient_precision_row(capsys, argv,
@@ -389,7 +425,8 @@ def test_vanishing_wronskian_is_an_insufficient_precision_row(capsys, argv,
     assert all(d["status"] == "pass" for d in rows if d["identity"] not in ids)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and err == ""
-    assert out.count(" Wronskian vanishes through q^(") == len(ids)
+    assert out.count(" Wronskian vanishes through q^(") == len(
+        [i for i in ids if i not in IDENTITIES])
 
 
 @pytest.mark.parametrize("command", ["identify", "divpoly"])

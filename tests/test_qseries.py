@@ -482,6 +482,22 @@ def test_conv_trunc_fraction_entries_stay_exact(la, seed, data):
     assert _conv_trunc(b, b, LONG) == conv_by_loop(b, b, LONG)
 
 
+@settings(max_examples=40, deadline=None)
+@given(int_vectors(max_bits=600), st.integers(-2 ** 70, 2 ** 70),
+       st.booleans(), st.data())
+def test_one_slot_operand_scales_the_other(xs, c, frac, data):
+    # ints and Fractions, the slot on either side and squared: the product
+    # is the loop's, and no verdict of _packs takes it to _kron
+    if frac:
+        c, xs = F(c, 7), [F(x, 3) for x in xs[:60]]
+    one = [c]
+    n = _cut(data.draw, 1, len(xs))
+    with _forced(True), mock.patch.object(qs, "_kron",
+                                          side_effect=AssertionError):
+        for a, b in ((one, xs), (xs, one), (one, one)):
+            assert _conv_trunc(a, b, n) == conv_by_loop(a, list(b), n)
+
+
 def _val(v):
     return next(i for i, c in enumerate(v) if c)
 

@@ -19,8 +19,7 @@ from modwron.symmpow import (SymWronskianMismatch, _divisors, _eta_power,
                              sym_basis, sym_quotient_closed_form,
                              sym_wronskian_check)
 from modwron.wronskian import normalize, quotient_form, wronskian
-from test_qseries import (qseries_strategy, series_products,
-                          truncated_and_completion)
+from test_qseries import qseries_strategy, truncated_and_completion
 
 N = F(20)
 
@@ -255,20 +254,6 @@ def test_apply_scales_by_a_constant_as_its_product_would(y, exact, op):
     if exact:
         y = QSeries(y.offset, y.nums, y.step_den, y.den)
     assert fields(apply(op, y)) == fields(apply_by_products(op, y))
-
-
-@pytest.mark.parametrize("name,lam", [
-    ("ch", F(-11, 5)), ("weber", F(-40)), ("a1", F(-25, 4)),
-])
-def test_apply_runs_no_product_with_a_one_slot_form(
-        monkeypatch, name, lam, ch_pair, weber_pair, a1_pair):
-    f, g = {"ch": ch_pair, "weber": weber_pair, "a1": a1_pair}[name]
-    ys = {1: f, 2: f * g}
-    calls = series_products(monkeypatch)
-    for m, y in ys.items():
-        assert apply(d_operator(lam * G4, m), y).is_zero()
-    assert calls and all(len(a.nums) > 1 and len(b.nums) > 1
-                         for a, b in calls)
 
 
 # ---- kz_coeff -------------------------------------------------------------------

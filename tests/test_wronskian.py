@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from fractions import Fraction as F
 from importlib import import_module
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm, prod
 from operator import mul as _mul_op
 from unittest import mock
@@ -846,6 +846,40 @@ def test_reduced_pair_keeps_the_sym_minors_at_any_prec(twelfths, m):
     prec = F(twelfths, 12)
     assert all(h.step_den == 1 for h in _reduced_pair("weber", prec))
     assert_reduced_pair_keeps("weber", prec, [m])
+
+
+# the cosets of D4 = {x in Z^4 : sum x even} in its dual, by whether the
+# coordinates lie in Z + 1/2 and the parity of their sum: D4, D4+v, D4+s,
+# D4+c with v = (1,0,0,0) and s, c = (1/2,1/2,1/2,+-1/2)
+D4_COSETS = {"0": (0, 0), "v": (0, 1), "s": (1, 0), "c": (1, 1)}
+
+
+def d4_coset_theta(half, parity, bound=5):
+    """Theta_C = sum over x in C of q^(|x|^2/2), C the coset of D4 with
+    coordinates in Z + half/2 summing to parity mod 2, by enumeration over
+    |x_i| <= bound.  In y = 2x the exponent is |y|^2/8, and a vector
+    outside the box has |y|^2 >= (2 bound + 1)^2, where the series stops."""
+    ys = [y for y in range(-2 * bound, 2 * bound + 1) if y % 2 == half]
+    top = (2 * bound + 1) ** 2
+    nums = [0] * top
+    for y in product(ys, repeat=4):
+        n = sum(t * t for t in y)
+        if sum(y) // 2 % 2 == parity and n < top:
+            nums[n] += 1
+    return QSeries(0, nums, 8, 1, F(top, 8))
+
+
+def test_reduced_weber_pair_is_the_d4_level_one_characters():
+    """The reduced pair is (ch L(Lambda_0), ch L(Lambda_1)/8) of D4^(1):
+    Theta_D4 / eta^4, and each of the three other cosets' Theta_C / eta^4
+    is 8 times the second member (Frenkel-Kac; triality), through q^8."""
+    f, g = _reduced_pair("weber", 9)
+    eta4 = eta(1, 16) ** 4
+    chars = {c: d4_coset_theta(*D4_COSETS[c]) / eta4 for c in D4_COSETS}
+    assert min(x.prec for x in chars.values()) > f.prec == g.prec == 9
+    assert first_mismatch(chars["0"], f) is None
+    for c in "vsc":
+        assert first_mismatch(chars[c], 8 * g) is None
 
 
 @contextmanager
